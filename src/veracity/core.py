@@ -509,18 +509,16 @@ class TrustRelation:
     edges: tuple[TrustEdge, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
+        index: dict[tuple[str, str], Weight] = {}
         for e in self.edges:
             key = (e.source, e.target)
-            if key in seen:
+            if key in index:
                 raise ValueError(f"duplicate trust edge {e.source} -> {e.target} in {self.name}")
-            seen.add(key)
+            index[key] = e.weight
+        object.__setattr__(self, "_weights", index)
 
     def weight_between(self, source: str, target: str) -> Optional[Weight]:
-        for e in self.edges:
-            if e.source == source and e.target == target:
-                return e.weight
-        return None
+        return self._weights.get((source, target))
 
     def actors(self) -> frozenset[str]:
         out = set()

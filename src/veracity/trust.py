@@ -7,6 +7,24 @@ implicit at weight 1, so best trust from an actor to itself never needs
 an explicit loop. Max-product search runs as a priority-driven
 relaxation: float logs order the queue, but every comparison and every
 result uses exact rationals.
+
+The decay witness of `relation_properties` is the least (weight, path)
+over maximal simple paths, with paths compared as tuples of actor names.
+One depth-first search finds it without listing the paths. A path that
+leaves a strongly connected component never comes back to it, and an
+actor already on the path outside the current component cannot be
+reached again. So the best completion from an actor depends only on the
+actors of its own component already on the path, and when the path
+enters a component that is the entry actor alone. The search therefore
+runs components in reverse topological order and keeps one answer per
+entry actor: an acyclic relation, where every component is one actor,
+costs time linear in its edges, and only a cyclic component is searched
+by backtracking over its simple paths, which can take time exponential in
+its size. A positive edge weight keeps the order of the completions
+behind it, but a zero-weight edge makes every completion weigh 0, so
+behind it the least path is the lexicographically first one: the
+smallest free successor at every step. Suffixes are shared cons cells,
+so memory stays linear in actors and edges, and no step recurses.
 """
 
 from __future__ import annotations
@@ -119,8 +137,7 @@ def compare_chain_star(
     the chain product.
     """
     chain = chain_weight(chain_weights)
-    star = Fraction(1) * star_ledger_trust
-    return ChainStarComparison(star >= chain, chain, star)
+    return ChainStarComparison(star_ledger_trust >= chain, chain, star_ledger_trust)
 
 
 def compare_relations(
@@ -128,14 +145,13 @@ def compare_relations(
 ) -> Optional[ChainStarComparison]:
     """Compare two relations end to end: the best chain path in one against
     the best star value in the other. None when either side is unreachable."""
-    found = best_trust_path(TrustGraph.from_relation(chain), source, target)
+    chain_graph = TrustGraph.from_relation(chain)
+    found = best_trust_path(chain_graph, source, target)
     star_value = best_trust(TrustGraph.from_relation(star), source, target)
     if found is None or star_value is None:
         return None
     path, _ = found
-    return compare_chain_star(
-        path_weights(TrustGraph.from_relation(chain), path), star_value
-    )
+    return compare_chain_star(path_weights(chain_graph, path), star_value)
 
 
 @dataclass(frozen=True)
@@ -150,35 +166,174 @@ class RelationProperties:
 def relation_properties(graph: TrustGraph) -> RelationProperties:
     """Report self-trust coverage, symmetric edges, and chain decay.
 
+    Self-trust is implicit, so every relation is reflexive-complete.
     Symmetric edge pairs are legal and merely informational. The decay
     witness is the maximal simple path with the smallest weight product:
-    the strongest evidence that longer chains erode trust.
+    the strongest evidence that longer chains erode trust. A path is
+    maximal when its last actor has no edge to an actor off the path, and
+    an actor with no such edge at all is a one-actor path of weight 1.
+    Equal products go to the path that is smaller as a tuple of actor
+    names, so the witness is unique. It is found by the search described
+    in the module docstring: linear in the edges on an acyclic relation,
+    exponential only in the size of a cyclic strongly connected component.
     """
-    reflexive = all(
-        best_trust(graph, actor, actor) == 1 for actor in graph.actors
-    )
-
-    seen = {(e.source, e.target) for e in graph.relation.edges}
+    relation = graph.relation
     symmetric = sorted(
-        (min(s, t), max(s, t)) for s, t in seen if (t, s) in seen and s < t
+        (e.source, e.target)
+        for e in relation.edges
+        if e.source < e.target and relation.weight_between(e.target, e.source) is not None
     )
-
     decay: Optional[tuple[tuple[str, ...], Weight]] = None
-    for start in sorted(graph.actors):
-        for path, weight in _maximal_paths(graph, (start,), Fraction(1)):
-            if decay is None or (weight, path) < (decay[1], decay[0]):
-                decay = (path, weight)
-    return RelationProperties(reflexive, tuple(symmetric), decay)
+    if graph.actors:
+        weight, suffix = min(_least_decays(graph).values())
+        decay = (_flatten(suffix), weight)
+    return RelationProperties(True, tuple(symmetric), decay)
 
 
-def _maximal_paths(graph: TrustGraph, path: tuple[str, ...], weight: Fraction):
-    extensions = [
-        edge
-        for edge in graph.relation.edges
-        if edge.source == path[-1] and edge.target not in path
-    ]
-    if not extensions:
-        yield path, weight
-        return
-    for edge in extensions:
-        yield from _maximal_paths(graph, path + (edge.target,), weight * edge.weight)
+# A path suffix is a cons list (actor, rest) ending in (). Cons lists compare
+# exactly like the flat tuples they spell, and a suffix found once is shared
+# by every longer path that ends with it.
+Suffix = tuple
+Successors = dict[str, list[tuple[str, Weight]]]
+
+
+def _flatten(suffix: Suffix) -> tuple[str, ...]:
+    path = []
+    while suffix:
+        actor, suffix = suffix
+        path.append(actor)
+    return tuple(path)
+
+
+def _least_decays(graph: TrustGraph) -> dict[str, tuple[Weight, Suffix]]:
+    """The least (weight, path) maximal simple path from every actor."""
+    successors: Successors = {actor: [] for actor in graph.actors}
+    for edge in graph.relation.edges:
+        if edge.source != edge.target:
+            successors[edge.source].append((edge.target, edge.weight))
+    for steps in successors.values():
+        steps.sort()
+
+    # First paths are only ever taken behind a zero-weight edge.
+    zero = any(edge.weight == 0 for edge in graph.relation.edges)
+    least: dict[str, tuple[Weight, Suffix]] = {}
+    first: dict[str, Suffix] = {}
+    for members in _strong_components(successors):
+        inside = frozenset(members)
+        if zero:
+            for actor in members:
+                first[actor] = _first_path(actor, set(), inside, successors, first)
+        for actor in members:
+            least[actor] = _least_path(actor, inside, successors, least, first)
+    return least
+
+
+def _strong_components(successors: Successors) -> list[list[str]]:
+    """Tarjan's strongly connected components, each listed after every
+    component it reaches."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    out: list[list[str]] = []
+    for root in sorted(successors):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            actor, steps = work[-1]
+            for target, _ in steps:
+                if target not in index:
+                    index[target] = low[target] = len(index)
+                    stack.append(target)
+                    on_stack.add(target)
+                    work.append((target, iter(successors[target])))
+                    break
+                if target in on_stack:
+                    low[actor] = min(low[actor], index[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[actor])
+                if low[actor] == index[actor]:
+                    members = []
+                    while not members or members[-1] != actor:
+                        members.append(stack.pop())
+                        on_stack.discard(members[-1])
+                    out.append(members)
+    return out
+
+
+def _first_path(
+    start: str,
+    on_path: set[str],
+    inside: frozenset[str],
+    successors: Successors,
+    first: dict[str, Suffix],
+) -> Suffix:
+    """The lexicographically first maximal simple path from start avoiding
+    on_path, the actors of start's component already on the path: take the
+    smallest free successor at every step. Leaves on_path as it found it."""
+    walk: list[str] = []
+    tail: Suffix = ()
+    step: Optional[str] = start
+    while step is not None:
+        if step not in inside:
+            tail = first[step]
+            break
+        walk.append(step)
+        on_path.add(step)
+        step = next((t for t, _ in successors[step] if t not in on_path), None)
+    on_path.difference_update(walk)
+    for actor in reversed(walk):
+        tail = (actor, tail)
+    return tail
+
+
+def _least_path(
+    entry: str,
+    inside: frozenset[str],
+    successors: Successors,
+    least: dict[str, tuple[Weight, Suffix]],
+    first: dict[str, Suffix],
+) -> tuple[Weight, Suffix]:
+    """The least (weight, path) maximal simple path from entry, found by
+    backtracking through entry's component; exits into components already
+    searched read their answers from least and first."""
+    on_path = {entry}
+    # A frame is [actor, weight of the edge into it, its successor
+    # iterator, least completion found so far].
+    stack: list[list] = [[entry, Fraction(1), iter(successors[entry]), None]]
+    while True:
+        frame = stack[-1]
+        actor, into, steps, best = frame
+        for target, weight in steps:
+            if target in on_path:
+                continue
+            if weight and target in inside:
+                frame[3] = best
+                on_path.add(target)
+                stack.append([target, weight, iter(successors[target]), None])
+                break
+            if weight:
+                product, suffix = least[target]
+                found = (weight * product, (actor, suffix))
+            else:
+                found = (weight, (actor, _first_path(target, on_path, inside, successors, first)))
+            if best is None or found < best:
+                best = found
+        else:
+            stack.pop()
+            on_path.discard(actor)
+            if best is None:
+                best = (Fraction(1), (actor, ()))
+            if not stack:
+                return best
+            parent = stack[-1]
+            found = (into * best[0], (parent[0], best[1]))
+            if parent[3] is None or found < parent[3]:
+                parent[3] = found

@@ -1,15 +1,20 @@
 """Trust-graph tests: best paths, chain products, star comparisons."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import weights
-from veracity.core import Atomic, Judgement, Sequent, TrustEdge, TrustRelation, Var
+import veracity
+from veracity.core import Atomic, Judgement, Sequent, TrustEdge, TrustRelation, Var, format_weight
 from veracity.kernel import CheckEnv, check_trust
 from veracity.parser import parse_script
 from veracity.trust import (
@@ -58,6 +63,63 @@ def oracle_best(relation: TrustRelation, source: str, target: str):
 
     walk(source, {source}, Fraction(1))
     return best
+
+
+def oracle_decay(graph: TrustGraph):
+    """The least (weight, path) over exhaustively enumerated maximal simple
+    paths, as (path, weight); None for a graph without actors."""
+    decay = None
+    for start in sorted(graph.actors):
+        for path, weight in _maximal_paths(graph, (start,), Fraction(1)):
+            if decay is None or (weight, path) < (decay[1], decay[0]):
+                decay = (path, weight)
+    return decay
+
+
+def _maximal_paths(graph: TrustGraph, path: tuple[str, ...], weight: Fraction):
+    extensions = [
+        edge
+        for edge in graph.relation.edges
+        if edge.source == path[-1] and edge.target not in path
+    ]
+    if not extensions:
+        yield path, weight
+        return
+    for edge in extensions:
+        yield from _maximal_paths(graph, path + (edge.target,), weight * edge.weight)
+
+
+# Few distinct weights, so equal products and zero-weight edges are common.
+TIED_WEIGHTS = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to seven actors, some of them isolated, with any share of the
+    possible edges (self-loops included) and weights that tie."""
+    names = draw(st.permutations(["p", "q", "r", "s", "t", "u", "v"]))
+    names = names[: draw(st.integers(0, 7))]
+    linked = names[: draw(st.integers(0, len(names)))]
+    pairs = draw(st.permutations([(a, b) for a in linked for b in linked]))
+    chosen = pairs[: draw(st.integers(0, len(pairs)))]
+    edges = tuple(
+        TrustEdge(a, b, draw(st.one_of(TIED_WEIGHTS, weights))) for a, b in chosen
+    )
+    return TrustGraph.from_relation(TrustRelation("T", edges), names[len(linked):])
+
+
+def chain_actors(n: int) -> list[str]:
+    return [f"a{i:04d}" for i in range(n)]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run at the interpreter's default recursion limit, whatever an
+    in-process veracity.cli.main call raised it to."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 def random_relation(rng: random.Random, max_nodes: int = 6) -> TrustRelation:
@@ -273,3 +335,57 @@ class TestRelationProperties:
         props = relation_properties(graph())
         assert props.longest_chain_decay is None
         assert props.reflexive_complete
+
+    def test_zero_weight_edge_takes_the_first_completion(self):
+        g = graph(("p", "q", 0), ("q", "s", "1/4"), ("q", "r", 1), ("s", "t", 0))
+        assert relation_properties(g).longest_chain_decay == (
+            ("p", "q", "r"),
+            Fraction(0),
+        )
+
+    def test_cycle_decay_is_the_weakest_way_round(self):
+        g = graph(("k", "l", "1/2"), ("l", "m", "1/2"), ("m", "k", "1/2"), ("l", "k", 1))
+        assert relation_properties(g).longest_chain_decay == (
+            ("k", "l", "m"),
+            Fraction(1, 4),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_matches_the_enumeration_oracle(self, g):
+        assert relation_properties(g).longest_chain_decay == oracle_decay(g)
+
+    def test_long_chain_at_the_default_recursion_limit(self, default_recursion_limit):
+        actors = chain_actors(3000)
+        g = graph(*((a, b, "4/5") for a, b in zip(actors, actors[1:])))
+        assert relation_properties(g).longest_chain_decay == (
+            tuple(actors),
+            Fraction(4, 5) ** 2999,
+        )
+
+    def test_long_chain_through_the_cli(self, tmp_path):
+        actors = chain_actors(3000)
+        script = tmp_path / "chain.vlp"
+        script.write_text(
+            f"actor {', '.join(actors)}.\n\ntrust T {{\n"
+            + "".join(f"  {a} -> {b} @ 0.8.\n" for a, b in zip(actors, actors[1:]))
+            + "}\n",
+            encoding="utf-8",
+        )
+        src = str(Path(veracity.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))",
+                "trust",
+                str(script),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        decay = f"    decay: {' -> '.join(actors)} @ {format_weight(Fraction(4, 5) ** 2999)}"
+        assert decay in done.stdout.splitlines()
