@@ -33,7 +33,8 @@ from .parser import (
     Script,
     parse_script,
     parse_term,
-    render_claim,
+    render_claim,  # noqa: F401  bench/harness.py wraps cli.render_claim by name
+    render_claimhood,
     render_judgement,
     render_sequent,
     render_term,
@@ -157,7 +158,7 @@ def _check_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None
             continue
         out.lines.append(f"  proof {decl.name}: {_good('ok', cfg)}")
         if isinstance(result, Claimhood):
-            text = f"{render_claim(result.claim)} a veracity claim"
+            text = render_claimhood(result)
             out.lines.append(f"    {text}")
             out.sections.append(
                 Section(section_name, (("status", "ok"), ("claimhood", text)))
@@ -487,12 +488,37 @@ def run_report(cfg: RunConfig) -> tuple[int, list[str], Report]:
     return out.code, out.lines, out.report()
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[int, list[str], Report]]] = {
-    "check": run_check,
-    "eval": run_eval,
-    "model": run_model,
-    "trust": run_trust,
-    "report": run_report,
+_Runner = Callable[[RunConfig], tuple[int, list[str], Report]]
+
+# Each subcommand: its help text, its runner, and the options it reads.
+_COMMANDS: dict[str, tuple[str, _Runner, frozenset[str]]] = {
+    "check": ("replay proofs through the kernel", run_check, frozenset({"-v"})),
+    "eval": ("normalize witness terms", run_eval, frozenset({"--step-budget", "-e", "-v"})),
+    "model": (
+        "answer membership queries and soundness checks",
+        run_model,
+        frozenset({"--step-budget"}),
+    ),
+    "trust": ("analyze trust relations", run_trust, frozenset()),
+    "report": (
+        "full report: check, model, and trust",
+        run_report,
+        frozenset({"--step-budget", "-e", "-v"}),
+    ),
+}
+
+# The options only some subcommands read, named by their first flag in
+# _COMMANDS, in --help order.
+_OPTIONS: dict[tuple[str, ...], dict] = {
+    ("--step-budget",): dict(
+        type=int, default=DEFAULT_BUDGET, metavar="N", help="maximum reduction steps per term"
+    ),
+    ("-e", "--expr"): dict(
+        action="append", default=[], metavar="EXPR", help="witness term to evaluate (repeatable)"
+    ),
+    ("-v", "--verbose"): dict(
+        action="count", default=0, help="more detail (eval traces, stated sequents)"
+    ),
 }
 
 
@@ -502,13 +528,7 @@ def _parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         description="Check, evaluate, and analyze veracity-logic scripts.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "replay proofs through the kernel"),
-        ("eval", "normalize witness terms"),
-        ("model", "answer membership queries and soundness checks"),
-        ("trust", "analyze trust relations"),
-        ("report", "full report: check, model, and trust"),
-    ):
+    for name, (help_text, _, options) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("paths", nargs="*", metavar="FILE", help="input .vlp scripts")
         sub.add_argument(
@@ -518,28 +538,9 @@ def _parse_args(argv: Optional[list[str]] = None) -> RunConfig:
             dest="output_format",
             help="output format (default: text)",
         )
-        sub.add_argument(
-            "--step-budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            metavar="N",
-            help="maximum reduction steps per term",
-        )
-        sub.add_argument(
-            "-e",
-            "--expr",
-            action="append",
-            default=[],
-            metavar="EXPR",
-            help="witness term to evaluate (repeatable)",
-        )
-        sub.add_argument(
-            "-v",
-            "--verbose",
-            action="count",
-            default=0,
-            help="more detail (eval traces, stated sequents)",
-        )
+        for flags, settings in _OPTIONS.items():
+            if flags[0] in options:
+                sub.add_argument(*flags, **settings)
     args = parser.parse_args(argv)
     color = os.environ.get("VERACITY_COLOR", "auto")
     if color not in ("auto", "always", "never"):
@@ -548,9 +549,9 @@ def _parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         command=args.command,
         input_paths=tuple(args.paths),
         output_format=args.output_format,
-        step_budget=args.step_budget,
-        exprs=tuple(args.expr),
-        verbosity=args.verbose,
+        step_budget=getattr(args, "step_budget", DEFAULT_BUDGET),
+        exprs=tuple(getattr(args, "expr", ())),
+        verbosity=getattr(args, "verbose", 0),
         color=color,
     )
 
@@ -561,7 +562,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.setrecursionlimit(10000)
     cfg = _parse_args(argv)
     try:
-        code, lines, report = _COMMANDS[cfg.command](cfg)
+        code, lines, report = _COMMANDS[cfg.command][1](cfg)
     except _CliError as err:
         print(err.message, file=sys.stderr)
         return err.code

@@ -20,9 +20,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 Weight = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def as_weight(value: Union[int, str, Fraction]) -> Weight:
     """Convert to an exact weight in [0, 1].
@@ -95,7 +92,6 @@ class Min:
 WeightExpr = Union[Const, Arg, Mul, Min]
 
 ARG = Arg()
-IDENTITY = ARG
 
 
 def eval_weight_expr(expr: WeightExpr, z: Weight) -> Weight:
@@ -169,16 +165,6 @@ def atoms_of_claim(claim: Claim) -> frozenset[str]:
     raise TypeError(f"not a claim: {claim!r}")
 
 
-def subclaims(claim: Claim) -> frozenset[Claim]:
-    """The claim together with everything under it."""
-    out = {claim}
-    if isinstance(claim, (And, Or)):
-        out |= subclaims(claim.left) | subclaims(claim.right)
-    elif isinstance(claim, Implies):
-        out |= subclaims(claim.antecedent) | subclaims(claim.consequent)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Claim families
 #
@@ -201,6 +187,13 @@ class TagFamily:
 
 
 ClaimFamily = Union[ConstantFamily, TagFamily]
+
+
+def family_claims(family: ClaimFamily) -> tuple[Claim, ...]:
+    """The claims a family names, in source order."""
+    if isinstance(family, ConstantFamily):
+        return (family.claim,)
+    return (family.on_left, family.on_right)
 
 
 def family_at(family: ClaimFamily, scrutinee: "Term") -> Optional[Claim]:

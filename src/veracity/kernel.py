@@ -24,6 +24,10 @@ Rule conventions:
   - A node may state the sequent it believes it derives; the checker
     compares, reporting a tag mismatch specially when a disjunction
     introduction was stated with the wrong tag.
+
+Each rule is defined for the kernel in exactly one row of _RULES: its
+premise count, the type of its argument record, and the call to its public
+check_* function.  Its surface form lives in parser._RULE_SYNTAX.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .core import (
     And,
@@ -69,6 +73,7 @@ from .core import (
     atoms_of_claim,
     eval_weight_expr,
     family_at,
+    family_claims,
 )
 from .parser import DEFAULT_ACTOR, Script, render_claim, render_sequent, render_term
 
@@ -216,11 +221,8 @@ def check_or_elim(
     env: CheckEnv,
     path: Path = (),
 ) -> Sequent:
-    if isinstance(family, ConstantFamily):
-        _require_declared(family.claim, env, path)
-    else:
-        _require_declared(family.on_left, env, path)
-        _require_declared(family.on_right, env, path)
+    for claim in family_claims(family):
+        _require_declared(claim, env, path)
     sj = scrutinee.conclusion
     if not isinstance(sj.claim, Or):
         raise CheckError(
@@ -427,32 +429,40 @@ def check_trust(
 # ---------------------------------------------------------------------------
 # Tree replay
 
-_ARITY = {
-    Rule.ASSUME: 0,
-    Rule.CLAIM: 1,
-    Rule.BOTTOM_ELIM: 1,
-    Rule.OR_INTRO_L: 1,
-    Rule.OR_INTRO_R: 1,
-    Rule.OR_ELIM: 3,
-    Rule.AND_INTRO: 2,
-    Rule.AND_ELIM: 2,
-    Rule.IMP_INTRO: 1,
-    Rule.IMP_ELIM: 2,
-    Rule.TRUST: 1,
-}
+_Apply = Callable[[tuple[Sequent, ...], Any, CheckEnv, Path], CheckResult]
 
-_ARGS_TYPE = {
-    Rule.ASSUME: AssumeArgs,
-    Rule.CLAIM: type(None),
-    Rule.BOTTOM_ELIM: BottomElimArgs,
-    Rule.OR_INTRO_L: OrIntroArgs,
-    Rule.OR_INTRO_R: OrIntroArgs,
-    Rule.OR_ELIM: OrElimArgs,
-    Rule.AND_INTRO: type(None),
-    Rule.AND_ELIM: AndElimArgs,
-    Rule.IMP_INTRO: ImpIntroArgs,
-    Rule.IMP_ELIM: type(None),
-    Rule.TRUST: TrustArgs,
+_RULES: dict[Rule, tuple[int, type, _Apply]] = {
+    Rule.ASSUME: (0, AssumeArgs, lambda ps, a, env, path: check_assume(a, env, path)),
+    Rule.CLAIM: (1, type(None), lambda ps, a, env, path: check_claimhood(*ps)),
+    Rule.BOTTOM_ELIM: (
+        1, BottomElimArgs, lambda ps, a, env, path: check_bottom_elim(*ps, a.target, env, path)
+    ),
+    Rule.OR_INTRO_L: (
+        1, OrIntroArgs, lambda ps, a, env, path: check_or_intro(*ps, "left", a.other, env, path)
+    ),
+    Rule.OR_INTRO_R: (
+        1, OrIntroArgs, lambda ps, a, env, path: check_or_intro(*ps, "right", a.other, env, path)
+    ),
+    Rule.OR_ELIM: (
+        3,
+        OrElimArgs,
+        lambda ps, a, env, path: check_or_elim(*ps, a.family, a.left_var, a.right_var, env, path),
+    ),
+    Rule.AND_INTRO: (2, type(None), lambda ps, a, env, path: check_and_intro(*ps, path)),
+    Rule.AND_ELIM: (
+        2,
+        AndElimArgs,
+        lambda ps, a, env, path: check_and_elim(*ps, a.family, a.fst_var, a.snd_var, env, path),
+    ),
+    Rule.IMP_INTRO: (
+        1, ImpIntroArgs, lambda ps, a, env, path: check_implies_intro(*ps, a.var, a.weight_fn, path)
+    ),
+    Rule.IMP_ELIM: (2, type(None), lambda ps, a, env, path: check_implies_elim(*ps, path)),
+    Rule.TRUST: (
+        1,
+        TrustArgs,
+        lambda ps, a, env, path: check_trust(*ps, a.relation, a.source, a.target, env, path),
+    ),
 }
 
 
@@ -479,66 +489,23 @@ def _sequent_premises(
 
 def _check(tree: ProofTree, env: CheckEnv, path: Path) -> CheckResult:
     rule = tree.rule
-    expected_arity = _ARITY.get(rule)
-    if expected_arity is None:
+    spec = _RULES.get(rule)
+    if spec is None:
         raise CheckError(ErrorKind.RULE_ARITY_MISMATCH, path, f"unknown rule {rule!r}")
-    if len(tree.premises) != expected_arity:
+    arity, args_type, apply = spec
+    if len(tree.premises) != arity:
         raise CheckError(
             ErrorKind.RULE_ARITY_MISMATCH,
             path,
-            f"{rule.value} takes {expected_arity} premises, found {len(tree.premises)}",
+            f"{Rule(rule).value} takes {arity} premises, found {len(tree.premises)}",
         )
-    if not isinstance(tree.args, _ARGS_TYPE[rule]):
+    if not isinstance(tree.args, args_type):
         raise CheckError(
             ErrorKind.RULE_ARITY_MISMATCH,
             path,
-            f"{rule.value} node carries the wrong argument record",
+            f"{Rule(rule).value} node carries the wrong argument record",
         )
-
-    premises = _sequent_premises(tree, env, path)
-
-    if rule is Rule.ASSUME:
-        result: CheckResult = check_assume(tree.args, env, path)
-    elif rule is Rule.CLAIM:
-        result = check_claimhood(premises[0])
-    elif rule is Rule.BOTTOM_ELIM:
-        result = check_bottom_elim(premises[0], tree.args.target, env, path)
-    elif rule is Rule.OR_INTRO_L:
-        result = check_or_intro(premises[0], "left", tree.args.other, env, path)
-    elif rule is Rule.OR_INTRO_R:
-        result = check_or_intro(premises[0], "right", tree.args.other, env, path)
-    elif rule is Rule.OR_ELIM:
-        result = check_or_elim(
-            premises[0],
-            premises[1],
-            premises[2],
-            tree.args.family,
-            tree.args.left_var,
-            tree.args.right_var,
-            env,
-            path,
-        )
-    elif rule is Rule.AND_INTRO:
-        result = check_and_intro(premises[0], premises[1], path)
-    elif rule is Rule.AND_ELIM:
-        result = check_and_elim(
-            premises[0],
-            premises[1],
-            tree.args.family,
-            tree.args.fst_var,
-            tree.args.snd_var,
-            env,
-            path,
-        )
-    elif rule is Rule.IMP_INTRO:
-        result = check_implies_intro(premises[0], tree.args.var, tree.args.weight_fn, path)
-    elif rule is Rule.IMP_ELIM:
-        result = check_implies_elim(premises[0], premises[1], path)
-    else:
-        result = check_trust(
-            premises[0], tree.args.relation, tree.args.source, tree.args.target, env, path
-        )
-
+    result = apply(_sequent_premises(tree, env, path), tree.args, env, path)
     _match_stated(result, tree, path)
     return result
 

@@ -9,6 +9,11 @@ Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
 parentheses minimal; round-tripping a rendered value re-parses to an
 alpha-equivalent one.
+
+The surface form of each proof rule but assume is defined in exactly one row
+of _RULE_SYNTAX; parsing, rendering and the declaration check of script
+proofs all walk that row.  The kernel's checking rules live in
+kernel._RULES.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     ARG,
@@ -49,6 +54,7 @@ from .core import (
     ProofTree,
     Provenance,
     Rule,
+    RuleArgs,
     Sequent,
     SplitOf,
     TagFamily,
@@ -63,6 +69,7 @@ from .core import (
     WeightExpr,
     as_weight,
     atoms_of_claim,
+    family_claims,
     format_weight,
     is_neg,
 )
@@ -242,6 +249,57 @@ class Script:
 # Parser
 
 _RULE_NAMES = {r.value for r in Rule}
+
+# Every rule but assume is written name(arg, ...).  Its row lists the kinds
+# of those arguments in order, builds the node's argument record from the
+# ones that are not premises, and reads them back from the record.
+#
+# Kinds: "tree" a premise, "binder" a bound name, "claim", "family", "var"
+# the discharged variable, "relation" a trust relation, "source" and
+# "target" actors, and "weight" an optional trailing weight transformer.
+# Arguments are separated by "," except after a binder, which ends in ".",
+# and a source, which ends in "->"; the optional weight brings its own ",".
+_RuleSyntax = tuple[tuple[str, ...], Callable[..., Optional[RuleArgs]], Callable[[Any], tuple]]
+
+_RULE_SYNTAX: dict[Rule, _RuleSyntax] = {
+    Rule.CLAIM: (("tree",), lambda: None, lambda a: ()),
+    Rule.BOTTOM_ELIM: (("tree", "claim"), BottomElimArgs, lambda a: (a.target,)),
+    Rule.OR_INTRO_L: (("tree", "claim"), OrIntroArgs, lambda a: (a.other,)),
+    Rule.OR_INTRO_R: (("tree", "claim"), OrIntroArgs, lambda a: (a.other,)),
+    Rule.OR_ELIM: (
+        ("tree", "binder", "tree", "binder", "tree", "family"),
+        lambda lv, rv, family: OrElimArgs(family, lv, rv),
+        lambda a: (a.left_var, a.right_var, a.family),
+    ),
+    Rule.AND_INTRO: (("tree", "tree"), lambda: None, lambda a: ()),
+    Rule.AND_ELIM: (
+        ("tree", "binder", "binder", "tree", "claim"),
+        lambda fv, sv, claim: AndElimArgs(ConstantFamily(claim), fv, sv),
+        lambda a: (a.fst_var, a.snd_var, a.family.claim),
+    ),
+    Rule.IMP_INTRO: (("var", "tree", "weight"), ImpIntroArgs, lambda a: (a.var, a.weight_fn)),
+    Rule.IMP_ELIM: (("tree", "tree"), lambda: None, lambda a: ()),
+    Rule.TRUST: (
+        ("relation", "source", "target", "tree"),
+        TrustArgs,
+        lambda a: (a.relation, a.source, a.target),
+    ),
+}
+
+# What each name-valued kind is called in a parse error, and the token that
+# ends a kind that is not followed by ",".
+_NAME_KINDS = {
+    "binder": "a binder",
+    "var": "the discharged variable",
+    "relation": "a trust relation",
+    "source": "an actor",
+    "target": "an actor",
+}
+_SELF_ENDING = {"binder": ".", "source": "->"}
+
+
+def _needs_comma(kinds: tuple[str, ...], k: int) -> bool:
+    return k > 0 and kinds[k] != "weight" and kinds[k - 1] not in _SELF_ENDING
 
 
 class _Parser:
@@ -578,86 +636,30 @@ class _Parser:
             args = AssumeArgs(var, claim, actor, context)
             return ProofTree(rule, (), args, None, loc)
 
+        kinds, build, _ = _RULE_SYNTAX[rule]
+        premises: list[ProofTree] = []
+        values: list[object] = []
         self.expect("(")
-        if rule is Rule.CLAIM:
-            premise = self.tree(default_actor)
-            self.expect(")")
-            return ProofTree(rule, (premise,), None, None, loc)
-        if rule in (Rule.BOTTOM_ELIM, Rule.OR_INTRO_L, Rule.OR_INTRO_R):
-            premise = self.tree(default_actor)
-            self.expect(",")
-            claim = self.claim()
-            self.expect(")")
-            args = BottomElimArgs(claim) if rule is Rule.BOTTOM_ELIM else OrIntroArgs(claim)
-            return ProofTree(rule, (premise,), args, None, loc)
-        if rule is Rule.OR_ELIM:
-            scrutinee = self.tree(default_actor)
-            self.expect(",")
-            lv = self.expect_ident("a binder").text
-            self.expect(".")
-            left = self.tree(default_actor)
-            self.expect(",")
-            rv = self.expect_ident("a binder").text
-            self.expect(".")
-            right = self.tree(default_actor)
-            self.expect(",")
-            family = self.family()
-            self.expect(")")
-            return ProofTree(
-                rule, (scrutinee, left, right), OrElimArgs(family, lv, rv), None, loc
-            )
-        if rule is Rule.AND_INTRO:
-            left = self.tree(default_actor)
-            self.expect(",")
-            right = self.tree(default_actor)
-            self.expect(")")
-            return ProofTree(rule, (left, right), None, None, loc)
-        if rule is Rule.AND_ELIM:
-            scrutinee = self.tree(default_actor)
-            self.expect(",")
-            fv = self.expect_ident("a binder").text
-            self.expect(".")
-            sv = self.expect_ident("a binder").text
-            self.expect(".")
-            branch = self.tree(default_actor)
-            self.expect(",")
-            claim = self.claim()
-            self.expect(")")
-            return ProofTree(
-                rule,
-                (scrutinee, branch),
-                AndElimArgs(ConstantFamily(claim), fv, sv),
-                None,
-                loc,
-            )
-        if rule is Rule.IMP_INTRO:
-            var = self.expect_ident("the discharged variable").text
-            self.expect(",")
-            premise = self.tree(default_actor)
-            weight_fn: WeightExpr = ARG
-            if self.accept(","):
-                weight_fn = self.weight_expr()
-            self.expect(")")
-            return ProofTree(rule, (premise,), ImpIntroArgs(var, weight_fn), None, loc)
-        if rule is Rule.IMP_ELIM:
-            fn = self.tree(default_actor)
-            self.expect(",")
-            arg = self.tree(default_actor)
-            self.expect(")")
-            return ProofTree(rule, (fn, arg), None, None, loc)
-        if rule is Rule.TRUST:
-            relation = self.expect_ident("a trust relation").text
-            self.expect(",")
-            source = self.expect_ident("an actor").text
-            self.expect("->")
-            target = self.expect_ident("an actor").text
-            self.expect(",")
-            premise = self.tree(default_actor)
-            self.expect(")")
-            return ProofTree(
-                rule, (premise,), TrustArgs(relation, source, target), None, loc
-            )
-        raise ParseError(f"unhandled rule {rule.value}", loc[0], loc[1])
+        for k, kind in enumerate(kinds):
+            if _needs_comma(kinds, k):
+                self.expect(",")
+            (premises if kind == "tree" else values).append(self.rule_arg(kind, default_actor))
+        self.expect(")")
+        return ProofTree(rule, tuple(premises), build(*values), None, loc)
+
+    def rule_arg(self, kind: str, default_actor: str) -> object:
+        if kind == "tree":
+            return self.tree(default_actor)
+        if kind == "claim":
+            return self.claim()
+        if kind == "family":
+            return self.family()
+        if kind == "weight":
+            return self.weight_expr() if self.accept(",") else ARG
+        name = self.expect_ident(_NAME_KINDS[kind]).text
+        if kind in _SELF_ENDING:
+            self.expect(_SELF_ENDING[kind])
+        return name
 
     def family(self) -> ClaimFamily:
         if (
@@ -736,23 +738,18 @@ class _Parser:
                     check_actor_declared(args.actor, loc)
                 for h in args.context:
                     check_hypothesis(h, loc)
-            elif isinstance(args, (BottomElimArgs,)):
-                check_claim_declared(args.target, loc)
-            elif isinstance(args, OrIntroArgs):
-                check_claim_declared(args.other, loc)
-            elif isinstance(args, OrElimArgs):
-                fam = args.family
-                if isinstance(fam, ConstantFamily):
-                    check_claim_declared(fam.claim, loc)
-                else:
-                    check_claim_declared(fam.on_left, loc)
-                    check_claim_declared(fam.on_right, loc)
-            elif isinstance(args, AndElimArgs):
-                check_claim_declared(args.family.claim, loc)
-            elif isinstance(args, TrustArgs):
-                check_relation_declared(args.relation, loc)
-                check_actor_declared(args.source, loc)
-                check_actor_declared(args.target, loc)
+            else:
+                kinds, _, read = _RULE_SYNTAX[tree.rule]
+                for kind, value in zip([k for k in kinds if k != "tree"], read(args)):
+                    if kind == "claim":
+                        check_claim_declared(value, loc)
+                    elif kind == "family":
+                        for claim in family_claims(value):
+                            check_claim_declared(claim, loc)
+                    elif kind == "relation":
+                        check_relation_declared(value, loc)
+                    elif kind in ("source", "target"):
+                        check_actor_declared(value, loc)
             if tree.stated is not None:
                 for h in tree.stated.hypotheses:
                     check_hypothesis(h, loc)
@@ -1096,6 +1093,22 @@ def render_family(family: ClaimFamily) -> str:
     return f"i => {render_claim(family.on_left)} | j => {render_claim(family.on_right)}"
 
 
+def _render_rule_arg(kind: str, value) -> str:
+    if kind == "tree":
+        return render_proof_tree(value)
+    if kind == "claim":
+        return render_claim(value)
+    if kind == "family":
+        return render_family(value)
+    if kind == "weight":
+        return "" if value == ARG else f", {render_weight_expr(value)}"
+    if kind == "binder":
+        return f"{value}."
+    if kind == "source":
+        return f"{value} -> "
+    return value
+
+
 def render_proof_tree(tree: ProofTree) -> str:
     args = tree.args
     if tree.rule is Rule.ASSUME:
@@ -1106,56 +1119,15 @@ def render_proof_tree(tree: ProofTree) -> str:
         text += f" : {render_claim(args.claim)}"
         if args.context:
             text += " under (" + ", ".join(render_hypothesis(h) for h in args.context) + ")"
-    elif tree.rule is Rule.CLAIM:
-        text = f"claim({render_proof_tree(tree.premises[0])})"
-    elif tree.rule is Rule.BOTTOM_ELIM:
-        assert isinstance(args, BottomElimArgs)
-        text = f"bottomElim({render_proof_tree(tree.premises[0])}, {render_claim(args.target)})"
-    elif tree.rule in (Rule.OR_INTRO_L, Rule.OR_INTRO_R):
-        assert isinstance(args, OrIntroArgs)
-        text = (
-            f"{tree.rule.value}({render_proof_tree(tree.premises[0])}, "
-            f"{render_claim(args.other)})"
-        )
-    elif tree.rule is Rule.OR_ELIM:
-        assert isinstance(args, OrElimArgs)
-        scrutinee, left, right = tree.premises
-        text = (
-            f"orElim({render_proof_tree(scrutinee)}, "
-            f"{args.left_var}.{render_proof_tree(left)}, "
-            f"{args.right_var}.{render_proof_tree(right)}, "
-            f"{render_family(args.family)})"
-        )
-    elif tree.rule is Rule.AND_INTRO:
-        text = (
-            f"andIntro({render_proof_tree(tree.premises[0])}, "
-            f"{render_proof_tree(tree.premises[1])})"
-        )
-    elif tree.rule is Rule.AND_ELIM:
-        assert isinstance(args, AndElimArgs)
-        scrutinee, branch = tree.premises
-        text = (
-            f"andElim({render_proof_tree(scrutinee)}, "
-            f"{args.fst_var}.{args.snd_var}.{render_proof_tree(branch)}, "
-            f"{render_claim(args.family.claim)})"
-        )
-    elif tree.rule is Rule.IMP_INTRO:
-        assert isinstance(args, ImpIntroArgs)
-        text = f"impIntro({args.var}, {render_proof_tree(tree.premises[0])}"
-        if args.weight_fn != ARG:
-            text += f", {render_weight_expr(args.weight_fn)}"
+    elif tree.rule in _RULE_SYNTAX:
+        kinds, _, read = _RULE_SYNTAX[tree.rule]
+        premises, values = iter(tree.premises), iter(read(args))
+        text = f"{Rule(tree.rule).value}("
+        for k, kind in enumerate(kinds):
+            if _needs_comma(kinds, k):
+                text += ", "
+            text += _render_rule_arg(kind, next(premises if kind == "tree" else values))
         text += ")"
-    elif tree.rule is Rule.IMP_ELIM:
-        text = (
-            f"impElim({render_proof_tree(tree.premises[0])}, "
-            f"{render_proof_tree(tree.premises[1])})"
-        )
-    elif tree.rule is Rule.TRUST:
-        assert isinstance(args, TrustArgs)
-        text = (
-            f"trust({args.relation}, {args.source} -> {args.target}, "
-            f"{render_proof_tree(tree.premises[0])})"
-        )
     else:
         raise TypeError(f"not a proof tree rule: {tree.rule!r}")
     if tree.stated is not None:

@@ -54,7 +54,7 @@ from .core import (
 )
 from .evaluator import DEFAULT_BUDGET, normalize
 from .kernel import CheckEnv, check_proof
-from .parser import ModelDecl, Script, render_term
+from .parser import ModelDecl, Script, render_claim, render_term
 
 DEFAULT_DEPTH_BOUND = 3
 
@@ -370,7 +370,7 @@ def soundness_check(
         query = Judgement(Atom(hyp.var), hyp.actor, hyp.weight, hyp.claim)
         if not member(query, model, depth_bound):
             raise PreconditionError(
-                f"hypothesis {hyp.var} : {_describe_claim(hyp.claim)} "
+                f"hypothesis {hyp.var} : {render_claim(hyp.claim)} "
                 f"does not hold in the model"
             )
     conclusion = result.conclusion
@@ -378,12 +378,6 @@ def soundness_check(
     witness = normalize(substitute_many(conclusion.witness, grounding), budget)
     grounded = Judgement(witness, conclusion.actor, conclusion.weight, conclusion.claim)
     return member(grounded, model, depth_bound)
-
-
-def _describe_claim(claim: Claim) -> str:
-    from .parser import render_claim
-
-    return render_claim(claim)
 
 
 def render_witness(w: WeightedWitness) -> str:

@@ -264,6 +264,35 @@ class TestArgs:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-e", "a"],
+            ["check", "--step-budget", "10"],
+            ["model", "-e", "a"],
+            ["model", "-v"],
+            ["trust", "-e", "a"],
+            ["trust", "--step-budget", "10"],
+            ["trust", "-v"],
+        ],
+    )
+    def test_subcommands_reject_options_they_do_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [PENELOPE])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-v"],
+            ["model", "--step-budget", "10"],
+            ["report", "-v", "--step-budget", "10", "-e", "a"],
+        ],
+    )
+    def test_subcommands_accept_options_they_read(self, capsys, argv):
+        assert main(argv + [PENELOPE]) == 0
+
     def test_fixtures_ship_with_the_package(self):
         assert (FIXTURES / "penelope.vlp").is_file()
         assert sorted(p.name for p in FIXTURES.glob("*.vlp")) == [

@@ -11,19 +11,25 @@ from strategies import decreasing_weight_exprs, weights
 from veracity.core import (
     ARG,
     And,
+    AndElimArgs,
     Apply,
+    AssumeArgs,
     Atomic,
     Bottom,
+    BottomElimArgs,
     CasesOf,
     Claimhood,
     Const,
     ConstantFamily,
     Hypothesis,
     Implies,
+    ImpIntroArgs,
     Judgement,
     Lambda,
     Mul,
     Or,
+    OrElimArgs,
+    OrIntroArgs,
     Pair,
     ProofTree,
     Rule,
@@ -32,6 +38,7 @@ from veracity.core import (
     TagFamily,
     TagL,
     TagR,
+    TrustArgs,
     TrustEdge,
     TrustRelation,
     Var,
@@ -55,6 +62,7 @@ from veracity.kernel import (
     check_trust,
     env_from_script,
 )
+from veracity import kernel, parser
 from veracity.parser import parse_script, render_sequent
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
@@ -585,6 +593,69 @@ class TestTreeReplay:
         )
         s = check_proof(script.proofs[0].tree, env_from_script(script))
         assert [h.var for h in s.hypotheses] == ["x", "y"]
+
+
+# Every rule with its premise count and a well-formed argument record.
+RULES = [
+    (Rule.ASSUME, 0, AssumeArgs("x", A)),
+    (Rule.CLAIM, 1, None),
+    (Rule.BOTTOM_ELIM, 1, BottomElimArgs(A)),
+    (Rule.OR_INTRO_L, 1, OrIntroArgs(B)),
+    (Rule.OR_INTRO_R, 1, OrIntroArgs(B)),
+    (Rule.OR_ELIM, 3, OrElimArgs(ConstantFamily(A), "u", "v")),
+    (Rule.AND_INTRO, 2, None),
+    (Rule.AND_ELIM, 2, AndElimArgs(ConstantFamily(A), "u", "v")),
+    (Rule.IMP_INTRO, 1, ImpIntroArgs("x")),
+    (Rule.IMP_ELIM, 2, None),
+    (Rule.TRUST, 1, TrustArgs("T", "P", "Q")),
+]
+
+LEAF = ProofTree(Rule.ASSUME, (), AssumeArgs("x", A))
+
+
+class TestRuleTable:
+    def test_cases_cover_every_rule(self):
+        assert {rule for rule, _, _ in RULES} == set(Rule)
+
+    def test_each_rule_is_defined_once_in_each_table(self):
+        assert set(kernel._RULES) == set(Rule)
+        assert set(parser._RULE_SYNTAX) == set(Rule) - {Rule.ASSUME}
+
+    @pytest.mark.parametrize("rule, arity, args", RULES)
+    def test_wrong_premise_count(self, rule, arity, args):
+        for found in {max(arity - 1, 0), arity + 1} - {arity}:
+            tree = ProofTree(rule, (LEAF,) * found, args)
+            with pytest.raises(CheckError) as exc:
+                check_proof(tree, ENV)
+            assert exc.value.kind is ErrorKind.RULE_ARITY_MISMATCH
+            assert exc.value.path == ()
+            assert exc.value.detail == f"{rule.value} takes {arity} premises, found {found}"
+
+    @pytest.mark.parametrize("rule, arity, args", RULES)
+    def test_wrong_argument_record(self, rule, arity, args):
+        other = BottomElimArgs(A) if not isinstance(args, BottomElimArgs) else OrIntroArgs(A)
+        wrong = [other, TrustArgs("T", "P", "Q")] if args is None else [other, None]
+        for record in wrong:
+            tree = ProofTree(rule, (LEAF,) * arity, record)
+            with pytest.raises(CheckError) as exc:
+                check_proof(tree, ENV)
+            assert exc.value.kind is ErrorKind.RULE_ARITY_MISMATCH
+            assert exc.value.detail == f"{rule.value} node carries the wrong argument record"
+
+    def test_unknown_rule(self):
+        with pytest.raises(CheckError) as exc:
+            check_proof(ProofTree("frobnicate", ()), ENV)
+        assert exc.value.kind is ErrorKind.RULE_ARITY_MISMATCH
+        assert exc.value.detail == "unknown rule 'frobnicate'"
+
+    def test_rule_given_by_its_name(self):
+        with pytest.raises(CheckError) as exc:
+            check_proof(ProofTree("andIntro", (LEAF,)), ENV)
+        assert exc.value.detail == "andIntro takes 2 premises, found 1"
+        with pytest.raises(CheckError) as exc:
+            check_proof(ProofTree("andIntro", (LEAF, LEAF), OrIntroArgs(A)), ENV)
+        assert exc.value.detail == "andIntro node carries the wrong argument record"
+        assert check_proof(ProofTree("claim", (LEAF,)), ENV) == Claimhood(A)
 
 
 class TestWeightLaws:

@@ -473,6 +473,139 @@ class TestScriptParsing:
             pytest.fail("expected a ParseError")
 
 
+class TestProofTreeErrors:
+    """Exact messages and locations for malformed or undeclared rule arguments.
+
+    Each tree sits on line 3 of a script, indented by two columns, so a node
+    at the start of the tree is reported at line 3, col 3."""
+
+    PRELUDE = "claim A, B. actor P, Q. trust T { P -> Q. }\nproof X {\n"
+
+    def error(self, tree):
+        with pytest.raises(ParseError) as exc:
+            parse_script(f"{self.PRELUDE}  {tree}\n}}")
+        return exc.value.message, exc.value.line, exc.value.col
+
+    @pytest.mark.parametrize(
+        "tree, message, line, col",
+        [
+            # missing "("
+            ("claim assume x : A", "expected '(', found 'assume'", 3, 9),
+            ("bottomElim assume x : _|_, A)", "expected '(', found 'assume'", 3, 14),
+            ("orIntroL assume x : A, B)", "expected '(', found 'assume'", 3, 12),
+            ("orIntroR assume x : B, A)", "expected '(', found 'assume'", 3, 12),
+            ("orElim assume x : A \\/ B, u.assume u : A, v.assume v : B, A)",
+             "expected '(', found 'assume'", 3, 10),
+            ("andIntro assume x : A, assume y : B)", "expected '(', found 'assume'", 3, 12),
+            ("andElim assume x : A /\\ B, u.v.assume u : A, A)",
+             "expected '(', found 'assume'", 3, 11),
+            ("impIntro x, assume x : A)", "expected '(', found 'x'", 3, 12),
+            ("impElim assume f : A -> B, assume x : A)", "expected '(', found 'assume'", 3, 11),
+            ("trust T, P -> Q, assume a^Q : A)", "expected '(', found 'T'", 3, 9),
+            # missing ","
+            ("bottomElim(assume x : _|_ A)", "expected ',', found 'A'", 3, 29),
+            ("orIntroL(assume x : A B)", "expected ',', found 'B'", 3, 25),
+            ("orIntroR(assume x : B A)", "expected ',', found 'A'", 3, 25),
+            ("orElim(assume x : A \\/ B u.assume u : A, v.assume v : B, A)",
+             "expected ',', found 'u'", 3, 28),
+            ("orElim(assume x : A \\/ B, u.assume u : A v.assume v : B, A)",
+             "expected ',', found 'v'", 3, 44),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B A)",
+             "expected ',', found 'A'", 3, 60),
+            ("andIntro(assume x : A assume y : B)", "expected ',', found 'assume'", 3, 25),
+            ("andElim(assume x : A /\\ B u.v.assume u : A, A)", "expected ',', found 'u'", 3, 29),
+            ("andElim(assume x : A /\\ B, u.v.assume u : A A)", "expected ',', found 'A'", 3, 47),
+            ("impIntro(x assume x : A)", "expected ',', found 'assume'", 3, 14),
+            ("impElim(assume f : A -> B assume x : A)", "expected ',', found 'assume'", 3, 29),
+            ("trust(T P -> Q, assume a^Q : A)", "expected ',', found 'P'", 3, 11),
+            ("trust(T, P -> Q assume a^Q : A)", "expected ',', found 'assume'", 3, 19),
+            # missing ")"
+            ("claim(assume x : A", "expected ')', found '}'", 4, 1),
+            ("bottomElim(assume x : _|_, A", "expected ')', found '}'", 4, 1),
+            ("orIntroL(assume x : A, B", "expected ')', found '}'", 4, 1),
+            ("orIntroR(assume x : B, A", "expected ')', found '}'", 4, 1),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, A",
+             "expected ')', found '}'", 4, 1),
+            ("andIntro(assume x : A, assume y : B", "expected ')', found '}'", 4, 1),
+            ("andElim(assume x : A /\\ B, u.v.assume u : A, A", "expected ')', found '}'", 4, 1),
+            ("impIntro(x, assume x : A", "expected ')', found '}'", 4, 1),
+            ("impIntro(x, assume x : A, z", "expected ')', found '}'", 4, 1),
+            ("impElim(assume f : A -> B, assume x : A", "expected ')', found '}'", 4, 1),
+            ("trust(T, P -> Q, assume a^Q : A", "expected ')', found '}'", 4, 1),
+            # missing "." after a binder
+            ("orElim(assume x : A \\/ B, u assume u : A, v.assume v : B, A)",
+             "expected '.', found 'assume'", 3, 31),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v assume v : B, A)",
+             "expected '.', found 'assume'", 3, 47),
+            ("andElim(assume x : A /\\ B, u v.assume u : A, A)", "expected '.', found 'v'", 3, 32),
+            ("andElim(assume x : A /\\ B, u.v assume u : A, A)",
+             "expected '.', found 'assume'", 3, 34),
+            # missing "->" in a trust step
+            ("trust(T, P Q, assume a^Q : A)", "expected '->', found 'Q'", 3, 14),
+            # a non-identifier where a name is expected
+            ("orElim(assume x : A \\/ B, (.assume u : A, v.assume v : B, A)",
+             "expected a binder, found '('", 3, 29),
+            ("orElim(assume x : A \\/ B, u.assume u : A, 1.assume v : B, A)",
+             "expected a binder, found '1'", 3, 45),
+            ("andElim(assume x : A /\\ B, ,.v.assume u : A, A)",
+             "expected a binder, found ','", 3, 30),
+            ("andElim(assume x : A /\\ B, u.).assume u : A, A)",
+             "expected a binder, found ')'", 3, 32),
+            ("impIntro(1, assume x : A)", "expected the discharged variable, found '1'", 3, 12),
+            ("trust(1, P -> Q, assume a^Q : A)", "expected a trust relation, found '1'", 3, 9),
+            ("trust(T, -> Q, assume a^Q : A)", "expected an actor, found '->'", 3, 12),
+            ("trust(T, P -> 1, assume a^Q : A)", "expected an actor, found '1'", 3, 17),
+            # a premise that is not a rule
+            ("andIntro(assume x : A, frob(assume y : B))",
+             "expected a rule name, found 'frob'", 3, 26),
+            ("impIntro(x, 0.5)", "expected a rule name, found '0.5'", 3, 15),
+        ],
+    )
+    def test_syntax_error(self, tree, message, line, col):
+        assert self.error(tree) == (message, line, col)
+
+    @pytest.mark.parametrize(
+        "tree, message, line, col",
+        [
+            ("bottomElim(assume x : _|_, C)", "claim 'C' is not declared", 3, 3),
+            ("orIntroL(assume x : A, C)", "claim 'C' is not declared", 3, 3),
+            ("orIntroR(assume x : B, A /\\ C)", "claim 'C' is not declared", 3, 3),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, C)",
+             "claim 'C' is not declared", 3, 3),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, i => C | j => B)",
+             "claim 'C' is not declared", 3, 3),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, i => A | j => C)",
+             "claim 'C' is not declared", 3, 3),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, i => C | j => D)",
+             "claim 'C' is not declared", 3, 3),
+            ("andElim(assume x : A /\\ B, u.v.assume u : A, C)", "claim 'C' is not declared", 3, 3),
+            ("trust(U, P -> Q, assume a^Q : A)", "trust relation 'U' is not declared", 3, 3),
+            ("trust(U, R -> R, assume a^Q : A)", "trust relation 'U' is not declared", 3, 3),
+            ("trust(T, R -> Q, assume a^Q : A)", "actor 'R' is not declared", 3, 3),
+            ("trust(T, P -> S, assume a^Q : A)", "actor 'S' is not declared", 3, 3),
+            ("trust(T, R -> S, assume a^Q : A)", "actor 'R' is not declared", 3, 3),
+            # a node's own arguments are checked before its premises and its
+            # stated sequent, and each node reports at its rule token
+            ("bottomElim(assume y : D, C)", "claim 'C' is not declared", 3, 3),
+            ("orIntroL(assume x : A, C) stating (|- i(x) : D)", "claim 'C' is not declared", 3, 3),
+            ("andIntro(assume x : A, impElim(assume f : A -> B, bottomElim(assume y : _|_, C)))",
+             "claim 'C' is not declared", 3, 53),
+        ],
+    )
+    def test_undeclared_name(self, tree, message, line, col):
+        assert self.error(tree) == (message, line, col)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            "andIntro(bottomElim(assume x : _|_, C), assume y : B",
+            "andIntro(bottomElim(assume x : _|_, C), assume y : B) stating (|- y : B",
+        ],
+    )
+    def test_syntax_error_wins_over_an_earlier_undeclared_name(self, tree):
+        assert self.error(tree) == ("expected ')', found '}'", 4, 1)
+
+
 class TestTotality:
     ALPHABET = "ab xyzPQ.^@:|\\/~()_{}[]->=*,#\n\"0123456789'"
 
