@@ -37,7 +37,7 @@ from .core import (
     format_weight,
     neg,
 )
-from .evaluator import BudgetExceeded, def_equal, normalize, reductions, step, trace
+from .evaluator import BudgetExceeded, def_equal, normalize, normalize_counted, reductions, step, trace
 from .kernel import CheckEnv, CheckError, ErrorKind, check_proof, env_from_script
 from .parser import (
     ParseError,
@@ -139,6 +139,7 @@ __all__ = [
     "model_from_script",
     "neg",
     "normalize",
+    "normalize_counted",
     "parse_claim",
     "parse_judgement",
     "parse_script",

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .core import Claimhood, ProofTree, format_weight
-from .evaluator import DEFAULT_BUDGET, BudgetExceeded, trace
+from .evaluator import DEFAULT_BUDGET, BudgetExceeded, normalize_counted, trace
 from .kernel import CheckError, env_from_script, check_proof
 from .parser import (
     ParseError,
@@ -188,7 +188,11 @@ def _eval_exprs_into(out: _Output, cfg: RunConfig) -> None:
             raise _CliError(2, f"-e:{err.line}:{err.col}: {err.message}") from err
         section_name = f"eval {index}"
         try:
-            steps = trace(term, cfg.step_budget)
+            if cfg.verbosity:
+                stages = trace(term, cfg.step_budget)
+                normal, count = stages[-1], len(stages) - 1
+            else:
+                normal, count = normalize_counted(term, cfg.step_budget)
         except BudgetExceeded:
             out.fail()
             out.lines.append(
@@ -206,16 +210,15 @@ def _eval_exprs_into(out: _Output, cfg: RunConfig) -> None:
             )
             continue
         if cfg.verbosity:
-            for n, stage in enumerate(steps):
+            for n, stage in enumerate(stages):
                 out.lines.append(f"  [{n}] {render_term(stage)}")
-        count = len(steps) - 1
-        out.lines.append(f"{render_term(steps[-1])} ({_plural(count, 'step')})")
+        out.lines.append(f"{render_term(normal)} ({_plural(count, 'step')})")
         out.sections.append(
             Section(
                 section_name,
                 (
                     ("input", text),
-                    ("normal", render_term(steps[-1])),
+                    ("normal", render_term(normal)),
                     ("steps", str(count)),
                 ),
             )
@@ -242,7 +245,7 @@ def _eval_scripts_into(out: _Output, cfg: RunConfig, path: str, script: Script) 
             continue
         witness = result.conclusion.witness
         try:
-            steps = trace(witness, cfg.step_budget)
+            normal, count = normalize_counted(witness, cfg.step_budget)
         except BudgetExceeded:
             out.fail()
             out.lines.append(
@@ -255,16 +258,15 @@ def _eval_scripts_into(out: _Output, cfg: RunConfig, path: str, script: Script) 
                 )
             )
             continue
-        count = len(steps) - 1
         out.lines.append(
-            f"  {decl.name}: {render_term(steps[-1])} ({_plural(count, 'step')})"
+            f"  {decl.name}: {render_term(normal)} ({_plural(count, 'step')})"
         )
         out.sections.append(
             Section(
                 section_name,
                 (
                     ("witness", render_term(witness)),
-                    ("normal", render_term(steps[-1])),
+                    ("normal", render_term(normal)),
                     ("steps", str(count)),
                 ),
             )

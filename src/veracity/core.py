@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Weight = Fraction
 
@@ -283,30 +283,108 @@ class SplitOf:
 Term = Union[Atom, Var, Pair, TagL, TagR, Lambda, Apply, CasesOf, SplitOf]
 
 
+# Each constructor's subterms in leftmost-outermost order (binders in
+# between are not subterms), and how to rebuild a node of that constructor
+# around new subterms.
+_SUBTERMS = {
+    Atom: lambda t: (),
+    Var: lambda t: (),
+    Pair: lambda t: (t.fst, t.snd),
+    TagL: lambda t: (t.value,),
+    TagR: lambda t: (t.value,),
+    Lambda: lambda t: (t.body,),
+    Apply: lambda t: (t.fn, t.arg),
+    CasesOf: lambda t: (t.scrutinee, t.left_body, t.right_body),
+    SplitOf: lambda t: (t.scrutinee, t.body),
+}
+
+_REBUILD = {
+    Atom: lambda t, s: t,
+    Var: lambda t, s: t,
+    Pair: lambda t, s: Pair(s[0], s[1]),
+    TagL: lambda t, s: TagL(s[0]),
+    TagR: lambda t, s: TagR(s[0]),
+    Lambda: lambda t, s: Lambda(t.param, s[0], t.weight_fn),
+    Apply: lambda t, s: Apply(s[0], s[1]),
+    CasesOf: lambda t, s: CasesOf(s[0], t.left_var, s[1], t.right_var, s[2]),
+    SplitOf: lambda t, s: SplitOf(s[0], t.fst_var, t.snd_var, s[1]),
+}
+
+
+def subterms(term: Term) -> tuple[Term, ...]:
+    """The immediate subterms of term, in leftmost-outermost order."""
+    try:
+        return _SUBTERMS[type(term)](term)
+    except KeyError:
+        raise TypeError(f"not a term: {term!r}") from None
+
+
+def with_subterms(term: Term, subs: Sequence[Term]) -> Term:
+    """term with its immediate subterms replaced, binders and weights kept."""
+    try:
+        return _REBUILD[type(term)](term, subs)
+    except KeyError:
+        raise TypeError(f"not a term: {term!r}") from None
+
+
 def free_vars(term: Term) -> frozenset[str]:
+    """The names free in term.
+
+    Each node keeps its set once computed, stored beside its dataclass
+    fields (as TrustRelation keeps _weights), so ==, hash and repr never
+    see it.  A repeated query is a lookup; a first query visits only the
+    nodes not cached yet, with an explicit stack instead of recursion.
+    """
+    cached = getattr(term, "_fv", None)
+    if cached is None:
+        todo = [term]
+        while todo:
+            node = todo[-1]
+            missing = [s for s in subterms(node) if getattr(s, "_fv", None) is None]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            object.__setattr__(node, "_fv", _node_free_vars(node))
+        cached = term._fv
+    return cached
+
+
+def _node_free_vars(term: Term) -> frozenset[str]:
+    """free_vars of a node whose subterms are all cached already."""
     if isinstance(term, Atom):
         return frozenset()
     if isinstance(term, Var):
         return frozenset((term.name,))
     if isinstance(term, Pair):
-        return free_vars(term.fst) | free_vars(term.snd)
-    if isinstance(term, (TagL, TagR)):
-        return free_vars(term.value)
-    if isinstance(term, Lambda):
-        return free_vars(term.body) - {term.param}
+        return _union(term.fst._fv, term.snd._fv)
     if isinstance(term, Apply):
-        return free_vars(term.fn) | free_vars(term.arg)
+        return _union(term.fn._fv, term.arg._fv)
+    if isinstance(term, (TagL, TagR)):
+        return term.value._fv
+    if isinstance(term, Lambda):
+        return _unbind(term.body._fv, (term.param,))
     if isinstance(term, CasesOf):
-        return (
-            free_vars(term.scrutinee)
-            | (free_vars(term.left_body) - {term.left_var})
-            | (free_vars(term.right_body) - {term.right_var})
+        return _union(
+            term.scrutinee._fv,
+            _union(
+                _unbind(term.left_body._fv, (term.left_var,)),
+                _unbind(term.right_body._fv, (term.right_var,)),
+            ),
         )
     if isinstance(term, SplitOf):
-        return free_vars(term.scrutinee) | (
-            free_vars(term.body) - {term.fst_var, term.snd_var}
-        )
+        return _union(term.scrutinee._fv, _unbind(term.body._fv, (term.fst_var, term.snd_var)))
     raise TypeError(f"not a term: {term!r}")
+
+
+# Both helpers return an operand itself when it already is the answer, so
+# nodes share their sets wherever binders and siblings add no names.
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _unbind(names: frozenset[str], binders: tuple[str, ...]) -> frozenset[str]:
+    return names if names.isdisjoint(binders) else names.difference(binders)
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -327,14 +405,13 @@ def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
 
     Simultaneity matters: splitting a pair binds two variables at once, and
     substituting them one after the other would let the first replacement's
-    free variables collide with the second binder.
+    free variables collide with the second binder.  A subterm in which no
+    key of mapping is free comes back as the same object.
     """
-    if not mapping:
-        return term
-    if isinstance(term, Atom):
+    if not mapping or free_vars(term).isdisjoint(mapping):
         return term
     if isinstance(term, Var):
-        return mapping.get(term.name, term)
+        return mapping[term.name]
     if isinstance(term, Pair):
         return Pair(substitute_many(term.fst, mapping), substitute_many(term.snd, mapping))
     if isinstance(term, TagL):
@@ -344,33 +421,34 @@ def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(term, Apply):
         return Apply(substitute_many(term.fn, mapping), substitute_many(term.arg, mapping))
     if isinstance(term, Lambda):
-        (param,), body = _freshen((term.param,), term.body, mapping)
-        return Lambda(param, substitute_many(body, _narrow(mapping, (term.param,), (param,))), term.weight_fn)
+        (param,), body, live = _freshen((term.param,), term.body, mapping)
+        return Lambda(param, substitute_many(body, live), term.weight_fn)
     if isinstance(term, CasesOf):
         scrutinee = substitute_many(term.scrutinee, mapping)
-        (lv,), lbody = _freshen((term.left_var,), term.left_body, mapping)
-        (rv,), rbody = _freshen((term.right_var,), term.right_body, mapping)
+        (lv,), lbody, llive = _freshen((term.left_var,), term.left_body, mapping)
+        (rv,), rbody, rlive = _freshen((term.right_var,), term.right_body, mapping)
         return CasesOf(
-            scrutinee,
-            lv,
-            substitute_many(lbody, _narrow(mapping, (term.left_var,), (lv,))),
-            rv,
-            substitute_many(rbody, _narrow(mapping, (term.right_var,), (rv,))),
+            scrutinee, lv, substitute_many(lbody, llive), rv, substitute_many(rbody, rlive)
         )
     if isinstance(term, SplitOf):
         scrutinee = substitute_many(term.scrutinee, mapping)
-        binders = (term.fst_var, term.snd_var)
-        (fv, sv), body = _freshen(binders, term.body, mapping)
-        return SplitOf(scrutinee, fv, sv, substitute_many(body, _narrow(mapping, binders, (fv, sv))))
+        (fv, sv), body, live = _freshen((term.fst_var, term.snd_var), term.body, mapping)
+        return SplitOf(scrutinee, fv, sv, substitute_many(body, live))
     raise TypeError(f"not a term: {term!r}")
 
 
 def _freshen(
     binders: tuple[str, ...], body: Term, mapping: Mapping[str, Term]
-) -> tuple[tuple[str, ...], Term]:
-    """Rename binders that would capture free variables of the replacements."""
-    live = {n: t for n, t in mapping.items() if n not in binders and n in free_vars(body)}
-    danger = set()
+) -> tuple[tuple[str, ...], Term, dict[str, Term]]:
+    """Rename binders that would capture free variables of the replacements.
+
+    Returns the binders, the body renamed to match, and the entries of
+    mapping whose names are free in the body: the only ones that can act
+    under the binders, and none of them named by a binder old or new.
+    """
+    body_names = free_vars(body)
+    live = {n: t for n, t in mapping.items() if n in body_names and n not in binders}
+    danger: set[str] = set()
     for t in live.values():
         danger |= free_vars(t)
     renamed = list(binders)
@@ -381,17 +459,7 @@ def _freshen(
             nb = fresh_name(b, avoid)
             current = substitute_many(current, {b: Var(nb)})
             renamed[i] = nb
-    return tuple(renamed), current
-
-
-def _narrow(
-    mapping: Mapping[str, Term], old: tuple[str, ...], new: tuple[str, ...]
-) -> dict[str, Term]:
-    """Drop entries shadowed by binders (after any renaming)."""
-    out = {n: t for n, t in mapping.items() if n not in old}
-    for o, n in zip(old, new):
-        out.pop(n, None)
-    return out
+    return tuple(renamed), current, live
 
 
 def alpha_equal(a: Term, b: Term) -> bool:

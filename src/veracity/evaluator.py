@@ -11,6 +11,26 @@ redex anywhere.  Four contractions fire:
 
 The split substitution is simultaneous.  Lambda weight annotations ride
 along unchanged; they describe weight flow, not term flow.
+
+Every entry point runs one walk (_Walk), a zipper in the manner of Huet's
+"The Zipper" (JFP 1997): a cursor at a subterm and, for each ancestor,
+the frame (parent, its subterms so far, index of the one the cursor is
+in).  The walk visits nodes in pre-order and keeps one invariant: no node
+before the cursor in pre-order is a redex.  So the next redex is the first
+one at or after the cursor, which is the leftmost-outermost one.
+
+The resume rule.  After a contraction at the cursor, the walk resumes at
+the contracted position, not at the root.  Subterms to the left of the
+path from the root are untouched and stay normal.  Whether an ancestor is
+a redex depends only on the constructor of its head: the function of an
+application, or the scrutinee of cases or split.  The path child of every
+ancestor above the parent keeps its constructor, so none of those can
+become a redex.  Only the parent can, and only when the contracted
+position is its head; that one cheap test decides whether the cursor
+moves up to it.  Repeated, this rechecks exactly the chain of ancestors
+in head position.  Parents are rebuilt once, when the walk leaves them,
+so normalizing costs the nodes visited plus the substitutions done; a
+whole intermediate term is built only when trace or step asks for one.
 """
 
 from __future__ import annotations
@@ -29,6 +49,8 @@ from .core import (
     alpha_equal,
     substitute,
     substitute_many,
+    subterms,
+    with_subterms,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -58,93 +80,125 @@ def contract(term: Term) -> Optional[Term]:
     return None
 
 
+# For each constructor with a head, the head constructors that make it a redex.
+_REDEX_HEADS = {Apply: (Lambda,), CasesOf: (TagL, TagR), SplitOf: (Pair,)}
+
+
+def _redex_with_head(node: Term, head: Term) -> bool:
+    """Whether node is a redex when head is its first subterm."""
+    heads = _REDEX_HEADS.get(type(node))
+    return heads is not None and isinstance(head, heads)
+
+
+class _Walk:
+    """A leftmost-outermost reduction in progress.
+
+    focus is the subterm at the cursor.  path holds one frame per ancestor,
+    root first: [node, subterms, index, changed], where subterms is a list
+    of the node's subterms as reduced so far, index points at the one that
+    holds the cursor, and changed says whether any entry differs from the
+    node's own.
+    """
+
+    __slots__ = ("focus", "path", "steps")
+
+    def __init__(self, term: Term) -> None:
+        self.focus = term
+        self.path: list[list] = []
+        self.steps = 0
+
+    def step(self, budget: Optional[int] = None) -> bool:
+        """Fire the next redex; False, with focus the whole normal form,
+        when there is none.  Raises BudgetExceeded rather than fire one
+        more than budget steps in all."""
+        if not self._seek():
+            return False
+        if budget is not None and self.steps >= budget:
+            raise BudgetExceeded(budget)
+        self.steps += 1
+        reduced = contract(self.focus)
+        path = self.path
+        if path and path[-1][2] == 0 and _redex_with_head(path[-1][0], reduced):
+            # The reduct is the head of its parent and makes it a redex.
+            node, subs = path.pop()[:2]
+            subs[0] = reduced
+            reduced = with_subterms(node, subs)
+        self.focus = reduced
+        return True
+
+    def _seek(self) -> bool:
+        """Move the cursor to the first redex at or after it in pre-order."""
+        focus, path = self.focus, self.path
+        while True:
+            subs = subterms(focus)
+            if subs:
+                if _redex_with_head(focus, subs[0]):
+                    self.focus = focus
+                    return True
+                path.append([focus, list(subs), 0, False])
+                focus = subs[0]
+                continue
+            # A leaf: climb to the next subterm not visited yet.
+            while True:
+                if not path:
+                    self.focus = focus
+                    return False
+                frame = path[-1]
+                subs, index = frame[1], frame[2]
+                if subs[index] is not focus:
+                    subs[index] = focus
+                    frame[3] = True
+                index += 1
+                if index < len(subs):
+                    frame[2] = index
+                    focus = subs[index]
+                    break
+                path.pop()
+                focus = with_subterms(frame[0], subs) if frame[3] else frame[0]
+
+    def term(self) -> Term:
+        """The whole current term; the walk itself is left as it is."""
+        current = self.focus
+        for node, subs, index, changed in reversed(self.path):
+            if changed or subs[index] is not current:
+                current = with_subterms(node, subs[:index] + [current] + subs[index + 1 :])
+            else:
+                current = node
+        return current
+
+
 def step(term: Term) -> Optional[Term]:
     """One leftmost-outermost reduction step, or None on a normal form."""
-    reduced = contract(term)
-    if reduced is not None:
-        return reduced
-    if isinstance(term, Pair):
-        fst = step(term.fst)
-        if fst is not None:
-            return Pair(fst, term.snd)
-        snd = step(term.snd)
-        if snd is not None:
-            return Pair(term.fst, snd)
-        return None
-    if isinstance(term, TagL):
-        value = step(term.value)
-        return None if value is None else TagL(value)
-    if isinstance(term, TagR):
-        value = step(term.value)
-        return None if value is None else TagR(value)
-    if isinstance(term, Lambda):
-        body = step(term.body)
-        if body is not None:
-            return Lambda(term.param, body, term.weight_fn)
-        return None
-    if isinstance(term, Apply):
-        fn = step(term.fn)
-        if fn is not None:
-            return Apply(fn, term.arg)
-        arg = step(term.arg)
-        if arg is not None:
-            return Apply(term.fn, arg)
-        return None
-    if isinstance(term, CasesOf):
-        scrutinee = step(term.scrutinee)
-        if scrutinee is not None:
-            return CasesOf(
-                scrutinee, term.left_var, term.left_body, term.right_var, term.right_body
-            )
-        left = step(term.left_body)
-        if left is not None:
-            return CasesOf(
-                term.scrutinee, term.left_var, left, term.right_var, term.right_body
-            )
-        right = step(term.right_body)
-        if right is not None:
-            return CasesOf(
-                term.scrutinee, term.left_var, term.left_body, term.right_var, right
-            )
-        return None
-    if isinstance(term, SplitOf):
-        scrutinee = step(term.scrutinee)
-        if scrutinee is not None:
-            return SplitOf(scrutinee, term.fst_var, term.snd_var, term.body)
-        body = step(term.body)
-        if body is not None:
-            return SplitOf(term.scrutinee, term.fst_var, term.snd_var, body)
-        return None
-    return None
+    walk = _Walk(term)
+    return walk.term() if walk.step() else None
 
 
 def reductions(term: Term) -> Iterator[Term]:
     """Successive reducts of term, excluding term itself; may not terminate."""
-    current = term
-    while (nxt := step(current)) is not None:
-        yield nxt
-        current = nxt
+    walk = _Walk(term)
+    while walk.step():
+        yield walk.term()
+
+
+def normalize_counted(term: Term, budget: int = DEFAULT_BUDGET) -> tuple[Term, int]:
+    """The normal form and the number of steps to it, keeping no
+    intermediate term; BudgetExceeded if it takes more than budget steps."""
+    walk = _Walk(term)
+    while walk.step(budget):
+        pass
+    return walk.focus, walk.steps
 
 
 def normalize(term: Term, budget: int = DEFAULT_BUDGET) -> Term:
-    current = term
-    for _ in range(budget):
-        nxt = step(current)
-        if nxt is None:
-            return current
-        current = nxt
-    if step(current) is None:
-        return current
-    raise BudgetExceeded(budget)
+    return normalize_counted(term, budget)[0]
 
 
 def trace(term: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
     """The full reduction sequence [term, ..., normal form]."""
+    walk = _Walk(term)
     sequence = [term]
-    for nxt in reductions(term):
-        if len(sequence) > budget:
-            raise BudgetExceeded(budget)
-        sequence.append(nxt)
+    while walk.step(budget):
+        sequence.append(walk.term())
     return sequence
 
 

@@ -306,6 +306,24 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        # The names bound where the parser stands, each with the number of
+        # enclosing binders that bind it.  Binders bind and unbind beside
+        # the call that parses their body, not in a helper around it, so a
+        # nesting level costs the same frames and "nesting too deep" is
+        # reported where it always was.
+        self.bound: dict[str, int] = {}
+
+    def bind(self, names: Iterable[str]) -> None:
+        for name in names:
+            self.bound[name] = self.bound.get(name, 0) + 1
+
+    def unbind(self, names: Iterable[str]) -> None:
+        for name in names:
+            left = self.bound[name] - 1
+            if left:
+                self.bound[name] = left
+            else:
+                del self.bound[name]
 
     # -- token plumbing
 
@@ -441,36 +459,38 @@ class _Parser:
 
     # -- witness terms
 
-    def term(self, bound: frozenset[str]) -> Term:
+    def term(self) -> Term:
         if self.at("\\"):
-            return self.lambda_term(bound)
-        return self.application(bound)
+            return self.lambda_term()
+        return self.application()
 
-    def lambda_term(self, bound: frozenset[str]) -> Term:
+    def lambda_term(self) -> Term:
         self.expect("\\")
         param = self.expect_ident("a parameter name").text
         self.expect(".")
-        body = self.term(bound | {param})
+        self.bind((param,))
+        body = self.term()
+        self.unbind((param,))
         if self.accept("@"):
             return Lambda(param, body, self.weight_expr())
         return Lambda(param, body)
 
-    def application(self, bound: frozenset[str]) -> Term:
-        term = self.primary(bound)
+    def application(self) -> Term:
+        term = self.primary()
         while self._at_primary_start():
-            term = Apply(term, self.primary(bound))
+            term = Apply(term, self.primary())
         return term
 
     def _at_primary_start(self) -> bool:
         tok = self.peek()
         return tok.kind == "ident" or self.at("(")
 
-    def primary(self, bound: frozenset[str]) -> Term:
+    def primary(self) -> Term:
         tok = self.peek()
         if self.accept("("):
-            first = self.term(bound)
+            first = self.term()
             if self.accept(","):
-                second = self.term(bound)
+                second = self.term()
                 self.expect(")")
                 return Pair(first, second)
             self.expect(")")
@@ -491,27 +511,31 @@ class _Parser:
         if name in ("i", "j") and fused:
             self.advance()
             self.expect("(")
-            inner = self.term(bound)
+            inner = self.term()
             self.expect(")")
             return TagL(inner) if name == "i" else TagR(inner)
         if name == "cases" and fused:
             self.advance()
             self.expect("(")
-            scrutinee = self.term(bound)
+            scrutinee = self.term()
             self.expect(",")
             lv = self.expect_ident("a binder").text
             self.expect(".")
-            lbody = self.term(bound | {lv})
+            self.bind((lv,))
+            lbody = self.term()
+            self.unbind((lv,))
             self.expect(",")
             rv = self.expect_ident("a binder").text
             self.expect(".")
-            rbody = self.term(bound | {rv})
+            self.bind((rv,))
+            rbody = self.term()
+            self.unbind((rv,))
             self.expect(")")
             return CasesOf(scrutinee, lv, lbody, rv, rbody)
         if name == "split" and fused:
             self.advance()
             self.expect("(")
-            scrutinee = self.term(bound)
+            scrutinee = self.term()
             self.expect(",")
             fv = self.expect_ident("a binder").text
             self.expect(".")
@@ -519,11 +543,13 @@ class _Parser:
             if fv == sv:
                 raise ParseError("split binders must be distinct", tok.line, tok.col)
             self.expect(".")
-            body = self.term(bound | {fv, sv})
+            self.bind((fv, sv))
+            body = self.term()
+            self.unbind((fv, sv))
             self.expect(")")
             return SplitOf(scrutinee, fv, sv, body)
         self.advance()
-        if name in bound:
+        if name in self.bound:
             if self.at("{"):
                 raise ParseError("provenance belongs on atoms, not bound variables", tok.line, tok.col)
             return Var(name)
@@ -560,8 +586,11 @@ class _Parser:
 
     # -- judgements and sequents
 
-    def judgement(self, bound: frozenset[str], default_actor: str) -> Judgement:
-        witness = self.term(bound)
+    def judgement(self, default_actor: str, names: Iterable[str] = ()) -> Judgement:
+        """A judgement whose witness may use names as bound variables."""
+        self.bind(names)
+        witness = self.term()
+        self.unbind(names)
         actor = default_actor
         weight = Fraction(1)
         if self.accept("^"):
@@ -591,8 +620,7 @@ class _Parser:
             while self.accept(","):
                 hyps.append(self.hypothesis(default_actor))
         self.expect("|-")
-        bound = frozenset(h.var for h in hyps)
-        conclusion = self.judgement(bound, default_actor)
+        conclusion = self.judgement(default_actor, [h.var for h in hyps])
         return Sequent(tuple(hyps), conclusion)
 
     # -- proof trees
@@ -850,7 +878,7 @@ class _Parser:
                     entries: list[ModelEntry] = []
                     while not self.accept("}"):
                         entry_tok = self.peek()
-                        term = self.term(frozenset())
+                        term = self.term()
                         actor = default_actor()
                         weight = Fraction(1)
                         if self.accept("^"):
@@ -869,7 +897,7 @@ class _Parser:
                 )
             elif word == "query":
                 self.advance()
-                j = self.judgement(frozenset(), default_actor())
+                j = self.judgement(default_actor())
                 check_claim_declared(j.claim, (tok.line, tok.col))
                 check_actor_declared(j.actor, (tok.line, tok.col))
                 self.expect_word("in")
@@ -929,8 +957,9 @@ class _Parser:
 # Public parse entry points
 
 
-def _run(text: str, parse, *, to_eof: bool = True):
+def _run(text: str, parse, *, to_eof: bool = True, bound: Iterable[str] = ()):
     p = _Parser(tokenize(text))
+    p.bind(bound)
     try:
         value = parse(p)
     except RecursionError:
@@ -946,7 +975,7 @@ def parse_claim(text: str) -> Claim:
 
 
 def parse_term(text: str, *, var_names: Iterable[str] = ()) -> Term:
-    return _run(text, lambda p: p.term(frozenset(var_names)))
+    return _run(text, lambda p: p.term(), bound=var_names)
 
 
 def parse_weight_expr(text: str) -> WeightExpr:
@@ -956,7 +985,7 @@ def parse_weight_expr(text: str) -> WeightExpr:
 def parse_judgement(
     text: str, *, default_actor: str = DEFAULT_ACTOR, var_names: Iterable[str] = ()
 ) -> Judgement:
-    return _run(text, lambda p: p.judgement(frozenset(var_names), default_actor))
+    return _run(text, lambda p: p.judgement(default_actor), bound=var_names)
 
 
 def parse_sequent(text: str, *, default_actor: str = DEFAULT_ACTOR) -> Sequent:

@@ -124,3 +124,56 @@ def terms(max_leaves: int = 10):
         ),
         max_leaves=max_leaves,
     )
+
+
+def _beta(args):
+    param, body, arg = args
+    return Apply(Lambda(param, body), arg)
+
+
+def _cases(args):
+    value, left, lv, lbody, rv, rbody = args
+    return CasesOf(TagL(value) if left else TagR(value), lv, lbody, rv, rbody)
+
+
+def _split(args):
+    fst, snd, fv, sv, body = args
+    return _split_of((Pair(fst, snd), fv, sv, body))
+
+
+def redex_terms(max_leaves: int = 16):
+    """Terms dense in redexes of all four kinds, nested in each other's
+    functions, scrutinees, arguments and bodies, so that reducing one
+    exposes the next (terms() rarely yields a redex at all)."""
+    leaf = st.one_of(atoms, var_names.map(Var))
+    base = st.one_of(
+        leaf,
+        st.tuples(var_names, leaf).map(lambda p: Apply(Lambda(p[0], Var(p[0])), p[1])),
+        st.tuples(var_names, var_names, leaf).map(lambda p: Apply(Lambda(p[0], Var(p[1])), p[2])),
+        st.tuples(var_names, var_names, leaf).map(
+            lambda p: Lambda(p[0], Apply(Lambda(p[1], Pair(Var(p[1]), Var(p[0]))), p[2]))
+        ),
+    )
+    single = st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.tuples(var_names, inner, inner).map(_beta),
+            st.tuples(inner, st.booleans(), var_names, inner, var_names, inner).map(_cases),
+            st.tuples(inner, inner, var_names, var_names, inner).map(_split),
+            st.tuples(var_names, inner).map(lambda p: Lambda(p[0], p[1])),
+            st.tuples(var_names, inner, weight_exprs(1)).map(lambda p: Lambda(*p)),
+            st.tuples(inner, inner).map(lambda p: Apply(*p)),
+            st.tuples(inner, inner).map(lambda p: Pair(*p)),
+            inner.map(TagL),
+        ),
+        max_leaves=max_leaves,
+    )
+    # Several of them side by side, so that one term takes many steps.
+    return st.lists(single, min_size=1, max_size=4).map(_nest_pairs)
+
+
+def _nest_pairs(items):
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = Pair(item, out)
+    return out

@@ -1,5 +1,10 @@
 """CLI tests: exit codes, golden text output, structured round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import veracity
@@ -114,6 +119,65 @@ class TestEval:
         code, _, err = run(capsys, "eval")
         assert code == 2
         assert "give -e expressions or input files" in err
+
+
+def _deep_binders(depth):
+    """(\\x.\\y0...\\y{depth-1}.(x,y7)) a: one step under depth binders."""
+    ys = [f"y{i}" for i in range(depth)]
+    lams = "".join(f"\\{y}." for y in ys)
+    return f"(\\x.{lams}(x,y7)) a", f"{lams}(a,y7)", 1
+
+
+def _independent(count):
+    """A balanced pair tree of count redexes (\\x.x) a_k: count steps."""
+
+    def tree(items):
+        if len(items) == 1:
+            return items[0]
+        mid = len(items) // 2
+        return f"({tree(items[:mid])},{tree(items[mid:])})"
+
+    atoms = [f"a{k}" for k in range(count)]
+    return tree([f"(\\x.x) {a}" for a in atoms]), tree(atoms), count
+
+
+LARGE_TERMS = {"deep-binders-2000": _deep_binders(2000), "independent-400": _independent(400)}
+
+
+class TestLargeTerms:
+    """Big eval -e inputs normalize to their known answers, with no
+    RecursionError, both in process and from a fresh interpreter."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_TERMS))
+    def test_in_process(self, capsys, name):
+        text, normal, steps = LARGE_TERMS[name]
+        code, out, err = run(capsys, "eval", "-e", text, "--format", "structured")
+        assert (code, err) == (0, "")
+        fields = dict(parse_structured(out).sections[0].fields)
+        assert fields == {"input": text, "normal": normal, "steps": str(steps)}
+
+    @pytest.mark.parametrize("name", sorted(LARGE_TERMS))
+    def test_in_a_subprocess(self, name):
+        text, normal, steps = LARGE_TERMS[name]
+        src = str(Path(veracity.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))",
+                "eval",
+                "-e",
+                text,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+        )
+        assert "RecursionError" not in done.stderr
+        assert (done.returncode, done.stderr) == (0, "")
+        noun = "step" if steps == 1 else "steps"
+        assert done.stdout == f"{normal} ({steps} {noun})\n"
 
 
 class TestModel:

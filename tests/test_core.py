@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbterms import to_db
+from steporacle import oracle_free_vars, oracle_substitute
 from strategies import (
     decreasing_weight_exprs,
+    redex_terms,
     terms,
     var_names,
     weight_exprs,
@@ -50,6 +52,8 @@ from veracity.core import (
     neg,
     substitute,
     substitute_many,
+    subterms,
+    with_subterms,
 )
 
 
@@ -123,6 +127,63 @@ class TestFreeVars:
     def test_split_binds_both_variables(self) -> None:
         term = SplitOf(Var("p"), "x", "y", Pair(Var("x"), Var("y")))
         assert free_vars(term) == {"p"}
+
+
+def _all_nodes(term):
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(subterms(node))
+
+
+def _copy(term):
+    """A structurally equal term sharing no node with term."""
+    if isinstance(term, Var):
+        return Var(term.name)
+    if isinstance(term, Atom):
+        return Atom(term.name, term.provenance)
+    return with_subterms(term, [_copy(s) for s in subterms(term)])
+
+
+class TestFreeVariableCache:
+    @given(st.one_of(terms(), redex_terms()))
+    @settings(max_examples=300)
+    def test_cached_sets_match_the_uncached_oracle(self, term) -> None:
+        assert free_vars(term) == oracle_free_vars(term)
+        # Every node got its own entry, and asking again reads it back.
+        for node in _all_nodes(term):
+            assert node._fv == oracle_free_vars(node)
+            assert free_vars(node) is node._fv
+
+    @given(terms())
+    @settings(max_examples=200)
+    def test_cache_is_invisible_to_equality_hash_and_repr(self, term) -> None:
+        fresh = _copy(term)
+        text = repr(term)
+        free_vars(term)
+        assert not hasattr(fresh, "_fv")
+        assert term == fresh and fresh == term
+        assert hash(term) == hash(fresh)
+        assert repr(term) == repr(fresh) == text
+
+    @given(terms(), st.dictionaries(var_names, terms(max_leaves=3), max_size=3))
+    @settings(max_examples=300)
+    def test_substitution_skips_terms_without_the_names(self, term, mapping) -> None:
+        absent = {n: t for n, t in mapping.items() if n not in oracle_free_vars(term)}
+        assert substitute_many(term, absent) is term
+
+    @given(st.one_of(terms(), redex_terms()), st.dictionaries(var_names, terms(max_leaves=4), max_size=3))
+    @settings(max_examples=300)
+    def test_substitution_matches_the_uncached_oracle(self, term, mapping) -> None:
+        # Equal with ==: the same bound names are chosen, not only alpha-equal.
+        assert substitute_many(term, mapping) == oracle_substitute(term, mapping)
+
+    def test_deep_terms_need_no_recursion(self) -> None:
+        term = Var("x")
+        for i in range(5000):
+            term = Lambda(f"y{i}", Pair(term, Atom("a")))
+        assert free_vars(term) == {"x"}
 
 
 class TestSubstitution:

@@ -1,12 +1,15 @@
-"""Evaluator tests: frozen reduction chains plus a nameless-form step oracle."""
+"""Evaluator tests: frozen reduction chains, a nameless-form step oracle, and
+the recursive reducer the zipper walk replaced, as a step-for-step oracle."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 
 from dbterms import db_step, to_db
-from strategies import VAR_NAMES, terms
+from steporacle import oracle_trace
+from strategies import VAR_NAMES, redex_terms, terms
 from veracity.core import (
     Apply,
     Atom,
@@ -25,6 +28,8 @@ from veracity.evaluator import (
     contract,
     def_equal,
     normalize,
+    normalize_counted,
+    reductions,
     step,
     trace,
 )
@@ -136,6 +141,15 @@ class TestStepOracle:
     @given(terms())
     @settings(max_examples=400)
     def test_step_agrees_with_nameless_reduction(self, term):
+        self.check_against_nameless_step(term)
+
+    @given(redex_terms())
+    @settings(max_examples=300)
+    def test_step_agrees_with_nameless_reduction_on_redex_terms(self, term):
+        self.check_against_nameless_step(term)
+
+    @staticmethod
+    def check_against_nameless_step(term):
         ours = step(term)
         oracle = db_step(to_db(term))
         if ours is None:
@@ -184,3 +198,65 @@ class TestStepOracle:
         if reduced is None:
             return
         assert alpha_equal(parse_term(render_term(reduced), var_names=VAR_NAMES), reduced)
+
+
+# Steps the recursive oracle takes before a term counts as divergent.
+ORACLE_LIMIT = 60
+
+
+class TestAgainstRecursiveStep:
+    """The zipper walk must reproduce the recursive reducer exactly: the
+    same terms (==, bound names included), the same count, the same
+    budget errors."""
+
+    def check(self, term):
+        sequence, normal = oracle_trace(term, ORACLE_LIMIT)
+        steps = len(sequence) - 1
+        assert step(term) == (sequence[1] if steps else None)
+        if not normal:
+            assert list(islice(reductions(term), steps)) == sequence[1:]
+            with pytest.raises(BudgetExceeded):
+                normalize_counted(term, ORACLE_LIMIT)
+            with pytest.raises(BudgetExceeded):
+                trace(term, ORACLE_LIMIT)
+            return
+        assert trace(term) == sequence
+        assert list(reductions(term)) == sequence[1:]
+        assert normalize_counted(term) == (sequence[-1], steps)
+        assert normalize(term, budget=steps) == sequence[-1]
+        for budget in range(steps):
+            with pytest.raises(BudgetExceeded) as exc:
+                normalize_counted(term, budget)
+            assert exc.value.budget == budget
+            with pytest.raises(BudgetExceeded):
+                trace(term, budget)
+
+    @given(redex_terms())
+    @settings(max_examples=300)
+    def test_redex_rich_terms(self, term):
+        self.check(term)
+
+    @given(terms())
+    @settings(max_examples=200)
+    def test_general_terms(self, term):
+        self.check(term)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(\\z.\\y.\\x.((x,y),z)) c s l",
+            "(\\x.\\y.x y) y",
+            "(\\f.\\x.f (f x)) (\\y.(y,y)) a",
+            "split((y,x), x.y.\\x.(x,y))",
+            "cases((\\x.x) i((\\y.y) a), u.(u, (\\w.w) b), v.v)",
+            "((\\x.x) (\\x.x)) ((\\x.x) a)",
+            "(\\x.x x) (\\x.x x)",
+        ],
+    )
+    def test_worked_terms(self, text):
+        self.check(parse_term(text))
+
+    def test_normal_form_comes_back_as_the_same_object(self):
+        term = parse_term("\\x.(f x, cases(x, u.u, v.i(v)))")
+        assert normalize_counted(term) == (term, 0)
+        assert normalize(term) is term
