@@ -41,7 +41,6 @@ from .parser import (
 )
 from .report import Report, Section, to_structured
 from .semantics import (
-    DEFAULT_DEPTH_BOUND,
     DepthExceeded,
     PreconditionError,
     member,
@@ -355,6 +354,33 @@ def _model_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None
                 Section(
                     section_name,
                     (("model", sound.model), ("status", "not-checked")),
+                )
+            )
+            continue
+        except BudgetExceeded:
+            out.fail()
+            out.lines.append(
+                f"  sound {sound.proof} in {sound.model}: "
+                f"{_bad(f'step budget {cfg.step_budget} exhausted', cfg)}"
+            )
+            out.sections.append(
+                Section(
+                    section_name,
+                    (
+                        ("model", sound.model),
+                        ("status", "budget-exhausted"),
+                        ("budget", str(cfg.step_budget)),
+                    ),
+                )
+            )
+            continue
+        except DepthExceeded as err:
+            out.fail()
+            out.lines.append(f"  sound {sound.proof} in {sound.model}: {_bad(str(err), cfg)}")
+            out.sections.append(
+                Section(
+                    section_name,
+                    (("model", sound.model), ("status", "depth-exceeded")),
                 )
             )
             continue

@@ -12,8 +12,36 @@ denote pointwise:
                 at weight 1 (tables apply no weight transformation)
 
 Negation unfolds as X -> falsity. Arrow nesting is limited by a depth
-bound so denotations stay finite; membership queries close the final
-denotation under the trust family before matching.
+bound so denotations stay finite. A judgement holds when the claim's
+denotation, closed under the trust family, holds its witness at its actor
+with at least its weight. Witnesses compare up to renaming of bound
+variables, or by equality when the query holds a table.
+
+A membership query (member) never builds a denotation. It walks the
+claim once, steered by the query witness, and asks each part for the
+weight at which one actor holds one term:
+
+    falsity     nothing is held
+    atomic      a lookup in the model's index of the closed assignment,
+                the highest weight among the terms that match
+    X /\\ Y      a pair, at the lesser of its components' weights
+    X \\/ Y      i(...) is asked of X, j(...) of Y, anything else fails
+    X -> Y      a table only: held at weight 1 when its keys are exactly
+                the actor's X-witnesses, in the denotation's order, and
+                its images are the actor's Y-witnesses. Keys and images
+                are looked up and the keys counted, so the |Y|^|X| tables
+                are never listed. Arrow members are tables only, so a
+                witness without a table is never a member of an arrow.
+
+No closure is needed at the end. Atomic sets are closed when the model
+is built. A pair set built from closed sets is closed: an edge of weight
+e moves both components of a pair, and e * min(x, y) = min(e * x, e * y)
+is at most the pair's weight at the edge's source. A tagged union of
+closed sets is closed. Only table sets are not closed. A witness without
+a table meets none of them, so it is answered at the query actor alone.
+A witness with a table is answered at every actor that holds it, at that
+weight times the best trust product from the query actor to that actor,
+which is the weight closing the denotation would have given it.
 """
 
 from __future__ import annotations
@@ -26,7 +54,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
     And,
-    Apply,
     Atom,
     Atomic,
     Bottom,
@@ -45,12 +72,12 @@ from .core import (
     Term,
     TrustArgs,
     TrustRelation,
-    Var,
     Weight,
     alpha_equal,
     as_weight,
     format_weight,
     substitute_many,
+    subterms,
 )
 from .evaluator import DEFAULT_BUDGET, normalize
 from .kernel import CheckEnv, check_proof
@@ -108,14 +135,25 @@ class Model:
     """A finite model: atomic assignments plus the trust family.
 
     Build instances with build_model or model_from_script, which close the
-    assignments under the trust family and collect the witness universe
-    and actor universe.
+    assignments under the trust family (one weight per term and actor) and
+    collect the actor universe. Each model indexes its assignment once, as
+    held: (claim name, actor) to the terms that actor holds for the claim,
+    each at its weight.
     """
 
     atom_assignment: Mapping[str, frozenset[WeightedWitness]]
-    witness_universe: frozenset[str]
     trust_family: tuple[TrustRelation, ...]
     actors: frozenset[str] = field(default=frozenset())
+    held: Mapping[tuple[str, str], Mapping[SemanticTerm, Weight]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        held: dict[tuple[str, str], dict[SemanticTerm, Weight]] = defaultdict(dict)
+        for name, entries in self.atom_assignment.items():
+            for w in entries:
+                held[(name, w.actor)][w.term] = w.weight
+        object.__setattr__(self, "held", dict(held))
 
 
 def close_under_trust(
@@ -159,30 +197,6 @@ def close_under_trust(
     )
 
 
-def _term_atoms(term: Term) -> frozenset[str]:
-    if isinstance(term, Atom):
-        return frozenset({term.name})
-    if isinstance(term, Var):
-        return frozenset()
-    if isinstance(term, Pair):
-        return _term_atoms(term.fst) | _term_atoms(term.snd)
-    if isinstance(term, (TagL, TagR)):
-        return _term_atoms(term.value)
-    if isinstance(term, Apply):
-        return _term_atoms(term.fn) | _term_atoms(term.arg)
-    if isinstance(term, Lambda):
-        return _term_atoms(term.body)
-    if isinstance(term, CasesOf):
-        return (
-            _term_atoms(term.scrutinee)
-            | _term_atoms(term.left_body)
-            | _term_atoms(term.right_body)
-        )
-    if isinstance(term, SplitOf):
-        return _term_atoms(term.scrutinee) | _term_atoms(term.body)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def build_model(
     assignments: Mapping[str, Iterable[WeightedWitness]],
     trust_family: Iterable[TrustRelation] = (),
@@ -193,17 +207,10 @@ def build_model(
         name: close_under_trust(entries, family)
         for name, entries in assignments.items()
     }
-    universe: set[str] = set()
-    actors: set[str] = set()
-    for entries in closed.values():
-        for w in entries:
-            universe |= _term_atoms(w.term)
-            actors.add(w.actor)
+    actors = {w.actor for entries in closed.values() for w in entries}
     for relation in family:
-        for edge in relation.edges:
-            actors.add(edge.source)
-            actors.add(edge.target)
-    return Model(dict(closed), frozenset(universe), family, frozenset(actors))
+        actors |= relation.actors()
+    return Model(closed, family, frozenset(actors))
 
 
 def model_from_script(script: Script, name: Optional[str] = None) -> Model:
@@ -227,21 +234,41 @@ def model_from_script(script: Script, name: Optional[str] = None) -> Model:
     return build_model(assignments, family)
 
 
+def _arrow_depth(claim: Claim) -> int:
+    if isinstance(claim, (And, Or)):
+        return max(_arrow_depth(claim.left), _arrow_depth(claim.right))
+    if isinstance(claim, Implies):
+        return 1 + max(_arrow_depth(claim.antecedent), _arrow_depth(claim.consequent))
+    return 0
+
+
+def _check_depth(claim: Claim, depth_bound: int) -> None:
+    """Raise DepthExceeded when claim nests arrows deeper than the bound."""
+    if _arrow_depth(claim) > max(depth_bound, 0):
+        raise DepthExceeded(depth_bound)
+
+
 def denote(
     claim: Claim, model: Model, depth_bound: int = DEFAULT_DEPTH_BOUND
 ) -> frozenset[WeightedWitness]:
-    """The witness set of a claim in a model.
+    """The whole witness set of a claim in a model.
 
     Atomic assignments are already trust-closed; the composite set built
-    here is not re-closed (membership queries do that last).
+    here is not re-closed. Arrows enumerate every table, so this is for
+    callers that need the whole set; member answers one query without it.
     """
+    _check_depth(claim, depth_bound)
+    return _denote(claim, model)
+
+
+def _denote(claim: Claim, model: Model) -> frozenset[WeightedWitness]:
     if isinstance(claim, Bottom):
         return frozenset()
     if isinstance(claim, Atomic):
         return model.atom_assignment.get(claim.name, frozenset())
     if isinstance(claim, And):
-        lefts = denote(claim.left, model, depth_bound)
-        rights = denote(claim.right, model, depth_bound)
+        lefts = _denote(claim.left, model)
+        rights = _denote(claim.right, model)
         return frozenset(
             WeightedWitness(Pair(a.term, b.term), a.actor, min(a.weight, b.weight))
             for a in lefts
@@ -249,16 +276,14 @@ def denote(
             if a.actor == b.actor
         )
     if isinstance(claim, Or):
-        lefts = denote(claim.left, model, depth_bound)
-        rights = denote(claim.right, model, depth_bound)
+        lefts = _denote(claim.left, model)
+        rights = _denote(claim.right, model)
         tagged = [WeightedWitness(TagL(a.term), a.actor, a.weight) for a in lefts]
         tagged += [WeightedWitness(TagR(b.term), b.actor, b.weight) for b in rights]
         return frozenset(tagged)
     if isinstance(claim, Implies):
-        if depth_bound <= 0:
-            raise DepthExceeded(depth_bound)
-        domain_set = denote(claim.antecedent, model, depth_bound - 1)
-        codomain_set = denote(claim.consequent, model, depth_bound - 1)
+        domain_set = _denote(claim.antecedent, model)
+        codomain_set = _denote(claim.consequent, model)
         tables: list[WeightedWitness] = []
         for actor in sorted(model.actors):
             domain = sorted(
@@ -280,35 +305,20 @@ def denote(
     raise TypeError(f"not a claim: {claim!r}")
 
 
-def _contains_table(term: SemanticTerm) -> bool:
-    if isinstance(term, MapTable):
-        return True
-    if isinstance(term, Pair):
-        return _contains_table(term.fst) or _contains_table(term.snd)
-    if isinstance(term, (TagL, TagR)):
-        return _contains_table(term.value)
-    if isinstance(term, Apply):
-        return _contains_table(term.fn) or _contains_table(term.arg)
-    if isinstance(term, Lambda):
-        return _contains_table(term.body)
-    if isinstance(term, CasesOf):
-        return (
-            _contains_table(term.scrutinee)
-            or _contains_table(term.left_body)
-            or _contains_table(term.right_body)
-        )
-    if isinstance(term, SplitOf):
-        return _contains_table(term.scrutinee) or _contains_table(term.body)
+def _contains(term: SemanticTerm, kinds: tuple[type, ...]) -> bool:
+    """Whether term has a node of one of the kinds; tables are leaves."""
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, kinds):
+            return True
+        if not isinstance(node, MapTable):
+            todo.extend(subterms(node))
     return False
 
 
-def _terms_match(query: SemanticTerm, candidate: SemanticTerm) -> bool:
-    # Tables are canonical structures, so plain equality is the right
-    # comparison wherever one appears; alpha equivalence only matters for
-    # binder terms, which never contain tables.
-    if _contains_table(query) or _contains_table(candidate):
-        return query == candidate
-    return alpha_equal(query, candidate)
+def _contains_table(term: SemanticTerm) -> bool:
+    return _contains(term, (MapTable,))
 
 
 def member(
@@ -316,19 +326,120 @@ def member(
 ) -> bool:
     """Whether the judgement holds in the model.
 
-    True when the claim's trust-closed denotation contains the witness
-    (up to renaming bound variables) at the same actor with at least the
-    judgement's weight.
+    True when the claim's trust-closed denotation contains the witness at
+    the same actor with at least the judgement's weight. Witnesses match
+    up to renaming bound variables, or by equality when the witness holds
+    a table. The answer is denote's, closed, without building it; see the
+    module docstring for the walk. DepthExceeded is raised exactly when
+    denote would raise it.
     """
-    candidates = close_under_trust(
-        denote(judgement.claim, model, depth_bound), model.trust_family
+    claim, witness = judgement.claim, judgement.witness
+    _check_depth(claim, depth_bound)
+    if not _contains_table(witness):
+        # Binder-free terms are alpha-equal exactly when they are equal.
+        exact = not _contains(witness, (Lambda, CasesOf, SplitOf))
+        weight = _held(claim, witness, judgement.actor, model, exact)
+        return weight is not None and weight >= judgement.weight
+    for actor, share in _trust_reach(judgement.actor, model.trust_family).items():
+        weight = _held(claim, witness, actor, model, True)
+        if weight is not None and share * weight >= judgement.weight:
+            return True
+    return False
+
+
+def _held(
+    claim: Claim, term: SemanticTerm, actor: str, model: Model, exact: bool
+) -> Optional[Weight]:
+    """The highest weight at which actor holds a term matching term in the
+    claim's denotation, before closure; None when it holds none. Terms
+    match by equality when exact, else up to renaming bound variables."""
+    if isinstance(claim, Bottom):
+        return None
+    if isinstance(claim, Atomic):
+        terms = model.held.get((claim.name, actor), {})
+        if exact:
+            return terms.get(term)
+        return max((w for t, w in terms.items() if alpha_equal(term, t)), default=None)
+    if isinstance(claim, And):
+        if not isinstance(term, Pair):
+            return None
+        left = _held(claim.left, term.fst, actor, model, exact)
+        if left is None:
+            return None
+        right = _held(claim.right, term.snd, actor, model, exact)
+        return None if right is None else min(left, right)
+    if isinstance(claim, Or):
+        if isinstance(term, TagL):
+            return _held(claim.left, term.value, actor, model, exact)
+        if isinstance(term, TagR):
+            return _held(claim.right, term.value, actor, model, exact)
+        return None
+    if isinstance(claim, Implies):
+        if isinstance(term, MapTable) and _is_table_of(claim, term, actor, model):
+            return Fraction(1)
+        return None
+    raise TypeError(f"not a claim: {claim!r}")
+
+
+def _is_table_of(claim: Implies, table: MapTable, actor: str, model: Model) -> bool:
+    """Whether table is one of the maps claim denotes at actor: its keys
+    are all of the actor's antecedent witnesses, in denote's order, and
+    its images are consequent witnesses of the same actor."""
+    if actor not in model.actors:
+        return False
+    keys = [key for key, _ in table.entries]
+    if _count(claim.antecedent, actor, model, len(keys) + 1) != len(keys):
+        return False
+    if len(set(keys)) != len(keys) or keys != sorted(keys, key=repr):
+        return False
+    return all(
+        w.actor == actor and _held(part, w.term, actor, model, True) == w.weight
+        for entry in table.entries
+        for part, w in zip((claim.antecedent, claim.consequent), entry)
     )
-    return any(
-        c.actor == judgement.actor
-        and c.weight >= judgement.weight
-        and _terms_match(judgement.witness, c.term)
-        for c in candidates
-    )
+
+
+def _count(claim: Claim, actor: str, model: Model, cap: int) -> int:
+    """How many witnesses actor holds in the claim's denotation, or cap if
+    that many or more (cap >= 1)."""
+    if isinstance(claim, Atomic):
+        return min(len(model.held.get((claim.name, actor), ())), cap)
+    if isinstance(claim, And):
+        left, right = _count(claim.left, actor, model, cap), _count(claim.right, actor, model, cap)
+        return min(left * right, cap)
+    if isinstance(claim, Or):
+        left, right = _count(claim.left, actor, model, cap), _count(claim.right, actor, model, cap)
+        return min(left + right, cap)
+    if isinstance(claim, Implies):
+        if actor not in model.actors:
+            return 0
+        domain = _count(claim.antecedent, actor, model, cap)
+        codomain = _count(claim.consequent, actor, model, cap)
+        tables = 1
+        for _ in range(domain):
+            tables = min(tables * codomain, cap)
+        return tables
+    return 0
+
+
+def _trust_reach(actor: str, family: Iterable[TrustRelation]) -> dict[str, Fraction]:
+    """The best trust product from actor to every actor it reaches, itself
+    at 1: the share of a weight held there that closure gives actor."""
+    by_source: dict[str, list] = defaultdict(list)
+    for relation in family:
+        for edge in relation.edges:
+            by_source[edge.source].append(edge)
+    best = {actor: Fraction(1)}
+    queue = deque([actor])
+    while queue:
+        source = queue.popleft()
+        for edge in by_source.get(source, ()):
+            weight = best[source] * edge.weight
+            known = best.get(edge.target)
+            if known is None or weight > known:
+                best[edge.target] = weight
+                queue.append(edge.target)
+    return best
 
 
 def _relations_used(tree: ProofTree) -> frozenset[str]:

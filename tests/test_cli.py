@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_subprocess(*argv):
+    """main(argv) in a fresh interpreter."""
+    src = str(Path(veracity.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+    )
 
 
 class TestCheck:
@@ -159,21 +172,7 @@ class TestLargeTerms:
     @pytest.mark.parametrize("name", sorted(LARGE_TERMS))
     def test_in_a_subprocess(self, name):
         text, normal, steps = LARGE_TERMS[name]
-        src = str(Path(veracity.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))",
-                "eval",
-                "-e",
-                text,
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
-        )
+        done = run_subprocess("eval", "-e", text)
         assert "RecursionError" not in done.stderr
         assert (done.returncode, done.stderr) == (0, "")
         noun = "step" if steps == 1 else "steps"
@@ -213,6 +212,104 @@ class TestModel:
         code, out, _ = run(capsys, "model", str(script))
         assert code == 1
         assert "does not hold" in out
+
+
+APPLIED_ID = (
+    "claim A. actor P.\n"
+    "proof E { impElim(impIntro(x, assume x : A), assume a : A) }\n"
+    "model M { A = { a. }. }\n"
+    "sound E in M.\n"
+)
+
+# The conclusion \y.\z.\w.\x.x : A -> A -> A -> A -> A nests four arrows.
+FOUR_ARROWS = (
+    "claim A. actor P.\n"
+    "proof D { impIntro(y, impIntro(z, impIntro(w, impIntro(x,\n"
+    "  assume x : A under (y : A, z : A, w : A))))) }\n"
+    "model M { A = { a. }. }\n"
+    "sound D in M.\n"
+)
+
+
+def _arrow_script(m):
+    """An m-by-m arrow query no reading of arrow membership admits."""
+    domain = " ".join(f"x{i}." for i in range(m))
+    codomain = " ".join(f"y{i}." for i in range(m))
+    return (
+        "claim A, B. actor P.\n"
+        f"model M {{ A = {{ {domain} }}. B = {{ {codomain} }}. }}\n"
+        "query \\x.nowhere^P : A -> B in M.\n"
+    )
+
+
+class TestModelLimits:
+    """Soundness checks that run out of steps or arrow depth report it and
+    exit 1, in process and from a fresh interpreter; arrow queries answer
+    without listing the arrow's tables."""
+
+    @pytest.mark.parametrize("command", ["model", "report"])
+    def test_sound_budget_exhausted(self, capsys, tmp_path, command):
+        script = tmp_path / "e.vlp"
+        script.write_text(APPLIED_ID, encoding="utf-8")
+        code, out, err = run(capsys, command, str(script), "--step-budget", "0")
+        assert (code, err) == (1, "")
+        assert "  sound E in M: step budget 0 exhausted\n" in out
+        code, out, _ = run(capsys, command, str(script), "--step-budget", "0", "--format", "structured")
+        assert code == 1
+        section = parse_structured(out).sections[-1]
+        assert section.name == f"model {script} sound E"
+        assert section.fields == (("model", "M"), ("status", "budget-exhausted"), ("budget", "0"))
+
+    def test_sound_budget_exhausted_in_a_subprocess(self, tmp_path):
+        script = tmp_path / "e.vlp"
+        script.write_text(APPLIED_ID, encoding="utf-8")
+        done = run_subprocess("model", str(script), "--step-budget", "0")
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout == f"model {script}\n  sound E in M: step budget 0 exhausted\n"
+        done = run_subprocess("model", str(script), "--step-budget", "1")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("  sound E in M: sound\n")
+
+    def test_sound_depth_exceeded(self, capsys, tmp_path):
+        script = tmp_path / "d.vlp"
+        script.write_text(FOUR_ARROWS, encoding="utf-8")
+        code, out, err = run(capsys, "model", str(script))
+        assert (code, err) == (1, "")
+        assert out == f"model {script}\n  sound D in M: arrow nesting exceeds the depth bound of 3\n"
+        code, out, _ = run(capsys, "model", str(script), "--format", "structured")
+        assert code == 1
+        fields = parse_structured(out).sections[0].fields
+        assert fields == (("model", "M"), ("status", "depth-exceeded"))
+
+    def test_query_depth_exceeded_names_the_bound(self, capsys, tmp_path):
+        script = tmp_path / "q.vlp"
+        script.write_text(
+            "claim A. actor P.\n"
+            "model M { A = { a. }. }\n"
+            "query \\x.x^P : A -> A -> A -> A -> A in M.\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "model", str(script))
+        assert code == 1
+        assert out.endswith(": arrow nesting exceeds the depth bound of 3\n")
+
+    def test_eight_by_eight_arrow_query(self, capsys, tmp_path):
+        script = tmp_path / "arrow.vlp"
+        script.write_text(_arrow_script(8), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "model", str(script))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out.endswith("  query \\x.nowhere^P : A -> B in M: does not hold\n")
+
+    def test_eight_by_eight_arrow_query_in_a_subprocess(self, tmp_path):
+        script = tmp_path / "arrow.vlp"
+        script.write_text(_arrow_script(8), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_subprocess("model", str(script))
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout.endswith("  query \\x.nowhere^P : A -> B in M: does not hold\n")
 
 
 class TestTrust:

@@ -1,13 +1,16 @@
 """Semantics tests: denotations, trust closure, membership, soundness."""
 
+import functools
 import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import veracity.semantics as semantics
+from memberoracle import oracle_close, oracle_denote, oracle_member
 from proofgen import random_proof, random_scenario
 from strategies import weights
 from veracity.core import (
@@ -27,6 +30,9 @@ from veracity.core import (
     TrustRelation,
     Var,
     neg,
+    subterms,
+    substitute,
+    with_subterms,
 )
 from veracity.kernel import check_proof, env_from_script
 from veracity.parser import parse_script
@@ -291,7 +297,7 @@ class TestExcludedMiddleSemantics:
         assert all(isinstance(w.term, (TagL, TagR)) for w in lem)
 
     def test_refuted_claim_inhabits_only_the_right_tag(self):
-        m = Model({}, frozenset(), (), frozenset({"P"}))
+        m = Model({}, (), frozenset({"P"}))
         lem = denote(Or(A, neg(A)), m)
         assert lem == {ww(TagR(MapTable(())), "P")}
 
@@ -334,12 +340,241 @@ class TestMember:
         assert member(Judgement(pair, "k", Fraction(1, 2), And(A, B)), model)
 
 
+class TestMemberWalk:
+    def test_table_atom_witness_builds_and_holds(self):
+        model = build_model({"A": [ww(MapTable(()), "P")]})
+        assert model.atom_assignment["A"] == {ww(MapTable(()), "P")}
+        assert member(Judgement(MapTable(()), "P", Fraction(1), A), model)
+
+    def test_depth_exceeded_reports_the_configured_bound(self):
+        nested = Implies(A, Implies(A, Implies(A, Implies(A, A))))
+        m = build_model({"A": {ww(Atom("a"), "P")}})
+        q = Judgement(Lambda("x", Var("x")), "P", Fraction(1), nested)
+        for call in (lambda: member(q, m), lambda: denote(nested, m)):
+            with pytest.raises(DepthExceeded) as exc:
+                call()
+            assert exc.value.bound == 3
+            assert str(exc.value) == "arrow nesting exceeds the depth bound of 3"
+        with pytest.raises(DepthExceeded) as exc:
+            member(Judgement(Atom("a"), "P", Fraction(1), Implies(A, A)), m, depth_bound=0)
+        assert exc.value.bound == 0
+
+    def test_builds_no_denotation_and_closes_nothing(self, monkeypatch):
+        family = (TrustRelation("T", (TrustEdge("k", "l", Fraction(1, 2)),)),)
+        model = build_model({"A": {ww(Atom("a"), "l")}, "B": {ww(Atom("b"), "l")}}, family)
+
+        (table,) = (w.term for w in denote(Implies(A, B), model) if w.actor == "l")
+
+        def refuse(*args):
+            raise AssertionError("member enumerated or closed a set")
+
+        for name in ("denote", "_denote", "close_under_trust"):
+            monkeypatch.setattr(semantics, name, refuse)
+        assert member(Judgement(Pair(Atom("a"), Atom("b")), "k", Fraction(1, 2), And(A, B)), model)
+        assert member(Judgement(TagR(Atom("b")), "k", Fraction(1, 2), Or(A, B)), model)
+        assert member(Judgement(table, "k", Fraction(1, 2), Implies(A, B)), model)
+        assert not member(Judgement(table, "k", Fraction(3, 4), Implies(A, B)), model)
+        assert not member(Judgement(Lambda("x", Atom("b")), "l", Fraction(0), Implies(A, B)), model)
+
+    def test_a_pair_holds_at_the_lesser_weight(self):
+        model = build_model(
+            {"A": {ww(Atom("a"), "P", Fraction(1, 2))}, "B": {ww(Atom("b"), "P", Fraction(3, 4))}}
+        )
+        pair = Pair(Atom("a"), Atom("b"))
+        assert member(Judgement(pair, "P", Fraction(1, 2), And(A, B)), model)
+        assert not member(Judgement(pair, "P", Fraction(3, 4), And(A, B)), model)
+
+    def test_alpha_variants_hold_at_the_highest_weight(self):
+        model = build_model({"A": {
+            ww(Lambda("x", Var("x")), "P", Fraction(1, 4)),
+            ww(Lambda("y", Var("y")), "P", Fraction(3, 4)),
+        }})
+        assert member(Judgement(Lambda("z", Var("z")), "P", Fraction(3, 4), A), model)
+
+    def test_a_table_reaches_along_the_best_trust_path(self):
+        edges = (
+            TrustEdge("P", "R", Fraction(1, 4)),
+            TrustEdge("P", "Q", Fraction(1)),
+            TrustEdge("Q", "R", Fraction(1, 2)),
+        )
+        model = build_model(
+            {"A": {ww(Atom("a"), "R")}, "B": {ww(Atom("b"), "R")}}, (TrustRelation("T", edges),)
+        )
+        table = MapTable(((ww(Atom("a"), "R"), ww(Atom("b"), "R")),))
+        assert member(Judgement(table, "P", Fraction(1, 2), Implies(A, B)), model)
+        assert not member(Judgement(table, "P", Fraction(3, 4), Implies(A, B)), model)
+        assert not member(Judgement(MapTable(()), "S", Fraction(0), Implies(B, A)), model)
+
+    def test_a_table_belongs_to_the_actor_its_witnesses_name(self):
+        both = lambda term: {ww(term, "P"), ww(term, "Q")}
+        model = build_model({"A": both(Atom("a")), "B": both(Atom("b"))})
+        at_q = MapTable(((ww(Atom("a"), "Q"), ww(Atom("b"), "Q")),))
+        assert member(Judgement(at_q, "Q", Fraction(1), Implies(A, B)), model)
+        assert not member(Judgement(at_q, "P", Fraction(0), Implies(A, B)), model)
+
+    def test_an_eight_by_eight_table_is_looked_up_not_enumerated(self):
+        domain = [ww(Atom(f"x{i}"), "P") for i in range(8)]
+        codomain = [ww(Atom(f"y{i}"), "P") for i in range(8)]
+        model = build_model({"A": domain, "B": codomain})
+        keys = sorted(domain, key=repr)
+        table = MapTable(tuple(zip(keys, reversed(codomain))))
+        assert member(Judgement(table, "P", Fraction(1), Implies(A, B)), model)
+        swapped = MapTable(tuple(zip(reversed(keys), codomain)))
+        assert not member(Judgement(swapped, "P", Fraction(1), Implies(A, B)), model)
+        short = MapTable(table.entries[1:])
+        assert not member(Judgement(short, "P", Fraction(1), Implies(A, B)), model)
+
+
+# The differential test against the frozen enumerating member: small models
+# (cyclic, zero-weight and two-relation trust families), claims nesting
+# arrows up to one past the depth bound, and witnesses taken from the
+# closed denotation, renamed, or perturbed.
+
+ORACLE_TERMS = st.sampled_from(
+    [Atom("a"), Atom("b"), Lambda("x", Var("x")), Lambda("y", Var("y")), Lambda("x", Atom("a")),
+     Pair(Atom("a"), Lambda("x", Var("x")))]
+)
+ORACLE_ACTORS = ["P", "Q", "R", "S"]
+ORACLE_LEAVES = st.sampled_from([A, A, B, B, A, B, Bottom(), C])
+ORACLE_CLAIMS = st.one_of(
+    st.recursive(
+        ORACLE_LEAVES,
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Implies, inner, inner)),
+        max_leaves=5,
+    ),
+    # Right-nested arrow chains reach one past the default depth bound.
+    st.lists(ORACLE_LEAVES, min_size=2, max_size=5).map(
+        lambda leaves: functools.reduce(lambda acc, leaf: Implies(leaf, acc), reversed(leaves[:-1]), leaves[-1])
+    ),
+)
+ORACLE_MODELS = st.builds(
+    lambda holdings, family: build_model(
+        {name: [ww(t, a, x) for t, a, x in entries] for name, entries in holdings.items()}, family
+    ),
+    st.fixed_dictionaries({
+        "A": st.lists(st.tuples(ORACLE_TERMS, SEM_ACTORS, weights), min_size=1, max_size=3),
+        "B": st.lists(st.tuples(ORACLE_TERMS, SEM_ACTORS, weights), max_size=3),
+    }),
+    FAMILIES,
+)
+
+
+def _size(claim, model, bound):
+    """A bound on the witnesses one actor holds in the claim's denotation,
+    or in the part the oracle builds before an arrow too deep stops it;
+    it keeps the enumerating oracle small."""
+    if isinstance(claim, Atomic):
+        entries = model.atom_assignment.get(claim.name, ())
+        return max([sum(w.actor == a for w in entries) for a in model.actors] + [0])
+    if isinstance(claim, (And, Or)):
+        left, right = _size(claim.left, model, bound), _size(claim.right, model, bound)
+        return left * right if isinstance(claim, And) else left + right
+    if isinstance(claim, Implies):
+        if bound <= 0:
+            return 0
+        domain = _size(claim.antecedent, model, bound - 1)
+        codomain = _size(claim.consequent, model, bound - 1)
+        return codomain ** min(domain, 12)
+    return 0
+
+
+def _renamed(term):
+    """term with every lambda parameter renamed fresh, inside tables too."""
+    if isinstance(term, MapTable):
+        return MapTable(tuple(
+            tuple(WeightedWitness(_renamed(w.term), w.actor, w.weight) for w in entry)
+            for entry in term.entries
+        ))
+    if isinstance(term, Lambda):
+        new = term.param + "1"
+        return Lambda(new, substitute(_renamed(term.body), term.param, Var(new)), term.weight_fn)
+    return with_subterms(term, [_renamed(sub) for sub in subterms(term)])
+
+
+def _retagged(term):
+    """term with its first tag, outside tables, swapped."""
+    if isinstance(term, TagL):
+        return TagR(term.value)
+    if isinstance(term, TagR):
+        return TagL(term.value)
+    if isinstance(term, Pair):
+        fst = _retagged(term.fst)
+        return Pair(fst, term.snd) if fst != term.fst else Pair(term.fst, _retagged(term.snd))
+    return term
+
+
+def _reheld(term, actor):
+    """term with every witness inside its tables moved to actor."""
+    if isinstance(term, MapTable):
+        return MapTable(tuple(
+            tuple(WeightedWitness(_reheld(w.term, actor), actor, w.weight) for w in entry)
+            for entry in term.entries
+        ))
+    return with_subterms(term, [_reheld(sub, actor) for sub in subterms(term)])
+
+
+def _shortened(term):
+    """term with the last entry of its first table dropped."""
+    if isinstance(term, MapTable):
+        return MapTable(term.entries[:-1])
+    if isinstance(term, (TagL, TagR)):
+        return type(term)(_shortened(term.value))
+    if isinstance(term, Pair):
+        return Pair(_shortened(term.fst), _shortened(term.snd))
+    return term
+
+
+@st.composite
+def oracle_queries(draw, closed):
+    if not closed:
+        return draw(ORACLE_TERMS), draw(st.sampled_from(ORACLE_ACTORS)), draw(weights)
+    held = draw(st.sampled_from(sorted(closed, key=repr)))
+    term, actor, weight = held.term, held.actor, held.weight
+    change = draw(st.sampled_from(
+        ["none", "none", "rename", "rename", "actor", "heavier", "weight", "tag", "shorten", "reheld"]
+    ))
+    if change == "rename":
+        term = _renamed(term)
+    elif change == "actor":
+        actor = draw(st.sampled_from([a for a in ORACLE_ACTORS if a != actor]))
+    elif change == "heavier":
+        weight = (weight + 1) / 2 if weight < 1 else weight
+    elif change == "weight":
+        weight = draw(weights)
+    elif change == "tag":
+        term = _retagged(term)
+    elif change == "shorten":
+        term = _shortened(term)
+    elif change == "reheld":
+        term = _reheld(term, draw(st.sampled_from(ORACLE_ACTORS)))
+    return term, actor, weight
+
+
+def _outcome(fn, query, model, bound):
+    try:
+        return fn(query, model, bound)
+    except DepthExceeded:
+        return DepthExceeded
+
+
+class TestMemberOracle:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(ORACLE_MODELS, ORACLE_CLAIMS, st.integers(min_value=0, max_value=3), st.data())
+    def test_member_answers_as_the_enumerating_oracle(self, model, claim, bound, data):
+        assume(_size(claim, model, bound) <= 300)
+        try:
+            closed = oracle_close(oracle_denote(claim, model, bound), model.trust_family)
+        except DepthExceeded:
+            closed = frozenset()
+        query = Judgement(*data.draw(oracle_queries(closed)), claim)
+        assert _outcome(member, query, model, bound) == _outcome(oracle_member, query, model, bound)
+
+
 class TestModelFromScript:
     def test_assignments_close_at_build_time(self):
         script = fixture_script("trust-chain.vlp")
         model = model_from_script(script, "Chain")
         assert ww(Atom("a"), "k", Fraction(1, 5)) in model.atom_assignment["A"]
-        assert model.witness_universe == {"a"}
         assert model.actors == {"k", "l", "m"}
         assert [r.name for r in model.trust_family] == ["T"]
 
