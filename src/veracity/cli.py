@@ -8,12 +8,20 @@ Subcommands:
     trust   analyze trust relations and chain-versus-star comparisons
     report  everything above for the given scripts, in one document
 
-Exit status: 0 when everything succeeds, 1 when a proof fails, a query
-does not hold, a soundness check fails, or a step budget runs out, and 2
-on parse or IO failure. Output is deterministic: identical inputs produce
+Exit status: 0 when everything succeeds; 1 when a proof fails to check,
+a query does not hold, a soundness check finds the proof unsound or cannot
+run (the proof does not check or a hypothesis fails in the model), a step
+budget runs out, or a claim nests arrows past the depth bound; and 2 on
+unusable input: a parse or IO failure, or a bad option such as a negative
+--step-budget. Output is deterministic: identical inputs produce
 byte-identical reports. The --format flag selects human text or the
 structured key=value form; VERACITY_COLOR={auto,always,never} controls
 ANSI color in text mode.
+
+Each outcome (a checked proof, a normal form, a query or soundness answer,
+a trust summary) is recorded by one _Output.add call, which writes its text
+lines and its structured section together and sets exit status 1 when the
+outcome failed.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .core import Claimhood, ProofTree, format_weight
+from .core import Claimhood, ProofTree, Term, format_weight
 from .evaluator import DEFAULT_BUDGET, BudgetExceeded, normalize_counted, trace
 from .kernel import CheckError, env_from_script, check_proof
 from .parser import (
@@ -61,17 +69,32 @@ class RunConfig:
     color: str = "auto"
 
 
+Fields = list[tuple[str, str]]
+
+
 @dataclass
 class _Output:
+    cfg: RunConfig
     code: int = 0
     lines: list[str] = field(default_factory=list)
     sections: list[Section] = field(default_factory=list)
 
-    def fail(self, code: int = 1) -> None:
-        self.code = max(self.code, code)
+    def add(self, section_name: str, fields: Fields, *text_lines: str, failed=False) -> None:
+        """Record one outcome as its text lines and its structured section;
+        a failed outcome makes the exit status 1."""
+        self.lines.extend(text_lines)
+        self.sections.append(Section(section_name, tuple(fields)))
+        if failed:
+            self.code = 1
 
-    def report(self) -> Report:
-        return Report(tuple(self.sections))
+    def paint(self, text: str, good: bool) -> str:
+        """A status word, green when good and red otherwise, if color is on."""
+        cfg = self.cfg
+        if cfg.output_format == "text" and (
+            cfg.color == "always" or (cfg.color != "never" and sys.stdout.isatty())
+        ):
+            return f"\x1b[{32 if good else 31}m{text}\x1b[0m"
+        return text
 
 
 class _CliError(Exception):
@@ -79,30 +102,6 @@ class _CliError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-def _color_enabled(cfg: RunConfig) -> bool:
-    if cfg.output_format != "text":
-        return False
-    if cfg.color == "always":
-        return True
-    if cfg.color == "never":
-        return False
-    return sys.stdout.isatty()
-
-
-def _paint(text: str, code: str, cfg: RunConfig) -> str:
-    if _color_enabled(cfg):
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _good(text: str, cfg: RunConfig) -> str:
-    return _paint(text, "32", cfg)
-
-
-def _bad(text: str, cfg: RunConfig) -> str:
-    return _paint(text, "31", cfg)
 
 
 def _load_scripts(cfg: RunConfig) -> list[tuple[str, Script]]:
@@ -132,394 +131,265 @@ def _plural(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
-def _check_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None:
+def _check_into(out: _Output, path: str, script: Script) -> None:
     out.lines.append(f"check {path}")
     env = env_from_script(script)
     for decl in script.proofs:
-        section_name = f"check {path} {decl.name}"
+        name, head = f"check {path} {decl.name}", f"  proof {decl.name}: "
         try:
             result = check_proof(decl.tree, env)
         except CheckError as err:
-            out.fail()
             loc = _node_at(decl.tree, err.path).loc
-            where = f" (line {loc[0]}, col {loc[1]})" if loc else ""
-            out.lines.append(f"  proof {decl.name}: {_bad('failed', cfg)}")
-            out.lines.append(f"    {err}{where}")
             fields = [
                 ("status", "failed"),
                 ("error-kind", err.kind.value),
                 ("error-path", ".".join(str(i) for i in err.path) or "root"),
                 ("error-detail", err.detail),
             ]
+            where = ""
             if loc:
                 fields += [("line", str(loc[0])), ("col", str(loc[1]))]
-            out.sections.append(Section(section_name, tuple(fields)))
+                where = f" (line {loc[0]}, col {loc[1]})"
+            out.add(
+                name, fields, head + out.paint("failed", False), f"    {err}{where}", failed=True
+            )
             continue
-        out.lines.append(f"  proof {decl.name}: {_good('ok', cfg)}")
+        stated = []
         if isinstance(result, Claimhood):
-            text = render_claimhood(result)
-            out.lines.append(f"    {text}")
-            out.sections.append(
-                Section(section_name, (("status", "ok"), ("claimhood", text)))
-            )
+            kind, text = "claimhood", render_claimhood(result)
         else:
-            text = render_sequent(result)
-            out.lines.append(f"    {text}")
-            if cfg.verbosity and decl.tree.stated is not None:
-                out.lines.append(f"    stated: {render_sequent(decl.tree.stated)}")
-            out.sections.append(
-                Section(section_name, (("status", "ok"), ("sequent", text)))
-            )
+            kind, text = "sequent", render_sequent(result)
+            if out.cfg.verbosity and decl.tree.stated is not None:
+                stated.append(f"    stated: {render_sequent(decl.tree.stated)}")
+        ok = head + out.paint("ok", True)
+        out.add(name, [("status", "ok"), (kind, text)], ok, f"    {text}", *stated)
 
 
-def run_check(cfg: RunConfig) -> tuple[int, list[str], Report]:
-    out = _Output()
-    for path, script in _load_scripts(cfg):
-        _check_into(out, cfg, path, script)
-    return out.code, out.lines, out.report()
+def _normalized(
+    out: _Output, name: str, term: Term, lead: Fields, exhausted: Callable[[int], str], traced=False
+) -> Optional[tuple[Term, int, list[Term]]]:
+    """term's normal form, its step count and, when traced, its reduction
+    sequence.  When the step budget runs out, adds that outcome instead
+    (the lead fields, then the budget; the text line exhausted(budget))
+    and returns None."""
+    budget = out.cfg.step_budget
+    try:
+        if traced:
+            stages = trace(term, budget)
+            return stages[-1], len(stages) - 1, stages
+        return (*normalize_counted(term, budget), [])
+    except BudgetExceeded:
+        fields = lead + [("status", "budget-exhausted"), ("budget", str(budget))]
+        out.add(name, fields, exhausted(budget), failed=True)
+        return None
 
 
-def _eval_exprs_into(out: _Output, cfg: RunConfig) -> None:
-    for index, text in enumerate(cfg.exprs, 1):
+def _eval_exprs_into(out: _Output) -> None:
+    for index, text in enumerate(out.cfg.exprs, 1):
         try:
             term = parse_term(text)
         except ParseError as err:
             raise _CliError(2, f"-e:{err.line}:{err.col}: {err.message}") from err
-        section_name = f"eval {index}"
-        try:
-            if cfg.verbosity:
-                stages = trace(term, cfg.step_budget)
-                normal, count = stages[-1], len(stages) - 1
-            else:
-                normal, count = normalize_counted(term, cfg.step_budget)
-        except BudgetExceeded:
-            out.fail()
-            out.lines.append(
-                f"step budget {cfg.step_budget} exhausted: {render_term(term)}"
+        name, lead = f"eval {index}", [("input", text)]
+
+        def exhausted(budget: int) -> str:
+            return f"step budget {budget} exhausted: {render_term(term)}"
+
+        reduced = _normalized(out, name, term, lead, exhausted, traced=out.cfg.verbosity > 0)
+        if reduced:
+            normal, count, stages = reduced
+            shown = render_term(normal)
+            out.add(
+                name,
+                lead + [("normal", shown), ("steps", str(count))],
+                *(f"  [{n}] {render_term(stage)}" for n, stage in enumerate(stages)),
+                f"{shown} ({_plural(count, 'step')})",
             )
-            out.sections.append(
-                Section(
-                    section_name,
-                    (
-                        ("input", text),
-                        ("status", "budget-exhausted"),
-                        ("budget", str(cfg.step_budget)),
-                    ),
-                )
-            )
-            continue
-        if cfg.verbosity:
-            for n, stage in enumerate(stages):
-                out.lines.append(f"  [{n}] {render_term(stage)}")
-        out.lines.append(f"{render_term(normal)} ({_plural(count, 'step')})")
-        out.sections.append(
-            Section(
-                section_name,
-                (
-                    ("input", text),
-                    ("normal", render_term(normal)),
-                    ("steps", str(count)),
-                ),
-            )
-        )
 
 
-def _eval_scripts_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None:
+def _eval_scripts_into(out: _Output, path: str, script: Script) -> None:
     out.lines.append(f"eval {path}")
     env = env_from_script(script)
     for decl in script.proofs:
-        section_name = f"eval {path} {decl.name}"
+        name, head = f"eval {path} {decl.name}", f"  {decl.name}: "
         try:
             result = check_proof(decl.tree, env)
         except CheckError as err:
-            out.fail()
-            out.lines.append(f"  {decl.name}: not checked ({err})")
-            out.sections.append(
-                Section(section_name, (("status", "not-checked"),))
-            )
+            out.add(name, [("status", "not-checked")], f"{head}not checked ({err})", failed=True)
             continue
         if isinstance(result, Claimhood):
-            out.lines.append(f"  {decl.name}: no witness to evaluate")
-            out.sections.append(Section(section_name, (("status", "no-witness"),)))
+            out.add(name, [("status", "no-witness")], f"{head}no witness to evaluate")
             continue
         witness = result.conclusion.witness
-        try:
-            normal, count = normalize_counted(witness, cfg.step_budget)
-        except BudgetExceeded:
-            out.fail()
-            out.lines.append(
-                f"  {decl.name}: step budget {cfg.step_budget} exhausted"
-            )
-            out.sections.append(
-                Section(
-                    section_name,
-                    (("status", "budget-exhausted"), ("budget", str(cfg.step_budget))),
-                )
-            )
-            continue
-        out.lines.append(
-            f"  {decl.name}: {render_term(normal)} ({_plural(count, 'step')})"
+        reduced = _normalized(
+            out, name, witness, [], lambda budget: f"{head}step budget {budget} exhausted"
         )
-        out.sections.append(
-            Section(
-                section_name,
-                (
-                    ("witness", render_term(witness)),
-                    ("normal", render_term(normal)),
-                    ("steps", str(count)),
-                ),
+        if reduced:
+            normal, count, _ = reduced
+            shown = render_term(normal)
+            out.add(
+                name,
+                [("witness", render_term(witness)), ("normal", shown), ("steps", str(count))],
+                f"{head}{shown} ({_plural(count, 'step')})",
             )
-        )
 
 
-def run_eval(cfg: RunConfig) -> tuple[int, list[str], Report]:
-    if not cfg.exprs and not cfg.input_paths:
-        raise _CliError(2, "veracity eval: give -e expressions or input files")
-    out = _Output()
-    _eval_exprs_into(out, cfg)
-    if cfg.input_paths:
-        for path, script in _load_scripts(cfg):
-            _eval_scripts_into(out, cfg, path, script)
-    return out.code, out.lines, out.report()
+def _sound_failure(err: Exception, budget: int) -> tuple[str, str, Fields]:
+    """A soundness check that could not run to a verdict: its status word,
+    the text after the word, and its status fields."""
+    if isinstance(err, PreconditionError):
+        fields = [("status", "precondition-failed"), ("detail", str(err))]
+        return "precondition failed", f": {err}", fields
+    if isinstance(err, CheckError):
+        return "proof does not check", f": {err}", [("status", "not-checked")]
+    if isinstance(err, BudgetExceeded):
+        fields = [("status", "budget-exhausted"), ("budget", str(budget))]
+        return f"step budget {budget} exhausted", "", fields
+    return str(err), "", [("status", "depth-exceeded")]
 
 
-def _model_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None:
+def _model_into(out: _Output, path: str, script: Script) -> None:
     out.lines.append(f"model {path}")
     env = env_from_script(script)
     models = {decl.name: model_from_script(script, decl.name) for decl in script.models}
     for index, query in enumerate(script.queries, 1):
-        section_name = f"model {path} query {index}"
         shown = render_judgement(query.judgement)
         try:
             holds = member(query.judgement, models[query.model])
+            word = "holds" if holds else "does not hold"
+            status_field = ("holds", "true" if holds else "false")
         except DepthExceeded as err:
-            out.fail()
-            out.lines.append(f"  query {shown} in {query.model}: {_bad(str(err), cfg)}")
-            out.sections.append(
-                Section(
-                    section_name,
-                    (
-                        ("judgement", shown),
-                        ("model", query.model),
-                        ("status", "depth-exceeded"),
-                    ),
-                )
-            )
-            continue
-        verdict = _good("holds", cfg) if holds else _bad("does not hold", cfg)
-        if not holds:
-            out.fail()
-        out.lines.append(f"  query {shown} in {query.model}: {verdict}")
-        out.sections.append(
-            Section(
-                section_name,
-                (
-                    ("judgement", shown),
-                    ("model", query.model),
-                    ("holds", "true" if holds else "false"),
-                ),
-            )
+            holds, word, status_field = False, str(err), ("status", "depth-exceeded")
+        out.add(
+            f"model {path} query {index}",
+            [("judgement", shown), ("model", query.model), status_field],
+            f"  query {shown} in {query.model}: {out.paint(word, holds)}",
+            failed=not holds,
         )
+    budget = out.cfg.step_budget
     for sound in script.sounds:
-        section_name = f"model {path} sound {sound.proof}"
         tree = script.proof(sound.proof).tree
         try:
-            is_sound = soundness_check(
-                tree, models[sound.model], env, budget=cfg.step_budget
-            )
-        except PreconditionError as err:
-            out.fail()
-            out.lines.append(
-                f"  sound {sound.proof} in {sound.model}: "
-                f"{_bad('precondition failed', cfg)}: {err}"
-            )
-            out.sections.append(
-                Section(
-                    section_name,
-                    (
-                        ("model", sound.model),
-                        ("status", "precondition-failed"),
-                        ("detail", str(err)),
-                    ),
-                )
-            )
-            continue
-        except CheckError as err:
-            out.fail()
-            out.lines.append(
-                f"  sound {sound.proof} in {sound.model}: "
-                f"{_bad('proof does not check', cfg)}: {err}"
-            )
-            out.sections.append(
-                Section(
-                    section_name,
-                    (("model", sound.model), ("status", "not-checked")),
-                )
-            )
-            continue
-        except BudgetExceeded:
-            out.fail()
-            out.lines.append(
-                f"  sound {sound.proof} in {sound.model}: "
-                f"{_bad(f'step budget {cfg.step_budget} exhausted', cfg)}"
-            )
-            out.sections.append(
-                Section(
-                    section_name,
-                    (
-                        ("model", sound.model),
-                        ("status", "budget-exhausted"),
-                        ("budget", str(cfg.step_budget)),
-                    ),
-                )
-            )
-            continue
-        except DepthExceeded as err:
-            out.fail()
-            out.lines.append(f"  sound {sound.proof} in {sound.model}: {_bad(str(err), cfg)}")
-            out.sections.append(
-                Section(
-                    section_name,
-                    (("model", sound.model), ("status", "depth-exceeded")),
-                )
-            )
-            continue
-        verdict = _good("sound", cfg) if is_sound else _bad("unsound", cfg)
-        if not is_sound:
-            out.fail()
-        out.lines.append(f"  sound {sound.proof} in {sound.model}: {verdict}")
-        out.sections.append(
-            Section(
-                section_name,
-                (
-                    ("model", sound.model),
-                    ("status", "sound" if is_sound else "unsound"),
-                ),
-            )
+            is_sound = soundness_check(tree, models[sound.model], env, budget=budget)
+            word = "sound" if is_sound else "unsound"
+            rest, status = "", [("status", word)]
+        except (PreconditionError, CheckError, BudgetExceeded, DepthExceeded) as err:
+            is_sound = False
+            word, rest, status = _sound_failure(err, budget)
+        out.add(
+            f"model {path} sound {sound.proof}",
+            [("model", sound.model)] + status,
+            f"  sound {sound.proof} in {sound.model}: {out.paint(word, is_sound)}{rest}",
+            failed=not is_sound,
         )
 
 
-def run_model(cfg: RunConfig) -> tuple[int, list[str], Report]:
-    out = _Output()
-    for path, script in _load_scripts(cfg):
-        _model_into(out, cfg, path, script)
-    return out.code, out.lines, out.report()
-
-
-def _trust_into(out: _Output, cfg: RunConfig, path: str, script: Script) -> None:
+def _trust_into(out: _Output, path: str, script: Script) -> None:
     out.lines.append(f"trust {path}")
     for relation in script.relations:
-        graph = TrustGraph.from_relation(relation)
-        props = relation_properties(graph)
-        out.lines.append(
-            f"  relation {relation.name}: {_plural(len(relation.edges), 'edge')}"
-        )
-        reflexive = "complete (implicit self-trust)" if props.reflexive_complete else "incomplete"
-        out.lines.append(f"    reflexive: {reflexive}")
-        if props.symmetric_pairs:
-            pairs = ", ".join(f"{a} <-> {b}" for a, b in props.symmetric_pairs)
-        else:
-            pairs = "none"
-        out.lines.append(f"    symmetric pairs: {pairs}")
-        if props.longest_chain_decay is None:
-            out.lines.append("    decay: none")
-            decay_fields = [("decay-path", ""), ("decay-weight", "")]
-        else:
-            decay_path, decay_weight = props.longest_chain_decay
-            shown = " -> ".join(decay_path)
-            out.lines.append(f"    decay: {shown} @ {format_weight(decay_weight)}")
-            decay_fields = [
-                ("decay-path", shown),
-                ("decay-weight", format_weight(decay_weight)),
-            ]
-        out.sections.append(
-            Section(
-                f"trust {path} relation {relation.name}",
-                tuple(
-                    [
-                        ("edges", str(len(relation.edges))),
-                        (
-                            "reflexive-complete",
-                            "true" if props.reflexive_complete else "false",
-                        ),
-                        (
-                            "symmetric-pairs",
-                            " ".join(f"{a}<->{b}" for a, b in props.symmetric_pairs),
-                        ),
-                    ]
-                    + decay_fields
-                ),
-            )
+        props = relation_properties(TrustGraph.from_relation(relation))
+        pairs = props.symmetric_pairs
+        decay_path = decay_weight = ""
+        if props.longest_chain_decay is not None:
+            actors, weight = props.longest_chain_decay
+            decay_path, decay_weight = " -> ".join(actors), format_weight(weight)
+        # Self-trust is implicit, so every relation is reflexive-complete.
+        out.add(
+            f"trust {path} relation {relation.name}",
+            [
+                ("edges", str(len(relation.edges))),
+                ("reflexive-complete", "true"),
+                ("symmetric-pairs", " ".join(f"{a}<->{b}" for a, b in pairs)),
+                ("decay-path", decay_path),
+                ("decay-weight", decay_weight),
+            ],
+            f"  relation {relation.name}: {_plural(len(relation.edges), 'edge')}",
+            "    reflexive: complete (implicit self-trust)",
+            f"    symmetric pairs: {', '.join(f'{a} <-> {b}' for a, b in pairs) or 'none'}",
+            f"    decay: {f'{decay_path} @ {decay_weight}' if decay_path else 'none'}",
         )
     for index, compare in enumerate(script.compares, 1):
-        section_name = f"trust {path} compare {index}"
-        out.lines.append(
+        relations = script.relation(compare.chain), script.relation(compare.star)
+        outcome = compare_relations(*relations, compare.source, compare.target)
+        name = f"trust {path} compare {index}"
+        head = (
             f"  compare chain {compare.chain} star {compare.star} "
             f"from {compare.source} to {compare.target}:"
         )
-        outcome = compare_relations(
-            script.relation(compare.chain),
-            script.relation(compare.star),
-            compare.source,
-            compare.target,
-        )
-        base = [
+        fields = [
             ("chain-relation", compare.chain),
             ("star-relation", compare.star),
             ("from", compare.source),
             ("to", compare.target),
         ]
         if outcome is None:
-            out.lines.append("    verdict: unreachable")
-            out.sections.append(
-                Section(section_name, tuple(base + [("status", "unreachable")]))
-            )
+            out.add(name, fields + [("status", "unreachable")], head, "    verdict: unreachable")
             continue
-        out.lines.append(f"    chain = {format_weight(outcome.chain)}")
-        out.lines.append(f"    star = {format_weight(outcome.star)}")
-        verdict = (
-            "star at least chain" if outcome.star_at_least_chain else "chain beats star"
-        )
-        out.lines.append(f"    verdict: {verdict}")
-        out.sections.append(
-            Section(
-                section_name,
-                tuple(
-                    base
-                    + [
-                        ("chain", format_weight(outcome.chain)),
-                        ("star", format_weight(outcome.star)),
-                        (
-                            "star-at-least-chain",
-                            "true" if outcome.star_at_least_chain else "false",
-                        ),
-                    ]
-                ),
-            )
+        chain, star = format_weight(outcome.chain), format_weight(outcome.star)
+        at_least = outcome.star_at_least_chain
+        fields += [("chain", chain), ("star", star)]
+        out.add(
+            name,
+            fields + [("star-at-least-chain", "true" if at_least else "false")],
+            head,
+            f"    chain = {chain}",
+            f"    star = {star}",
+            f"    verdict: {'star at least chain' if at_least else 'chain beats star'}",
         )
 
 
-def run_trust(cfg: RunConfig) -> tuple[int, list[str], Report]:
-    out = _Output()
-    for path, script in _load_scripts(cfg):
-        _trust_into(out, cfg, path, script)
-    return out.code, out.lines, out.report()
+_Part = Callable[[_Output, str, Script], None]
+_Result = tuple[int, list[str], Report]
 
 
-def run_report(cfg: RunConfig) -> tuple[int, list[str], Report]:
-    out = _Output()
-    _eval_exprs_into(out, cfg)
-    for path, script in _load_scripts(cfg):
-        _check_into(out, cfg, path, script)
-        _model_into(out, cfg, path, script)
-        _trust_into(out, cfg, path, script)
-    return out.code, out.lines, out.report()
+def _run(cfg: RunConfig, parts: tuple[_Part, ...], exprs=False, files_optional=False) -> _Result:
+    """Evaluate the -e expressions when exprs is set, then run each part on
+    every input script in turn.  Only eval, which has files_optional set,
+    may run on -e expressions alone."""
+    if files_optional and not cfg.exprs and not cfg.input_paths:
+        raise _CliError(2, "veracity eval: give -e expressions or input files")
+    out = _Output(cfg)
+    if exprs:
+        _eval_exprs_into(out)
+    if cfg.input_paths or not files_optional:
+        for path, script in _load_scripts(cfg):
+            for part in parts:
+                part(out, path, script)
+    return out.code, out.lines, Report(tuple(out.sections))
 
 
-_Runner = Callable[[RunConfig], tuple[int, list[str], Report]]
+def run_check(cfg: RunConfig) -> _Result:
+    return _run(cfg, (_check_into,))
+
+
+def run_eval(cfg: RunConfig) -> _Result:
+    return _run(cfg, (_eval_scripts_into,), exprs=True, files_optional=True)
+
+
+def run_model(cfg: RunConfig) -> _Result:
+    return _run(cfg, (_model_into,))
+
+
+def run_trust(cfg: RunConfig) -> _Result:
+    return _run(cfg, (_trust_into,))
+
+
+def run_report(cfg: RunConfig) -> _Result:
+    return _run(cfg, (_check_into, _model_into, _trust_into), exprs=True)
+
+
+def _step_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {budget}")
+    return budget
+
 
 # Each subcommand: its help text, its runner, and the options it reads.
-_COMMANDS: dict[str, tuple[str, _Runner, frozenset[str]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], _Result], frozenset[str]]] = {
     "check": ("replay proofs through the kernel", run_check, frozenset({"-v"})),
     "eval": ("normalize witness terms", run_eval, frozenset({"--step-budget", "-e", "-v"})),
     "model": (
@@ -539,7 +409,10 @@ _COMMANDS: dict[str, tuple[str, _Runner, frozenset[str]]] = {
 # _COMMANDS, in --help order.
 _OPTIONS: dict[tuple[str, ...], dict] = {
     ("--step-budget",): dict(
-        type=int, default=DEFAULT_BUDGET, metavar="N", help="maximum reduction steps per term"
+        type=_step_budget,
+        default=DEFAULT_BUDGET,
+        metavar="N",
+        help="maximum reduction steps per term (0 or more)",
     ),
     ("-e", "--expr"): dict(
         action="append", default=[], metavar="EXPR", help="witness term to evaluate (repeatable)"

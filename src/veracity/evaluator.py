@@ -180,9 +180,16 @@ def reductions(term: Term) -> Iterator[Term]:
         yield walk.term()
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"step budget must be at least 0, not {budget}")
+
+
 def normalize_counted(term: Term, budget: int = DEFAULT_BUDGET) -> tuple[Term, int]:
     """The normal form and the number of steps to it, keeping no
-    intermediate term; BudgetExceeded if it takes more than budget steps."""
+    intermediate term; BudgetExceeded if it takes more than budget steps,
+    ValueError if budget is negative."""
+    _check_budget(budget)
     walk = _Walk(term)
     while walk.step(budget):
         pass
@@ -194,7 +201,9 @@ def normalize(term: Term, budget: int = DEFAULT_BUDGET) -> Term:
 
 
 def trace(term: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
-    """The full reduction sequence [term, ..., normal form]."""
+    """The full reduction sequence [term, ..., normal form]; raises like
+    normalize_counted."""
+    _check_budget(budget)
     walk = _Walk(term)
     sequence = [term]
     while walk.step(budget):

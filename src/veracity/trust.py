@@ -158,13 +158,12 @@ def compare_relations(
 class RelationProperties:
     """Structural facts about a trust relation worth surfacing in reports."""
 
-    reflexive_complete: bool
     symmetric_pairs: tuple[tuple[str, str], ...]
     longest_chain_decay: Optional[tuple[tuple[str, ...], Weight]]
 
 
 def relation_properties(graph: TrustGraph) -> RelationProperties:
-    """Report self-trust coverage, symmetric edges, and chain decay.
+    """Report symmetric edges and chain decay.
 
     Self-trust is implicit, so every relation is reflexive-complete.
     Symmetric edge pairs are legal and merely informational. The decay
@@ -187,7 +186,7 @@ def relation_properties(graph: TrustGraph) -> RelationProperties:
     if graph.actors:
         weight, suffix = min(_least_decays(graph).values())
         decay = (_flatten(suffix), weight)
-    return RelationProperties(True, tuple(symmetric), decay)
+    return RelationProperties(tuple(symmetric), decay)
 
 
 # A path suffix is a cons list (actor, rest) ending in (). Cons lists compare

@@ -312,6 +312,143 @@ class TestModelLimits:
         assert done.stdout.endswith("  query \\x.nowhere^P : A -> B in M: does not hold\n")
 
 
+# One proof per outcome: a bare hypothesis, a proof that does not check, a
+# claimhood proof with no witness, and a witness with one redex; N lacks h.
+OUTCOMES = (
+    "claim A, B. actor P, Q. trust T { P -> Q @ 0.5. }\n"
+    "proof Hyp { assume h^P : A }\n"
+    "proof Bad { andIntro(assume x^P : A, assume y^Q : B) }\n"
+    "proof Cl { claim(assume x^P : A) }\n"
+    "proof Red { impElim(impIntro(x, assume x^P : A), assume y^P : A) }\n"
+    "model N { A = { a^P. }. }\n"
+    "query z^P : A in N.\n"
+    "sound Hyp in N.\n"
+    "sound Bad in N.\n"
+)
+
+BAD_DETAIL = "actorMismatch at root: premises name different actors: P, Q"
+
+
+class TestOutcomes:
+    """The exact text line and structured fields of each outcome that the
+    golden fixtures do not reach."""
+
+    @pytest.fixture
+    def script(self, tmp_path):
+        path = tmp_path / "o.vlp"
+        path.write_text(OUTCOMES, encoding="utf-8")
+        return str(path)
+
+    def sections(self, capsys, *argv):
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert err == ""
+        return code, {s.name: s.fields for s in parse_structured(out).sections}
+
+    def test_model_soundness_failures(self, capsys, script):
+        code, out, err = run(capsys, "model", script)
+        assert (code, err) == (1, "")
+        assert out == (
+            f"model {script}\n"
+            "  query z^P : A in N: does not hold\n"
+            "  sound Hyp in N: precondition failed: "
+            "hypothesis h : A does not hold in the model\n"
+            f"  sound Bad in N: proof does not check: {BAD_DETAIL}\n"
+        )
+        code, sections = self.sections(capsys, "model", script)
+        assert code == 1
+        assert sections == {
+            f"model {script} query 1": (
+                ("judgement", "z^P : A"),
+                ("model", "N"),
+                ("holds", "false"),
+            ),
+            f"model {script} sound Hyp": (
+                ("model", "N"),
+                ("status", "precondition-failed"),
+                ("detail", "hypothesis h : A does not hold in the model"),
+            ),
+            f"model {script} sound Bad": (("model", "N"), ("status", "not-checked")),
+        }
+
+    def test_eval_script_outcomes(self, capsys, script):
+        code, out, err = run(capsys, "eval", script)
+        assert (code, err) == (1, "")
+        assert out == (
+            f"eval {script}\n"
+            "  Hyp: h (0 steps)\n"
+            f"  Bad: not checked ({BAD_DETAIL})\n"
+            "  Cl: no witness to evaluate\n"
+            "  Red: y (1 step)\n"
+        )
+        code, sections = self.sections(capsys, "eval", script)
+        assert code == 1
+        assert sections == {
+            f"eval {script} Hyp": (("witness", "h"), ("normal", "h"), ("steps", "0")),
+            f"eval {script} Bad": (("status", "not-checked"),),
+            f"eval {script} Cl": (("status", "no-witness"),),
+            f"eval {script} Red": (("witness", "(\\x.x) y"), ("normal", "y"), ("steps", "1")),
+        }
+
+    def test_eval_script_witness_over_budget(self, capsys, script):
+        code, out, _ = run(capsys, "eval", "--step-budget", "0", script)
+        assert code == 1
+        assert out.endswith("  Cl: no witness to evaluate\n  Red: step budget 0 exhausted\n")
+        code, sections = self.sections(capsys, "eval", "--step-budget", "0", script)
+        assert code == 1
+        assert sections[f"eval {script} Red"] == (("status", "budget-exhausted"), ("budget", "0"))
+        assert sections[f"eval {script} Hyp"] == (("witness", "h"), ("normal", "h"), ("steps", "0"))
+
+    def test_check_verbose_prints_the_stated_sequent(self, capsys):
+        code, out, _ = run(capsys, "check", "-v", PENELOPE)
+        assert code == 0
+        sequent = "l^P : C1, s^P : C2, c^P : C3 |- ((l,s),c)^P : C1 /\\ C2 /\\ C3"
+        assert out == (
+            f"check {PENELOPE}\n"
+            "  proof Combined: ok\n"
+            f"    {sequent}\n"
+            f"    stated: {sequent}\n"
+        )
+        _, sections = self.sections(capsys, "check", PENELOPE)
+        assert sections == {f"check {PENELOPE} Combined": (("status", "ok"), ("sequent", sequent))}
+
+    def test_trust_section_fields(self, capsys, script):
+        code, sections = self.sections(capsys, "trust", script)
+        assert code == 0
+        assert sections == {
+            f"trust {script} relation T": (
+                ("edges", "1"),
+                ("reflexive-complete", "true"),
+                ("symmetric-pairs", ""),
+                ("decay-path", "P -> Q"),
+                ("decay-weight", "0.5"),
+            )
+        }
+
+    def test_always_paints_failures_red(self, capsys, monkeypatch, script, tmp_path):
+        monkeypatch.setenv("VERACITY_COLOR", "always")
+        red = "\x1b[31m{}\x1b[0m".format
+        code, out, _ = run(capsys, "report", script)
+        assert code == 1
+        assert f"  proof Bad: {red('failed')}\n" in out
+        assert f"  proof Hyp: \x1b[32mok\x1b[0m\n" in out
+        assert f"  query z^P : A in N: {red('does not hold')}\n" in out
+        assert (
+            f"  sound Hyp in N: {red('precondition failed')}: "
+            "hypothesis h : A does not hold in the model\n"
+        ) in out
+        assert f"  sound Bad in N: {red('proof does not check')}: {BAD_DETAIL}\n" in out
+        applied = tmp_path / "e.vlp"
+        applied.write_text(APPLIED_ID, encoding="utf-8")
+        _, out, _ = run(capsys, "model", "--step-budget", "0", str(applied))
+        assert out.endswith(f"  sound E in M: {red('step budget 0 exhausted')}\n")
+        _, out, _ = run(capsys, "model", str(applied))
+        assert out.endswith("  sound E in M: \x1b[32msound\x1b[0m\n")
+        deep = tmp_path / "d.vlp"
+        deep.write_text(FOUR_ARROWS, encoding="utf-8")
+        _, out, _ = run(capsys, "model", str(deep))
+        assert out.endswith(f"  sound D in M: {red('arrow nesting exceeds the depth bound of 3')}\n")
+
+
 class TestTrust:
     def test_star_vs_chain_golden(self, capsys):
         code, out, _ = run(capsys, "trust", STAR)
@@ -453,6 +590,31 @@ class TestArgs:
     )
     def test_subcommands_accept_options_they_read(self, capsys, argv):
         assert main(argv + [PENELOPE]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--step-budget", "-1", "-e", "(\\x.x) a"],
+            ["model", "--step-budget", "-5", TRUST_CHAIN],
+            ["report", "--step-budget=-1", TRUST_CHAIN],
+        ],
+    )
+    def test_negative_step_budget_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --step-budget: must be at least 0, not -" in err
+
+    def test_non_integer_step_budget_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--step-budget", "x", "-e", "a"])
+        assert exc.value.code == 2
+        assert "argument --step-budget: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_step_budget_is_accepted(self, capsys):
+        assert run(capsys, "eval", "--step-budget", "0", "-e", "a") == (0, "a (0 steps)\n", "")
 
     def test_fixtures_ship_with_the_package(self):
         assert (FIXTURES / "penelope.vlp").is_file()

@@ -125,6 +125,18 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             normalize(parse_term("(\\x.x) a"), budget=0)
 
+    @pytest.mark.parametrize("run", [normalize_counted, normalize, trace])
+    @pytest.mark.parametrize("term", [Atom("a"), OMEGA])
+    def test_negative_budget_is_rejected_up_front(self, run, term):
+        # Checked on entry: a term in normal form is rejected too, and a
+        # divergent one raises ValueError rather than BudgetExceeded.
+        with pytest.raises(ValueError, match="step budget must be at least 0, not -1"):
+            run(term, -1)
+
+    def test_zero_budget_stays_valid(self):
+        assert normalize_counted(Atom("a"), 0) == (Atom("a"), 0)
+        assert trace(Atom("a"), 0) == [Atom("a")]
+
 
 class TestDefinitionalEquality:
     def test_reduct_equals_redex(self):

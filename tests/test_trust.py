@@ -319,12 +319,10 @@ class TestRelationProperties:
             ("p", "q", "r", "s", "t"),
             Fraction(256, 625),
         )
-        assert props.reflexive_complete
         assert props.symmetric_pairs == ()
 
     def test_single_node_trusts_itself(self):
         props = relation_properties(graph(extra=("n",)))
-        assert props.reflexive_complete
         assert props.longest_chain_decay == (("n",), Fraction(1))
 
     def test_symmetric_edges_are_reported_not_rejected(self):
@@ -334,7 +332,6 @@ class TestRelationProperties:
     def test_empty_graph_has_no_decay_witness(self):
         props = relation_properties(graph())
         assert props.longest_chain_decay is None
-        assert props.reflexive_complete
 
     def test_zero_weight_edge_takes_the_first_completion(self):
         g = graph(("p", "q", 0), ("q", "s", "1/4"), ("q", "r", 1), ("s", "t", 0))
