@@ -27,12 +27,15 @@ def as_weight(value: Union[int, str, Fraction]) -> Weight:
     Accepts ints, Fractions, and numeric strings ("0.5", "1/3").  Floats are
     refused because they would smuggle in binary rounding error.
     """
-    if isinstance(value, float):
-        raise TypeError("weights must be exact: pass a Fraction or a string, not a float")
-    w = Fraction(value)
-    if w < 0 or w > 1:
-        raise ValueError(f"weight {w} outside [0, 1]")
-    return w
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError("weights must be exact: pass a Fraction or a string, not a float")
+        value = Fraction(value)
+    # A Fraction is normalized with a positive denominator, so the range
+    # check is two int comparisons, and an exact Fraction is kept as it is.
+    if 0 <= value.numerator <= value.denominator:
+        return value
+    raise ValueError(f"weight {value} outside [0, 1]")
 
 
 def format_weight(w: Weight) -> str:

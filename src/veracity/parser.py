@@ -5,6 +5,14 @@ weight transformers, judgements, sequents, proof trees, and whole script
 files.  Script files (.vlp) declare claims, actors, trust relations, proofs,
 models, and the queries to run against them; `#` starts a line comment.
 
+The tokenizer scans each line with one regex, which works because no token
+spans a newline: strings exclude "\\n" and comments stop at it.  Only "\\n"
+ends a line; the other line breaks str.splitlines knows (form feed and the
+rest) are unexpected characters, as any character no token starts with.
+Tokens are plain tuples.  No operator's text equals the text of an
+identifier, number or string, so the parser's cursor tells an operator or a
+keyword by its text alone.
+
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
 parentheses minimal; round-tripping a rendered value re-parses to an
@@ -21,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     ARG,
@@ -75,6 +83,7 @@ from .core import (
 )
 
 DEFAULT_ACTOR = "default"
+_ONE = Fraction(1)   # the default weight, shared rather than rebuilt
 
 
 class ParseError(ValueError):
@@ -100,24 +109,28 @@ _UNICODE_OPS = {
     "·": "*",     # product
 }
 
-_TOKEN_RE = re.compile(
+# One scan per line.  Leading blanks belong to the token, so they need no
+# match of their own; a comment ends the line; anything else that is not
+# blank is an error.  Trailing blanks match nothing, and finditer skips them.
+_LINE_SCAN = re.compile(
     r"""
-      (?P<ws>[\ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+    [\ \t\r]*
+    (?:
+      (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
     | (?P<op>/\\|\\/|->|=>|\|-|_\|_
-        | [∧∨→¬⊥λ⊢∈·]
         | [()\{\}\[\],.:;^@|=*~\\])
+    | (?P<unicode_op>[∧∨→¬⊥λ⊢∈·])
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
     | (?P<string>"(?:[^"\\\n]|\\["\\])*")
+    | (?P<comment>\#)
+    | (?P<bad>[^\ \t\r])
+    )
     """,
     re.VERBOSE,
-)
+).finditer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # ident | number | string | op | eof
     text: str
     line: int
@@ -126,28 +139,21 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "op":
-                lexeme = _UNICODE_OPS.get(lexeme, lexeme)
-            tokens.append(Token(kind, lexeme, line, col))
-            col += m.end() - m.start()
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    new = tuple.__new__   # a Token without NamedTuple's Python-level __new__
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _LINE_SCAN(chars):
+            kind = m.lastgroup
+            if kind == "comment":
+                break
+            lexeme = m[kind]
+            if kind == "bad":
+                raise ParseError(f"unexpected character {lexeme!r}", line, m.end())
+            if kind == "unicode_op":
+                append(new(Token, ("op", _UNICODE_OPS[lexeme], line, m.end())))
+            else:
+                append(new(Token, (kind, lexeme, line, m.start(kind) + 1)))
+    append(new(Token, ("eof", "", line, len(chars) + 1)))
     return tokens
 
 
@@ -337,40 +343,36 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+    # at, accept and expect take an operator or a keyword and compare texts
+    # only: no operator's text is the text of an identifier, number, string
+    # or eof.  A matched token is never eof, so stepping past it needs no
+    # check.
 
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
         raise ParseError(f"expected {text!r}, found {self._describe(tok)}", tok.line, tok.col)
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
-            return self.advance()
-        raise ParseError(f"expected {word!r}, found {self._describe(tok)}", tok.line, tok.col)
-
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "ident":
-            return self.advance()
+            self.pos += 1
+            return tok
         raise ParseError(f"expected {what}, found {self._describe(tok)}", tok.line, tok.col)
 
     def expect_eof(self) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             raise ParseError(f"unexpected {self._describe(tok)}", tok.line, tok.col)
 
@@ -381,7 +383,7 @@ class _Parser:
     # -- weights
 
     def weight(self) -> Weight:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "number":
             raise ParseError(f"expected a weight, found {self._describe(tok)}", tok.line, tok.col)
         self.advance()
@@ -397,14 +399,12 @@ class _Parser:
         return expr
 
     def weight_factor(self) -> WeightExpr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "number":
             return Const(self.weight())
-        if self.at_word("z"):
-            self.advance()
+        if self.accept("z"):
             return ARG
-        if self.at_word("min"):
-            self.advance()
+        if self.accept("min"):
             self.expect("(")
             left = self.weight_expr()
             self.expect(",")
@@ -445,7 +445,7 @@ class _Parser:
         return self.claim_atom()
 
     def claim_atom(self) -> Claim:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if self.accept("_|_"):
             return Bottom()
         if self.accept("("):
@@ -477,16 +477,12 @@ class _Parser:
 
     def application(self) -> Term:
         term = self.primary()
-        while self._at_primary_start():
+        while (tok := self.tokens[self.pos]).kind == "ident" or tok.text == "(":
             term = Apply(term, self.primary())
         return term
 
-    def _at_primary_start(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" or self.at("(")
-
     def primary(self) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if self.accept("("):
             first = self.term()
             if self.accept(","):
@@ -502,12 +498,7 @@ class _Parser:
         # identifier i applied to a parenthesized argument (written "i (x)")
         # stays an application.
         nxt = self.peek(1)
-        fused = (
-            nxt.kind == "op"
-            and nxt.text == "("
-            and nxt.line == tok.line
-            and nxt.col == tok.col + len(tok.text)
-        )
+        fused = nxt.text == "(" and nxt.line == tok.line and nxt.col == tok.col + len(tok.text)
         if name in ("i", "j") and fused:
             self.advance()
             self.expect("(")
@@ -571,7 +562,7 @@ class _Parser:
                     f"duplicate provenance field {key_tok.text!r}", key_tok.line, key_tok.col
                 )
             self.expect("=")
-            val_tok = self.peek()
+            val_tok = self.tokens[self.pos]
             if val_tok.kind != "string":
                 raise ParseError(
                     f"expected a quoted string, found {self._describe(val_tok)}",
@@ -592,7 +583,7 @@ class _Parser:
         witness = self.term()
         self.unbind(names)
         actor = default_actor
-        weight = Fraction(1)
+        weight = _ONE
         if self.accept("^"):
             actor = self.expect_ident("an actor").text
         if self.accept("@"):
@@ -604,7 +595,7 @@ class _Parser:
     def hypothesis(self, default_actor: str) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable").text
         actor = default_actor
-        weight = Fraction(1)
+        weight = _ONE
         if self.accept("^"):
             actor = self.expect_ident("an actor").text
         if self.accept("@"):
@@ -627,8 +618,7 @@ class _Parser:
 
     def tree(self, default_actor: str) -> ProofTree:
         node = self.tree_node(default_actor)
-        if self.at_word("stating"):
-            self.advance()
+        if self.accept("stating"):
             self.expect("(")
             stated = self.sequent(default_actor)
             self.expect(")")
@@ -636,7 +626,7 @@ class _Parser:
         return node
 
     def tree_node(self, default_actor: str) -> ProofTree:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text not in _RULE_NAMES:
             raise ParseError(
                 f"expected a rule name, found {self._describe(tok)}", tok.line, tok.col
@@ -653,8 +643,7 @@ class _Parser:
             self.expect(":")
             claim = self.claim()
             context: tuple[Hypothesis, ...] = ()
-            if self.at_word("under"):
-                self.advance()
+            if self.accept("under"):
                 self.expect("(")
                 hyps = [self.hypothesis(default_actor)]
                 while self.accept(","):
@@ -690,16 +679,12 @@ class _Parser:
         return name
 
     def family(self) -> ClaimFamily:
-        if (
-            self.at_word("i")
-            and self.peek(1).kind == "op"
-            and self.peek(1).text == "=>"
-        ):
+        if self.at("i") and self.peek(1).text == "=>":
             self.advance()
             self.expect("=>")
             on_left = self.claim()
             self.expect("|")
-            self.expect_word("j")
+            self.expect("j")
             self.expect("=>")
             on_right = self.claim()
             return TagFamily(on_left, on_right)
@@ -717,40 +702,36 @@ class _Parser:
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
 
+        # Every name declared so far, with the kind of thing it names, so
+        # each check is one lookup.
+        declared: dict[str, str] = {}
+
         def default_actor() -> str:
             return actors[0] if len(actors) == 1 else DEFAULT_ACTOR
 
-        def names_in_use() -> set[str]:
-            return (
-                set(claims)
-                | set(actors)
-                | {r.name for r in relations}
-                | {p.name for p in proofs}
-                | {m.name for m in models}
-            )
-
-        def declare(tok: Token) -> str:
-            if tok.text in names_in_use():
+        def declare(tok: Token, kind: str) -> str:
+            if tok.text in declared:
                 raise ParseError(f"duplicate name {tok.text!r}", tok.line, tok.col)
+            declared[tok.text] = kind
             return tok.text
 
         def check_claim_declared(claim: Claim, loc: tuple[int, int]) -> None:
-            missing = sorted(atoms_of_claim(claim) - set(claims))
+            missing = sorted(a for a in atoms_of_claim(claim) if declared.get(a) != "claim")
             if missing:
                 raise ParseError(f"claim {missing[0]!r} is not declared", loc[0], loc[1])
 
         def check_actor_declared(name: str, loc: tuple[int, int]) -> None:
             if name == DEFAULT_ACTOR and not actors:
                 return
-            if name not in actors:
+            if declared.get(name) != "actor":
                 raise ParseError(f"actor {name!r} is not declared", loc[0], loc[1])
 
         def check_relation_declared(name: str, loc: tuple[int, int]) -> None:
-            if all(r.name != name for r in relations):
+            if declared.get(name) != "relation":
                 raise ParseError(f"trust relation {name!r} is not declared", loc[0], loc[1])
 
         def check_model_declared(name: str, loc: tuple[int, int]) -> None:
-            if all(m.name != name for m in models):
+            if declared.get(name) != "model":
                 raise ParseError(f"model {name!r} is not declared", loc[0], loc[1])
 
         def check_hypothesis(h: Hypothesis, loc: tuple[int, int]) -> None:
@@ -786,8 +767,8 @@ class _Parser:
             for premise in tree.premises:
                 check_tree(premise)
 
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.tokens[self.pos].kind != "eof":
+            tok = self.tokens[self.pos]
             if tok.kind != "ident":
                 raise ParseError(
                     f"expected a declaration, found {self._describe(tok)}", tok.line, tok.col
@@ -795,20 +776,20 @@ class _Parser:
             word = tok.text
             if word == "claim":
                 self.advance()
-                claims.append(declare(self.expect_ident("a claim name")))
+                claims.append(declare(self.expect_ident("a claim name"), "claim"))
                 while self.accept(","):
-                    claims.append(declare(self.expect_ident("a claim name")))
+                    claims.append(declare(self.expect_ident("a claim name"), "claim"))
                 self.expect(".")
             elif word == "actor":
                 self.advance()
-                actors.append(declare(self.expect_ident("an actor name")))
+                actors.append(declare(self.expect_ident("an actor name"), "actor"))
                 while self.accept(","):
-                    actors.append(declare(self.expect_ident("an actor name")))
+                    actors.append(declare(self.expect_ident("an actor name"), "actor"))
                 self.expect(".")
             elif word == "trust":
                 self.advance()
                 name_tok = self.expect_ident("a trust relation name")
-                name = declare(name_tok)
+                name = declare(name_tok, "relation")
                 self.expect("{")
                 edges: list[TrustEdge] = []
                 seen: set[tuple[str, str]] = set()
@@ -818,7 +799,7 @@ class _Parser:
                     self.expect("->")
                     dst_tok = self.expect_ident("an actor")
                     check_actor_declared(dst_tok.text, (dst_tok.line, dst_tok.col))
-                    weight = Fraction(1)
+                    weight = _ONE
                     if self.accept("@"):
                         weight = self.weight()
                     self.expect(".")
@@ -835,7 +816,7 @@ class _Parser:
             elif word == "proof":
                 self.advance()
                 name_tok = self.expect_ident("a proof name")
-                name = declare(name_tok)
+                name = declare(name_tok, "proof")
                 self.expect("{")
                 tree = self.tree(default_actor())
                 self.expect("}")
@@ -844,10 +825,9 @@ class _Parser:
             elif word == "model":
                 self.advance()
                 name_tok = self.expect_ident("a model name")
-                name = declare(name_tok)
+                name = declare(name_tok, "model")
                 uses: list[str] = []
-                if self.at_word("uses"):
-                    self.advance()
+                if self.accept("uses"):
                     rel_tok = self.expect_ident("a trust relation")
                     check_relation_declared(rel_tok.text, (rel_tok.line, rel_tok.col))
                     uses.append(rel_tok.text)
@@ -860,7 +840,7 @@ class _Parser:
                 assigned: set[str] = set()
                 while not self.accept("}"):
                     claim_tok = self.expect_ident("a claim name")
-                    if claim_tok.text not in claims:
+                    if declared.get(claim_tok.text) != "claim":
                         raise ParseError(
                             f"claim {claim_tok.text!r} is not declared",
                             claim_tok.line,
@@ -877,10 +857,10 @@ class _Parser:
                     self.expect("{")
                     entries: list[ModelEntry] = []
                     while not self.accept("}"):
-                        entry_tok = self.peek()
+                        entry_tok = self.tokens[self.pos]
                         term = self.term()
                         actor = default_actor()
-                        weight = Fraction(1)
+                        weight = _ONE
                         if self.accept("^"):
                             actor_tok = self.expect_ident("an actor")
                             check_actor_declared(actor_tok.text, (actor_tok.line, actor_tok.col))
@@ -900,7 +880,7 @@ class _Parser:
                 j = self.judgement(default_actor())
                 check_claim_declared(j.claim, (tok.line, tok.col))
                 check_actor_declared(j.actor, (tok.line, tok.col))
-                self.expect_word("in")
+                self.expect("in")
                 model_tok = self.expect_ident("a model name")
                 check_model_declared(model_tok.text, (model_tok.line, model_tok.col))
                 self.expect(".")
@@ -908,27 +888,27 @@ class _Parser:
             elif word == "sound":
                 self.advance()
                 proof_tok = self.expect_ident("a proof name")
-                if all(p.name != proof_tok.text for p in proofs):
+                if declared.get(proof_tok.text) != "proof":
                     raise ParseError(
                         f"proof {proof_tok.text!r} is not declared", proof_tok.line, proof_tok.col
                     )
-                self.expect_word("in")
+                self.expect("in")
                 model_tok = self.expect_ident("a model name")
                 check_model_declared(model_tok.text, (model_tok.line, model_tok.col))
                 self.expect(".")
                 sounds.append(SoundDecl(proof_tok.text, model_tok.text, (tok.line, tok.col)))
             elif word == "compare":
                 self.advance()
-                self.expect_word("chain")
+                self.expect("chain")
                 chain_tok = self.expect_ident("a trust relation")
                 check_relation_declared(chain_tok.text, (chain_tok.line, chain_tok.col))
-                self.expect_word("star")
+                self.expect("star")
                 star_tok = self.expect_ident("a trust relation")
                 check_relation_declared(star_tok.text, (star_tok.line, star_tok.col))
-                self.expect_word("from")
+                self.expect("from")
                 src_tok = self.expect_ident("an actor")
                 check_actor_declared(src_tok.text, (src_tok.line, src_tok.col))
-                self.expect_word("to")
+                self.expect("to")
                 dst_tok = self.expect_ident("an actor")
                 check_actor_declared(dst_tok.text, (dst_tok.line, dst_tok.col))
                 self.expect(".")

@@ -179,6 +179,36 @@ class TestLargeTerms:
         assert done.stdout == f"{normal} ({steps} {noun})\n"
 
 
+def _ring_script(n):
+    """n actors, each trusting the next round a ring: n declarations and n
+    trust edges, every one checked against the names declared before it."""
+    actors = [f"a{k:05d}" for k in range(n)]
+    edges = "".join(f"  {a} -> {b} @ 0.5.\n" for a, b in zip(actors, actors[1:] + actors[:1]))
+    return f"actor {', '.join(actors)}.\n\ntrust T {{\n{edges}}}\n"
+
+
+class TestLargeScripts:
+    """A script's declarations parse in linear time, so 20,000 actors and
+    20,000 trust edges check well inside the bound; with a scan per name
+    they took close to a minute."""
+
+    def test_in_process(self, capsys, tmp_path):
+        script = tmp_path / "ring.vlp"
+        script.write_text(_ring_script(20000), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", str(script))
+        assert time.perf_counter() - start < 10
+        assert (code, out, err) == (0, f"check {script}\n", "")
+
+    def test_in_a_subprocess(self, tmp_path):
+        script = tmp_path / "ring.vlp"
+        script.write_text(_ring_script(20000), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_subprocess("check", str(script))
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"check {script}\n", "")
+
+
 class TestModel:
     def test_chain_query_and_soundness(self, capsys):
         code, out, _ = run(capsys, "model", TRUST_CHAIN)

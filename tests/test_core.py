@@ -87,6 +87,39 @@ class TestWeights:
         assert as_weight("0.4096") == Fraction(256, 625)
         assert as_weight("1/3") == Fraction(1, 3)
 
+    def test_a_fraction_in_range_is_kept_as_it_is(self) -> None:
+        for w in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            assert as_weight(w) is w
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (0.5, TypeError, "weights must be exact: pass a Fraction or a string, not a float"),
+            (Fraction(3, 2), ValueError, "weight 3/2 outside [0, 1]"),
+            (Fraction(-1, 2), ValueError, "weight -1/2 outside [0, 1]"),
+            (-1, ValueError, "weight -1 outside [0, 1]"),
+            (2, ValueError, "weight 2 outside [0, 1]"),
+            ("1.5", ValueError, "weight 3/2 outside [0, 1]"),
+            ("0.5.1", ValueError, "Invalid literal for Fraction: '0.5.1'"),
+            ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+        ],
+    )
+    def test_errors_name_the_value(self, value, error, message) -> None:
+        with pytest.raises(error) as exc:
+            as_weight(value)
+        assert str(exc.value) == message
+
+    @given(st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=50)))
+    def test_agrees_with_converting_first(self, value) -> None:
+        """The exact-Fraction fast path returns what converting the value
+        and comparing it with 0 and 1 does."""
+        w = Fraction(value)
+        if 0 <= w <= 1:
+            assert as_weight(value) == w and type(as_weight(value)) is Fraction
+        else:
+            with pytest.raises(ValueError):
+                as_weight(value)
+
 
 class TestWeightExprs:
     def test_half_times_argument(self) -> None:

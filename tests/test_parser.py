@@ -1,11 +1,15 @@
 """Parser and renderer tests: frozen syntax cases plus round-trip laws."""
 
+import random
+import sys
+import zlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veracity
 from veracity.core import (
     ARG,
     And,
@@ -61,6 +65,9 @@ from veracity.parser import (
 )
 
 from strategies import VAR_NAMES, claims, terms, weight_exprs
+from tokoracle import oracle_tokenize
+
+FIXTURES = veracity.fixtures_path()
 
 A, B, C, D = Atomic("A"), Atomic("B"), Atomic("C"), Atomic("D")
 
@@ -96,6 +103,93 @@ class TestTokenizer:
 
     def test_falsity_is_one_token(self):
         assert [t.text for t in tokenize("_|_")][:1] == ["_|_"]
+
+    def test_only_newline_ends_a_line(self):
+        # \f, \v and the other characters str.splitlines breaks on are
+        # not blanks: each is an unexpected character on its own line.
+        for ch in "\f\v\x1c\x85\u2028":
+            with pytest.raises(ParseError) as exc:
+                tokenize(f"a\nb {ch} c")
+            assert (exc.value.message, exc.value.line, exc.value.col) == (
+                f"unexpected character {ch!r}", 2, 3,
+            )
+
+    def test_tokens_are_tuples(self):
+        tok = tokenize("x")[0]
+        assert tok == ("ident", "x", 1, 1)
+        assert (tok.kind, tok.text, tok.line, tok.col) == tuple(tok)
+
+
+def _tokens_or_error(tokenize_fn, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(text)]
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+# Pieces the tokenizer must split the same way the frozen one did: every
+# operator in both spellings and the prefixes of the long ones, identifiers
+# with primes, the number forms and their broken ends, strings with escapes
+# and unterminated ones, comments, every blank and near-blank, and
+# characters no token starts with.
+_TOKEN_PIECES = [
+    "/\\", "\\/", "->", "=>", "|-", "_|_", "_|", "-", ">", "/", "\\",
+    *"(){}[],.:;^@|=*~",
+    *"∧∨→¬⊥λ⊢∈·",
+    "x", "x'", "x''", "_a1'", "A", "i", "j", "z", "min", "i(", "claim",
+    "1", "0.5", "1/3", "10.25/7", "1.", "1/", ".5", "0.5.1", "٣",
+    '"abc"', '"a\\"b"', '"a\\\\"', '""', '"unterminated', '"a\\', '"\\x"', '"a\nb"',
+    "# comment /\\ |-", "#", "#\n",
+    " ", "  ", "\t", "\r", "\r\n", "\n", "\n\n", "\f", "\u00a0", "\u2028",
+    "$", "?", "é",
+]
+_TOKEN_CHARS = "".join(sorted(set("".join(_TOKEN_PIECES))))
+
+token_texts = st.lists(
+    st.one_of(st.sampled_from(_TOKEN_PIECES), st.text(alphabet=_TOKEN_CHARS, max_size=3)),
+    max_size=30,
+).map("".join)
+
+
+def _mutations(text: str, seed: int, count: int) -> list[str]:
+    """count copies of text, each with a few characters deleted, inserted
+    or swapped with the next."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(chars))
+            how = rng.randrange(3)
+            if how == 0:
+                del chars[at]
+            elif how == 1:
+                chars.insert(at, rng.choice(_TOKEN_CHARS))
+            elif at + 1 < len(chars):
+                chars[at], chars[at + 1] = chars[at + 1], chars[at]
+        out.append("".join(chars))
+    return out
+
+
+class TestTokenizerOracle:
+    """tokenize agrees with the frozen tokenizer in tokoracle.py: the same
+    (kind, text, line, col) tokens, or the same error at the same place."""
+
+    @given(token_texts)
+    @settings(max_examples=1500)
+    def test_matches_the_oracle(self, text):
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
+
+    @pytest.mark.parametrize("edge", ["", "\n", "a", "a\n", "a\n\n", "\n\na", "  \n\t", "a #"])
+    def test_matches_the_oracle_at_the_edges(self, edge):
+        assert _tokens_or_error(tokenize, edge) == _tokens_or_error(oracle_tokenize, edge)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.vlp")))
+    def test_matches_the_oracle_on_fixtures_and_their_mutations(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        variants = [text, text.rstrip("\n"), *_mutations(text, zlib.crc32(name.encode()), 150)]
+        for k, variant in enumerate(variants):
+            assert _tokens_or_error(tokenize, variant) == _tokens_or_error(oracle_tokenize, variant), k
 
 
 class TestClaimParsing:
@@ -632,6 +726,64 @@ class TestTotality:
     def test_unterminated_string_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_term('a{who="unterminated}')
+
+
+# Each nesting construct as (parse function, text nested n deep).
+NESTINGS = {
+    "claim-parens": (parse_claim, lambda n: "(" * n + "A" + ")" * n),
+    "claim-negation": (parse_claim, lambda n: "~" * n + "A"),
+    "claim-implication": (parse_claim, lambda n: "A -> " * n + "A"),
+    "claim-disjunction": (parse_claim, lambda n: "A \\/ (" * n + "A" + ")" * n),
+    "term-parens": (parse_term, lambda n: "(" * n + "a" + ")" * n),
+    "term-pairs": (parse_term, lambda n: "(a, " * n + "a" + ")" * n),
+    "term-tags": (parse_term, lambda n: "".join("ij"[k % 2] + "(" for k in range(n)) + "a" + ")" * n),
+    "term-lambdas": (parse_term, lambda n: "\\x." * n + "x"),
+    "proof-trust": (
+        parse_script,
+        lambda n: "claim A. actor P. trust R { P -> P. }\nproof D { "
+        + "trust(R, P -> P, " * n + "assume x^P : A" + ")" * n + " }\n",
+    ),
+    "proof-orIntroL": (
+        parse_script,
+        lambda n: "claim A, B.\nproof D { " + "orIntroL(" * n + "assume x : A" + ", B)" * n + " }\n",
+    ),
+    "proof-impIntro": (
+        parse_script,
+        lambda n: "claim A.\nproof D { " + "impIntro(x, " * n + "assume x : A" + ")" * n + " }\n",
+    ),
+}
+
+# Around the depths where 1, 3 and 5 frames a level exhaust each limit.
+NESTING_DEPTHS = (1, 10, 50, 100, 190, 200, 320, 330, 480, 500, 980, 1000,
+                  1990, 2000, 3320, 3330, 4980, 5000, 9980, 10000, 20000)
+
+
+class TestNestingTooDeep:
+    """Every depth of every nesting construct parses or raises a located
+    "nesting too deep", at the interpreter's default recursion limit and at
+    the one the CLI sets; depths far below the limit always parse."""
+
+    @pytest.mark.parametrize("limit", [1000, 10000])
+    @pytest.mark.parametrize("name", sorted(NESTINGS))
+    def test_parses_or_is_too_deep(self, name, limit):
+        parse, build = NESTINGS[name]
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            for depth in (d for d in NESTING_DEPTHS if d <= 2 * limit):
+                text = build(depth)
+                try:
+                    parse(text)
+                except ParseError as exc:
+                    assert exc.message == "nesting too deep", (depth, exc)
+                    assert depth > limit // 20, depth
+                    lines = text.split("\n")
+                    assert 1 <= exc.line <= len(lines), (depth, exc)
+                    assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, (depth, exc)
+                else:
+                    assert depth < 2 * limit, depth
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestRenderFacade:
