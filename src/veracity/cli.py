@@ -12,11 +12,12 @@ Exit status: 0 when everything succeeds; 1 when a proof fails to check,
 a query does not hold, a soundness check finds the proof unsound or cannot
 run (the proof does not check or a hypothesis fails in the model), a step
 budget runs out, or a claim nests arrows past the depth bound; and 2 on
-unusable input: a parse or IO failure, or a bad option such as a negative
---step-budget. Output is deterministic: identical inputs produce
-byte-identical reports. The --format flag selects human text or the
-structured key=value form; VERACITY_COLOR={auto,always,never} controls
-ANSI color in text mode.
+unusable input: a parse or IO failure, a script that is not valid UTF-8, a
+structured report that would hold a line break ("\n" or "\r"), or a bad
+option such as a negative --step-budget. Output is deterministic:
+identical inputs produce byte-identical reports. The --format flag selects
+human text or the structured key=value form;
+VERACITY_COLOR={auto,always,never} controls ANSI color in text mode.
 
 Each outcome (a checked proof, a normal form, a query or soundness answer,
 a trust summary) is recorded by one _Output.add call, which writes its text
@@ -113,6 +114,8 @@ def _load_scripts(cfg: RunConfig) -> list[tuple[str, Script]]:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as err:
             raise _CliError(2, f"{path}: {err.strerror or err}") from err
+        except UnicodeDecodeError as err:
+            raise _CliError(2, f"{path}: {err}") from err
         try:
             loaded.append((path, parse_script(text)))
         except ParseError as err:
@@ -459,18 +462,30 @@ def _parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # Deep proof trees and terms recurse; the default limit is too tight
-    # for adversarial but legitimate inputs.
+    # for adversarial but legitimate inputs.  The caller gets its own
+    # limit back.
+    caller_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10000)
+    try:
+        return _main(argv)
+    finally:
+        sys.setrecursionlimit(caller_limit)
+
+
+def _main(argv: Optional[list[str]]) -> int:
     cfg = _parse_args(argv)
     try:
         code, lines, report = _COMMANDS[cfg.command][1](cfg)
+        if cfg.output_format == "structured":
+            try:
+                text = to_structured(report)
+            except ValueError as err:
+                raise _CliError(2, f"veracity {cfg.command}: {err}") from err
+        else:
+            text = "\n".join(lines) + "\n" if lines else ""
     except _CliError as err:
         print(err.message, file=sys.stderr)
         return err.code
-    if cfg.output_format == "structured":
-        text = to_structured(report)
-    else:
-        text = "\n".join(lines) + "\n" if lines else ""
     sys.stdout.write(text)
     return code
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
     ARG,
@@ -226,29 +226,31 @@ class Script:
     sounds: tuple[SoundDecl, ...] = ()
     compares: tuple[CompareDecl, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Each relation, proof and model by its kind and name, so a lookup
+        # is one probe; kept beside the fields as TrustRelation keeps
+        # _weights.
+        index = {(type(d), d.name): d for d in (*self.relations, *self.proofs, *self.models)}
+        object.__setattr__(self, "_by_name", index)
+
     @property
     def default_actor(self) -> str:
-        if len(self.actors) == 1:
-            return self.actors[0]
-        return DEFAULT_ACTOR
+        return _default_actor(self.actors)
 
     def relation(self, name: str) -> Optional[TrustRelation]:
-        for rel in self.relations:
-            if rel.name == name:
-                return rel
-        return None
+        return self._by_name.get((TrustRelation, name))
 
     def proof(self, name: str) -> Optional[ProofDecl]:
-        for p in self.proofs:
-            if p.name == name:
-                return p
-        return None
+        return self._by_name.get((ProofDecl, name))
 
     def model(self, name: str) -> Optional[ModelDecl]:
-        for m in self.models:
-            if m.name == name:
-                return m
-        return None
+        return self._by_name.get((ModelDecl, name))
+
+
+def _default_actor(actors: Sequence[str]) -> str:
+    """The actor a judgement without ^actor belongs to: a script's sole
+    actor, or DEFAULT_ACTOR."""
+    return actors[0] if len(actors) == 1 else DEFAULT_ACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,18 @@ _NAME_KINDS = {
 }
 _SELF_ENDING = {"binder": ".", "source": "->"}
 
+# Each kind of name a script declares: what a "not declared" error calls
+# it, and how a token is described that should declare one or name one.
+_SCRIPT_NAMES = {
+    "claim": ("claim", "a claim name", "a claim name"),
+    "actor": ("actor", "an actor name", "an actor"),
+    "relation": ("trust relation", "a trust relation name", "a trust relation"),
+    "proof": ("proof", "a proof name", "a proof name"),
+    "model": ("model", "a model name", "a model name"),
+}
+
+_T = TypeVar("_T")
+
 
 def _needs_comma(kinds: tuple[str, ...], k: int) -> bool:
     return k > 0 and kinds[k] != "weight" and kinds[k - 1] not in _SELF_ENDING
@@ -318,6 +332,13 @@ class _Parser:
         # nesting level costs the same frames and "nesting too deep" is
         # reported where it always was.
         self.bound: dict[str, int] = {}
+        # The actor of a judgement or hypothesis written without ^actor;
+        # a script resets it where it declares actors.
+        self.default_actor = DEFAULT_ACTOR
+        # A script's actors so far, and every name it has declared so far
+        # with its kind, a key of _SCRIPT_NAMES.
+        self.actors: list[str] = []
+        self.declared: dict[str, str] = {}
 
     def bind(self, names: Iterable[str]) -> None:
         for name in names:
@@ -577,55 +598,43 @@ class _Parser:
 
     # -- judgements and sequents
 
-    def judgement(self, default_actor: str, names: Iterable[str] = ()) -> Judgement:
+    def judgement(self, names: Iterable[str] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
         self.bind(names)
         witness = self.term()
         self.unbind(names)
-        actor = default_actor
-        weight = _ONE
-        if self.accept("^"):
-            actor = self.expect_ident("an actor").text
-        if self.accept("@"):
-            weight = self.weight()
-        self.expect(":")
-        claim = self.claim()
-        return Judgement(witness, actor, weight, claim)
+        return Judgement(witness, *self.actor_weight_claim())
 
-    def hypothesis(self, default_actor: str) -> Hypothesis:
+    def hypothesis(self) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable").text
-        actor = default_actor
-        weight = _ONE
-        if self.accept("^"):
-            actor = self.expect_ident("an actor").text
-        if self.accept("@"):
-            weight = self.weight()
-        self.expect(":")
-        claim = self.claim()
-        return Hypothesis(var, actor, weight, claim)
+        return Hypothesis(var, *self.actor_weight_claim())
 
-    def sequent(self, default_actor: str) -> Sequent:
-        hyps: list[Hypothesis] = []
-        if not self.at("|-"):
-            hyps.append(self.hypothesis(default_actor))
-            while self.accept(","):
-                hyps.append(self.hypothesis(default_actor))
+    def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
+        """The [^actor] [@weight] ":" claim that ends a judgement or a
+        hypothesis."""
+        actor = self.expect_ident("an actor").text if self.accept("^") else self.default_actor
+        weight = self.weight() if self.accept("@") else _ONE
+        self.expect(":")
+        return actor, weight, self.claim()
+
+    def sequent(self) -> Sequent:
+        hyps = [] if self.at("|-") else self.comma_list(self.hypothesis)
         self.expect("|-")
-        conclusion = self.judgement(default_actor, [h.var for h in hyps])
+        conclusion = self.judgement([h.var for h in hyps])
         return Sequent(tuple(hyps), conclusion)
 
     # -- proof trees
 
-    def tree(self, default_actor: str) -> ProofTree:
-        node = self.tree_node(default_actor)
+    def tree(self) -> ProofTree:
+        node = self.tree_node()
         if self.accept("stating"):
             self.expect("(")
-            stated = self.sequent(default_actor)
+            stated = self.sequent()
             self.expect(")")
             node = ProofTree(node.rule, node.premises, node.args, stated, node.loc)
         return node
 
-    def tree_node(self, default_actor: str) -> ProofTree:
+    def tree_node(self) -> ProofTree:
         tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text not in _RULE_NAMES:
             raise ParseError(
@@ -637,21 +646,15 @@ class _Parser:
 
         if rule is Rule.ASSUME:
             var = self.expect_ident("a hypothesis variable").text
-            actor: Optional[str] = None
-            if self.accept("^"):
-                actor = self.expect_ident("an actor").text
+            actor = self.expect_ident("an actor").text if self.accept("^") else None
             self.expect(":")
             claim = self.claim()
-            context: tuple[Hypothesis, ...] = ()
+            context: list[Hypothesis] = []
             if self.accept("under"):
                 self.expect("(")
-                hyps = [self.hypothesis(default_actor)]
-                while self.accept(","):
-                    hyps.append(self.hypothesis(default_actor))
+                context = self.comma_list(self.hypothesis)
                 self.expect(")")
-                context = tuple(hyps)
-            args = AssumeArgs(var, claim, actor, context)
-            return ProofTree(rule, (), args, None, loc)
+            return ProofTree(rule, (), AssumeArgs(var, claim, actor, tuple(context)), None, loc)
 
         kinds, build, _ = _RULE_SYNTAX[rule]
         premises: list[ProofTree] = []
@@ -660,13 +663,13 @@ class _Parser:
         for k, kind in enumerate(kinds):
             if _needs_comma(kinds, k):
                 self.expect(",")
-            (premises if kind == "tree" else values).append(self.rule_arg(kind, default_actor))
+            (premises if kind == "tree" else values).append(self.rule_arg(kind))
         self.expect(")")
         return ProofTree(rule, tuple(premises), build(*values), None, loc)
 
-    def rule_arg(self, kind: str, default_actor: str) -> object:
+    def rule_arg(self, kind: str) -> object:
         if kind == "tree":
-            return self.tree(default_actor)
+            return self.tree()
         if kind == "claim":
             return self.claim()
         if kind == "family":
@@ -690,254 +693,193 @@ class _Parser:
             return TagFamily(on_left, on_right)
         return ConstantFamily(self.claim())
 
+    # -- script names
+
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One item or more, separated by ","."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def declare(self, kind: str) -> Token:
+        """The token of a new name of the kind."""
+        tok = self.expect_ident(_SCRIPT_NAMES[kind][1])
+        if tok.text in self.declared:
+            raise ParseError(f"duplicate name {tok.text!r}", tok.line, tok.col)
+        self.declared[tok.text] = kind
+        return tok
+
+    def reference(self, kind: str) -> str:
+        """A name declared as the kind."""
+        tok = self.expect_ident(_SCRIPT_NAMES[kind][2])
+        self.require(kind, tok.text, (tok.line, tok.col))
+        return tok.text
+
+    def require(self, kind: str, name: str, loc: tuple[int, int]) -> None:
+        if self.declared.get(name) == kind:
+            return
+        if kind == "actor" and name == DEFAULT_ACTOR and not self.actors:
+            return   # a script without actors judges as the default actor
+        raise ParseError(f"{_SCRIPT_NAMES[kind][0]} {name!r} is not declared", *loc)
+
+    def require_claim(self, claim: Claim, loc: tuple[int, int]) -> None:
+        for atom in sorted(atoms_of_claim(claim)):
+            self.require("claim", atom, loc)
+
+    def require_judged(self, judged: Judgement | Hypothesis, loc: tuple[int, int]) -> None:
+        self.require_claim(judged.claim, loc)
+        self.require("actor", judged.actor, loc)
+
+    def require_tree(self, tree: ProofTree) -> None:
+        """Every name in a proof tree is declared.  A node's own arguments
+        are checked first, then its stated sequent, then its premises; each
+        is reported at the node's rule token."""
+        loc = tree.loc or (0, 0)
+        args = tree.args
+        if isinstance(args, AssumeArgs):
+            self.require_claim(args.claim, loc)
+            if args.actor is not None:
+                self.require("actor", args.actor, loc)
+            for h in args.context:
+                self.require_judged(h, loc)
+        else:
+            kinds, _, read = _RULE_SYNTAX[tree.rule]
+            for kind, value in zip([k for k in kinds if k != "tree"], read(args)):
+                if kind == "claim":
+                    self.require_claim(value, loc)
+                elif kind == "family":
+                    for claim in family_claims(value):
+                        self.require_claim(claim, loc)
+                elif kind == "relation":
+                    self.require("relation", value, loc)
+                elif kind in ("source", "target"):
+                    self.require("actor", value, loc)
+        if tree.stated is not None:
+            for h in tree.stated.hypotheses:
+                self.require_judged(h, loc)
+            self.require_judged(tree.stated.conclusion, loc)
+        for premise in tree.premises:
+            self.require_tree(premise)
+
     # -- scripts
 
     def script(self) -> Script:
         claims: list[str] = []
-        actors: list[str] = []
         relations: list[TrustRelation] = []
         proofs: list[ProofDecl] = []
         models: list[ModelDecl] = []
         queries: list[QueryDecl] = []
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
-
-        # Every name declared so far, with the kind of thing it names, so
-        # each check is one lookup.
-        declared: dict[str, str] = {}
-
-        def default_actor() -> str:
-            return actors[0] if len(actors) == 1 else DEFAULT_ACTOR
-
-        def declare(tok: Token, kind: str) -> str:
-            if tok.text in declared:
-                raise ParseError(f"duplicate name {tok.text!r}", tok.line, tok.col)
-            declared[tok.text] = kind
-            return tok.text
-
-        def check_claim_declared(claim: Claim, loc: tuple[int, int]) -> None:
-            missing = sorted(a for a in atoms_of_claim(claim) if declared.get(a) != "claim")
-            if missing:
-                raise ParseError(f"claim {missing[0]!r} is not declared", loc[0], loc[1])
-
-        def check_actor_declared(name: str, loc: tuple[int, int]) -> None:
-            if name == DEFAULT_ACTOR and not actors:
-                return
-            if declared.get(name) != "actor":
-                raise ParseError(f"actor {name!r} is not declared", loc[0], loc[1])
-
-        def check_relation_declared(name: str, loc: tuple[int, int]) -> None:
-            if declared.get(name) != "relation":
-                raise ParseError(f"trust relation {name!r} is not declared", loc[0], loc[1])
-
-        def check_model_declared(name: str, loc: tuple[int, int]) -> None:
-            if declared.get(name) != "model":
-                raise ParseError(f"model {name!r} is not declared", loc[0], loc[1])
-
-        def check_hypothesis(h: Hypothesis, loc: tuple[int, int]) -> None:
-            check_claim_declared(h.claim, loc)
-            check_actor_declared(h.actor, loc)
-
-        def check_tree(tree: ProofTree) -> None:
-            loc = tree.loc or (0, 0)
-            args = tree.args
-            if isinstance(args, AssumeArgs):
-                check_claim_declared(args.claim, loc)
-                if args.actor is not None:
-                    check_actor_declared(args.actor, loc)
-                for h in args.context:
-                    check_hypothesis(h, loc)
-            else:
-                kinds, _, read = _RULE_SYNTAX[tree.rule]
-                for kind, value in zip([k for k in kinds if k != "tree"], read(args)):
-                    if kind == "claim":
-                        check_claim_declared(value, loc)
-                    elif kind == "family":
-                        for claim in family_claims(value):
-                            check_claim_declared(claim, loc)
-                    elif kind == "relation":
-                        check_relation_declared(value, loc)
-                    elif kind in ("source", "target"):
-                        check_actor_declared(value, loc)
-            if tree.stated is not None:
-                for h in tree.stated.hypotheses:
-                    check_hypothesis(h, loc)
-                check_claim_declared(tree.stated.conclusion.claim, loc)
-                check_actor_declared(tree.stated.conclusion.actor, loc)
-            for premise in tree.premises:
-                check_tree(premise)
-
-        while self.tokens[self.pos].kind != "eof":
-            tok = self.tokens[self.pos]
+        while (tok := self.tokens[self.pos]).kind != "eof":
             if tok.kind != "ident":
                 raise ParseError(
                     f"expected a declaration, found {self._describe(tok)}", tok.line, tok.col
                 )
-            word = tok.text
-            if word == "claim":
-                self.advance()
-                claims.append(declare(self.expect_ident("a claim name"), "claim"))
-                while self.accept(","):
-                    claims.append(declare(self.expect_ident("a claim name"), "claim"))
+            loc = (tok.line, tok.col)
+            if self.accept("claim"):
+                claims += (t.text for t in self.comma_list(lambda: self.declare("claim")))
                 self.expect(".")
-            elif word == "actor":
-                self.advance()
-                actors.append(declare(self.expect_ident("an actor name"), "actor"))
-                while self.accept(","):
-                    actors.append(declare(self.expect_ident("an actor name"), "actor"))
+            elif self.accept("actor"):
+                self.actors += (t.text for t in self.comma_list(lambda: self.declare("actor")))
+                self.default_actor = _default_actor(self.actors)
                 self.expect(".")
-            elif word == "trust":
-                self.advance()
-                name_tok = self.expect_ident("a trust relation name")
-                name = declare(name_tok, "relation")
+            elif self.accept("trust"):
+                relations.append(self.trust_relation())
+            elif self.accept("proof"):
+                name_tok = self.declare("proof")
                 self.expect("{")
-                edges: list[TrustEdge] = []
-                seen: set[tuple[str, str]] = set()
-                while not self.accept("}"):
-                    src_tok = self.expect_ident("an actor")
-                    check_actor_declared(src_tok.text, (src_tok.line, src_tok.col))
-                    self.expect("->")
-                    dst_tok = self.expect_ident("an actor")
-                    check_actor_declared(dst_tok.text, (dst_tok.line, dst_tok.col))
-                    weight = _ONE
-                    if self.accept("@"):
-                        weight = self.weight()
-                    self.expect(".")
-                    key = (src_tok.text, dst_tok.text)
-                    if key in seen:
-                        raise ParseError(
-                            f"duplicate trust edge {key[0]} -> {key[1]}",
-                            src_tok.line,
-                            src_tok.col,
-                        )
-                    seen.add(key)
-                    edges.append(TrustEdge(src_tok.text, dst_tok.text, weight))
-                relations.append(TrustRelation(name, tuple(edges)))
-            elif word == "proof":
-                self.advance()
-                name_tok = self.expect_ident("a proof name")
-                name = declare(name_tok, "proof")
-                self.expect("{")
-                tree = self.tree(default_actor())
+                tree = self.tree()
                 self.expect("}")
-                check_tree(tree)
-                proofs.append(ProofDecl(name, tree, (name_tok.line, name_tok.col)))
-            elif word == "model":
-                self.advance()
-                name_tok = self.expect_ident("a model name")
-                name = declare(name_tok, "model")
-                uses: list[str] = []
-                if self.accept("uses"):
-                    rel_tok = self.expect_ident("a trust relation")
-                    check_relation_declared(rel_tok.text, (rel_tok.line, rel_tok.col))
-                    uses.append(rel_tok.text)
-                    while self.accept(","):
-                        rel_tok = self.expect_ident("a trust relation")
-                        check_relation_declared(rel_tok.text, (rel_tok.line, rel_tok.col))
-                        uses.append(rel_tok.text)
-                self.expect("{")
-                assignments: list[tuple[str, tuple[ModelEntry, ...]]] = []
-                assigned: set[str] = set()
-                while not self.accept("}"):
-                    claim_tok = self.expect_ident("a claim name")
-                    if declared.get(claim_tok.text) != "claim":
-                        raise ParseError(
-                            f"claim {claim_tok.text!r} is not declared",
-                            claim_tok.line,
-                            claim_tok.col,
-                        )
-                    if claim_tok.text in assigned:
-                        raise ParseError(
-                            f"claim {claim_tok.text!r} assigned twice",
-                            claim_tok.line,
-                            claim_tok.col,
-                        )
-                    assigned.add(claim_tok.text)
-                    self.expect("=")
-                    self.expect("{")
-                    entries: list[ModelEntry] = []
-                    while not self.accept("}"):
-                        entry_tok = self.tokens[self.pos]
-                        term = self.term()
-                        actor = default_actor()
-                        weight = _ONE
-                        if self.accept("^"):
-                            actor_tok = self.expect_ident("an actor")
-                            check_actor_declared(actor_tok.text, (actor_tok.line, actor_tok.col))
-                            actor = actor_tok.text
-                        if self.accept("@"):
-                            weight = self.weight()
-                        self.expect(".")
-                        check_actor_declared(actor, (entry_tok.line, entry_tok.col))
-                        entries.append(ModelEntry(term, actor, weight))
-                    self.expect(".")
-                    assignments.append((claim_tok.text, tuple(entries)))
-                models.append(
-                    ModelDecl(name, tuple(uses), tuple(assignments), (name_tok.line, name_tok.col))
-                )
-            elif word == "query":
-                self.advance()
-                j = self.judgement(default_actor())
-                check_claim_declared(j.claim, (tok.line, tok.col))
-                check_actor_declared(j.actor, (tok.line, tok.col))
+                self.require_tree(tree)
+                proofs.append(ProofDecl(name_tok.text, tree, (name_tok.line, name_tok.col)))
+            elif self.accept("model"):
+                models.append(self.model_decl())
+            elif self.accept("query"):
+                judgement = self.judgement()
+                self.require_judged(judgement, loc)
                 self.expect("in")
-                model_tok = self.expect_ident("a model name")
-                check_model_declared(model_tok.text, (model_tok.line, model_tok.col))
+                model = self.reference("model")
                 self.expect(".")
-                queries.append(QueryDecl(j, model_tok.text, (tok.line, tok.col)))
-            elif word == "sound":
-                self.advance()
-                proof_tok = self.expect_ident("a proof name")
-                if declared.get(proof_tok.text) != "proof":
-                    raise ParseError(
-                        f"proof {proof_tok.text!r} is not declared", proof_tok.line, proof_tok.col
-                    )
+                queries.append(QueryDecl(judgement, model, loc))
+            elif self.accept("sound"):
+                proof = self.reference("proof")
                 self.expect("in")
-                model_tok = self.expect_ident("a model name")
-                check_model_declared(model_tok.text, (model_tok.line, model_tok.col))
+                model = self.reference("model")
                 self.expect(".")
-                sounds.append(SoundDecl(proof_tok.text, model_tok.text, (tok.line, tok.col)))
-            elif word == "compare":
-                self.advance()
+                sounds.append(SoundDecl(proof, model, loc))
+            elif self.accept("compare"):
                 self.expect("chain")
-                chain_tok = self.expect_ident("a trust relation")
-                check_relation_declared(chain_tok.text, (chain_tok.line, chain_tok.col))
+                chain = self.reference("relation")
                 self.expect("star")
-                star_tok = self.expect_ident("a trust relation")
-                check_relation_declared(star_tok.text, (star_tok.line, star_tok.col))
+                star = self.reference("relation")
                 self.expect("from")
-                src_tok = self.expect_ident("an actor")
-                check_actor_declared(src_tok.text, (src_tok.line, src_tok.col))
+                source = self.reference("actor")
                 self.expect("to")
-                dst_tok = self.expect_ident("an actor")
-                check_actor_declared(dst_tok.text, (dst_tok.line, dst_tok.col))
+                target = self.reference("actor")
                 self.expect(".")
-                compares.append(
-                    CompareDecl(
-                        chain_tok.text, star_tok.text, src_tok.text, dst_tok.text,
-                        (tok.line, tok.col),
-                    )
-                )
+                compares.append(CompareDecl(chain, star, source, target, loc))
             else:
-                raise ParseError(f"unknown declaration {word!r}", tok.line, tok.col)
+                raise ParseError(f"unknown declaration {tok.text!r}", *loc)
+        found = (claims, self.actors, relations, proofs, models, queries, sounds, compares)
+        return Script(*map(tuple, found))
 
-        return Script(
-            tuple(claims),
-            tuple(actors),
-            tuple(relations),
-            tuple(proofs),
-            tuple(models),
-            tuple(queries),
-            tuple(sounds),
-            tuple(compares),
-        )
+    def trust_relation(self) -> TrustRelation:
+        name = self.declare("relation").text
+        self.expect("{")
+        edges: dict[tuple[str, str], TrustEdge] = {}
+        while not self.accept("}"):
+            src_tok = self.tokens[self.pos]
+            src = self.reference("actor")
+            self.expect("->")
+            dst = self.reference("actor")
+            weight = self.weight() if self.accept("@") else _ONE
+            self.expect(".")
+            if (src, dst) in edges:
+                raise ParseError(f"duplicate trust edge {src} -> {dst}", src_tok.line, src_tok.col)
+            edges[src, dst] = TrustEdge(src, dst, weight)
+        return TrustRelation(name, tuple(edges.values()))
+
+    def model_decl(self) -> ModelDecl:
+        name_tok = self.declare("model")
+        uses = self.comma_list(lambda: self.reference("relation")) if self.accept("uses") else []
+        self.expect("{")
+        assignments: dict[str, tuple[ModelEntry, ...]] = {}
+        while not self.accept("}"):
+            claim_tok = self.tokens[self.pos]
+            claim = self.reference("claim")
+            if claim in assignments:
+                raise ParseError(f"claim {claim!r} assigned twice", claim_tok.line, claim_tok.col)
+            self.expect("=")
+            self.expect("{")
+            entries: list[ModelEntry] = []
+            while not self.accept("}"):
+                entries.append(self.model_entry())
+            self.expect(".")
+            assignments[claim] = tuple(entries)
+        loc = (name_tok.line, name_tok.col)
+        return ModelDecl(name_tok.text, tuple(uses), tuple(assignments.items()), loc)
+
+    def model_entry(self) -> ModelEntry:
+        """term [^actor] [@weight] ".", whose left-out actor is the default
+        one, checked once the entry is read."""
+        entry_tok = self.tokens[self.pos]
+        term = self.term()
+        actor = self.reference("actor") if self.accept("^") else None
+        weight = self.weight() if self.accept("@") else _ONE
+        self.expect(".")
+        if actor is None:
+            actor = self.default_actor
+            self.require("actor", actor, (entry_tok.line, entry_tok.col))
+        return ModelEntry(term, actor, weight)
 
 
 # ---------------------------------------------------------------------------
 # Public parse entry points
 
 
-def _run(text: str, parse, *, to_eof: bool = True, bound: Iterable[str] = ()):
+def _run(text: str, parse, *, bound: Iterable[str] = ()):
     p = _Parser(tokenize(text))
     p.bind(bound)
     try:
@@ -945,8 +887,7 @@ def _run(text: str, parse, *, to_eof: bool = True, bound: Iterable[str] = ()):
     except RecursionError:
         tok = p.peek()
         raise ParseError("nesting too deep", tok.line, tok.col) from None
-    if to_eof:
-        p.expect_eof()
+    p.expect_eof()
     return value
 
 
@@ -965,11 +906,19 @@ def parse_weight_expr(text: str) -> WeightExpr:
 def parse_judgement(
     text: str, *, default_actor: str = DEFAULT_ACTOR, var_names: Iterable[str] = ()
 ) -> Judgement:
-    return _run(text, lambda p: p.judgement(default_actor), bound=var_names)
+    def parse(p: _Parser) -> Judgement:
+        p.default_actor = default_actor
+        return p.judgement()
+
+    return _run(text, parse, bound=var_names)
 
 
 def parse_sequent(text: str, *, default_actor: str = DEFAULT_ACTOR) -> Sequent:
-    return _run(text, lambda p: p.sequent(default_actor))
+    def parse(p: _Parser) -> Sequent:
+        p.default_actor = default_actor
+        return p.sequent()
+
+    return _run(text, parse)
 
 
 def parse_script(text: str) -> Script:

@@ -10,9 +10,13 @@ key=value string pairs. The structured rendering is line-oriented:
     [next section]
     ...
 
-Sections are separated by blank lines. Values may contain anything except
-line breaks (the first "=" on a line splits key from value, so values may
-contain "=" freely). parse_structured inverts to_structured exactly.
+Sections are separated by blank lines. Names, keys and values may contain
+anything except "\n" and "\r" (the first "=" on a line splits key from value,
+so values may contain "=" freely); to_structured raises ValueError on a
+report that holds either. parse_structured splits records on "\n" only, so
+the other line breaks str.splitlines knows (U+2028 and the rest) read back
+as the characters they are, and it drops the "\r" of a CRLF line end.
+parse_structured inverts to_structured exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ def parse_structured(text: str) -> Report:
             sections.append(Section(name, tuple(fields)))
         name, fields = None, []
 
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
         if not line.strip():
             flush()
             continue

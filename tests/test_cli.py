@@ -209,6 +209,39 @@ class TestLargeScripts:
         assert (done.returncode, done.stdout, done.stderr) == (0, f"check {script}\n", "")
 
 
+def _sound_script(n):
+    """n one-line proofs, each with a sound check against one model."""
+    proofs = "".join(f"proof X{k} {{ assume a : A }} sound X{k} in M.\n" for k in range(n))
+    return "claim A. actor P.\nmodel M { A = { a. }. }\n" + proofs
+
+
+class TestManySoundChecks:
+    """model finds each sound check's proof by name in one probe, so 20,000
+    proofs with a sound check each run well inside the bound; with a scan of
+    the proofs per check they took over 12 s."""
+
+    N = 20000
+    OUT_TAIL = f"  sound X{N - 1} in M: sound\n"
+
+    def test_in_process(self, capsys, tmp_path):
+        script = tmp_path / "sounds.vlp"
+        script.write_text(_sound_script(self.N), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "model", str(script))
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert out.count("\n") == self.N + 1 and out.endswith(self.OUT_TAIL)
+
+    def test_in_a_subprocess(self, tmp_path):
+        script = tmp_path / "sounds.vlp"
+        script.write_text(_sound_script(self.N), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_subprocess("model", str(script))
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.count("\n") == self.N + 1 and done.stdout.endswith(self.OUT_TAIL)
+
+
 class TestModel:
     def test_chain_query_and_soundness(self, capsys):
         code, out, _ = run(capsys, "model", TRUST_CHAIN)
@@ -568,6 +601,92 @@ class TestStructured:
         assert fields["status"] == "failed"
         assert fields["error-kind"] == "tagMismatch"
         assert fields["error-path"] == "root"
+
+
+class TestUnusableInput:
+    """Input the CLI cannot use exits 2 with one line on stderr, never a
+    traceback: structured output that would hold a line break, and a
+    script that is not UTF-8."""
+
+    def both(self, capsys, *argv):
+        """(exit code, stdout, stderr) in process, after checking that a
+        fresh interpreter gives the same."""
+        in_process = run(capsys, *argv)
+        done = run_subprocess(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == in_process
+        return in_process
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_expression_with_a_line_break(self, capsys, brk):
+        text = f"a{brk}b"
+        assert self.both(capsys, "eval", "-e", text, "--format", "structured") == (
+            2,
+            "",
+            f"veracity eval: field value must not contain line breaks: {text!r}\n",
+        )
+        assert self.both(capsys, "eval", "-e", text) == (0, "a b (0 steps)\n", "")
+
+    def test_path_with_a_line_break(self, capsys, tmp_path):
+        script = tmp_path / "pene\nlope.vlp"
+        script.write_text(Path(PENELOPE).read_text(encoding="utf-8"), encoding="utf-8")
+        section = f"check {script} Combined"
+        assert self.both(capsys, "check", str(script), "--format", "structured") == (
+            2,
+            "",
+            f"veracity check: section name must not contain line breaks: {section!r}\n",
+        )
+        code, out, err = self.both(capsys, "check", str(script))
+        assert (code, out.splitlines()[:2], err) == (0, [f"check {tmp_path}/pene", "lope.vlp"], "")
+
+    def test_provenance_with_a_unicode_line_separator_reads_back(self, capsys, tmp_path):
+        script = tmp_path / "ls.vlp"
+        script.write_text(
+            'claim A. actor P.\nmodel M { A = { a{who="x\u2028y"}. }. }\n'
+            'query a{who="x\u2028y"} : A in M.\n',
+            encoding="utf-8",
+        )
+        code, out, err = self.both(capsys, "model", str(script), "--format", "structured")
+        assert (code, err) == (0, "")
+        (section,) = parse_structured(out).sections
+        assert dict(section.fields)["judgement"] == 'a{who="x\u2028y"}^P : A'
+
+    @pytest.mark.parametrize("command", ["check", "eval", "model", "trust", "report"])
+    def test_script_that_is_not_utf8(self, capsys, tmp_path, command):
+        script = tmp_path / "latin.vlp"
+        script.write_bytes(b"claim A\xff.\n")
+        assert self.both(capsys, command, str(script)) == (
+            2,
+            "",
+            f"{script}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+        )
+
+
+class TestRecursionLimit:
+    """main raises the recursion limit while it runs and gives the caller
+    its own limit back, however it ends."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["check", PENELOPE], 0), (["check", ATTEMPT], 1), (["check", "no-such.vlp"], 2)],
+    )
+    def test_limit_is_restored(self, capsys, argv, code):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1234)
+        try:
+            assert main(argv) == code
+            assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_limit_is_restored_after_a_usage_error(self, capsys):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1234)
+        try:
+            with pytest.raises(SystemExit):
+                main(["frobnicate"])
+            assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestColor:

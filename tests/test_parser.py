@@ -406,7 +406,8 @@ class TestProofTreeParsing:
         from veracity.parser import _Parser
 
         p = _Parser(tokenize(text))
-        tree = p.tree(default_actor)
+        p.default_actor = default_actor
+        tree = p.tree()
         p.expect_eof()
         return tree
 
@@ -565,6 +566,130 @@ class TestScriptParsing:
             assert exc.col == 7
         else:
             pytest.fail("expected a ParseError")
+
+
+class TestScriptErrors:
+    """Exact message, line and column of each script-level parse error,
+    and which of two faults is reported."""
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            # a claim in a model assignment, a query or a proof
+            ('claim A. model M { B = { }. }', "claim 'B' is not declared", 1, 20),
+            ('claim A. model M { A = { }. b = { }. }', "claim 'b' is not declared", 1, 29),
+            ('claim A. actor P. model M { P = { }. }', "claim 'P' is not declared", 1, 29),
+            ('claim A. model M { } query a : B in M.', "claim 'B' is not declared", 1, 22),
+            ('claim A. proof X { assume x : B }', "claim 'B' is not declared", 1, 20),
+            ('claim A. actor P. proof X { assume x : A under (h : A, k : B) }',
+             "claim 'B' is not declared", 1, 29),
+            # an actor on a trust edge, after a model entry's ^, as a model
+            # entry's default actor, in a query, in a compare and in a proof
+            ('actor P. trust T { Q -> P. }', "actor 'Q' is not declared", 1, 20),
+            ('actor P. trust T { P -> Q. }', "actor 'Q' is not declared", 1, 25),
+            ('claim A. actor P. model M { A = { a^R. }. }', "actor 'R' is not declared", 1, 37),
+            ('claim A. actor P, Q. model M { A = { a. }. }',
+             "actor 'default' is not declared", 1, 38),
+            ('claim A. actor P, Q. model M { A = { (a, b) @ 0.5. }. }',
+             "actor 'default' is not declared", 1, 38),
+            ('claim A. actor P. model M { } query a^R : A in M.',
+             "actor 'R' is not declared", 1, 31),
+            ('claim A. actor P, Q. model M { } query a : A in M.',
+             "actor 'default' is not declared", 1, 34),
+            ('actor P, Q. trust T { } compare chain T star T from R to Q.',
+             "actor 'R' is not declared", 1, 53),
+            ('actor P, Q. trust T { } compare chain T star T from P to R.',
+             "actor 'R' is not declared", 1, 58),
+            ('claim A. actor P. proof X { assume x^R : A }', "actor 'R' is not declared", 1, 29),
+            ('claim A. actor P. proof X { assume x : A under (h^R : A) }',
+             "actor 'R' is not declared", 1, 29),
+            ('claim A. actor P. proof X { assume x : A stating (|- x^R : A) }',
+             "actor 'R' is not declared", 1, 29),
+            ('claim A. actor P, Q. proof X { assume x^P : A stating (|- x : A) }',
+             "actor 'default' is not declared", 1, 32),
+            # a trust relation in uses and in compare
+            ('model M uses T { }', "trust relation 'T' is not declared", 1, 14),
+            ('actor P. trust T { } model M uses T, U { }',
+             "trust relation 'U' is not declared", 1, 38),
+            ('actor P. trust T { } claim A. model M uses P { }',
+             "trust relation 'P' is not declared", 1, 44),
+            ('claim A. actor P. model M uses A { }', "trust relation 'A' is not declared", 1, 32),
+            ('actor P, Q. trust T { } compare chain U star T from P to Q.',
+             "trust relation 'U' is not declared", 1, 39),
+            ('actor P, Q. trust T { } compare chain T star U from P to Q.',
+             "trust relation 'U' is not declared", 1, 46),
+            # a model in query and sound, a proof in sound
+            ('claim A. query a : A in M.', "model 'M' is not declared", 1, 25),
+            ('claim A. proof X { assume x : A } query a : A in X.',
+             "model 'X' is not declared", 1, 50),
+            ('claim A. proof X { assume x : A } sound X in M.',
+             "model 'M' is not declared", 1, 46),
+            ('claim A. model M { } sound X in M.', "proof 'X' is not declared", 1, 28),
+            ('claim A. model M { } sound A in M.', "proof 'A' is not declared", 1, 28),
+            # duplicates, unknown declarations and stray tokens
+            ('claim A, A.', "duplicate name 'A'", 1, 10),
+            ('claim A. actor A.', "duplicate name 'A'", 1, 16),
+            ('actor P. trust P { }', "duplicate name 'P'", 1, 16),
+            ('claim A. proof A { assume x : A }', "duplicate name 'A'", 1, 16),
+            ('claim A. model M { } model M { }', "duplicate name 'M'", 1, 28),
+            ('claim A.\nclaim A.', "duplicate name 'A'", 2, 7),
+            ('actor P. trust T { P -> P. } trust T { P -> Q. }', "duplicate name 'T'", 1, 36),
+            ('actor P, Q. trust T { P -> Q. P -> Q @ 0.5. }',
+             'duplicate trust edge P -> Q', 1, 31),
+            ('claim A. model M { A = { }. A = { }. }', "claim 'A' assigned twice", 1, 29),
+            ('frob X.', "unknown declaration 'frob'", 1, 1),
+            ('claim A. 1', "expected a declaration, found '1'", 1, 10),
+            ('claim A. .', "expected a declaration, found '.'", 1, 10),
+            ('claim A. "s"', 'expected a declaration, found \'"s"\'', 1, 10),
+            # two faults: the one the parser meets first wins
+            ('claim A. actor P. model M { A = { a^R@2.0. }. }',
+             "actor 'R' is not declared", 1, 37),
+            ('claim A. actor P. model M { A = { a^R }. }', "actor 'R' is not declared", 1, 37),
+            ('claim A. actor P, Q. model M { A = { a@2.0. }. }',
+             "bad weight '2.0': weight 2 outside [0, 1]", 1, 40),
+            ('claim A. actor P, Q. model M { A = { a }. }', "expected '.', found '}'", 1, 40),
+            ('claim A. claim A 1', "duplicate name 'A'", 1, 16),
+            ('claim A, A, 1.', "duplicate name 'A'", 1, 10),
+            ('model M uses U { B = { }. }', "trust relation 'U' is not declared", 1, 14),
+            ('actor P. trust T { Q -> R }', "actor 'Q' is not declared", 1, 20),
+            ('actor P. trust T { P -> Q @ 2.0. }', "actor 'Q' is not declared", 1, 25),
+            ('actor P, Q. trust T { P -> Q. P -> Q @ 2.0. }',
+             "bad weight '2.0': weight 2 outside [0, 1]", 1, 40),
+            ('actor P, Q. trust T { P -> Q. P -> Q }', "expected '.', found '}'", 1, 38),
+            ('claim A. actor P. model M { A = { }. A = { a^R. }. }',
+             "claim 'A' assigned twice", 1, 38),
+            ('claim A. actor P. model M { } query a^R : B in M.',
+             "claim 'B' is not declared", 1, 31),
+            ('claim A. model M { } query a : D /\\ C in M.', "claim 'C' is not declared", 1, 22),
+            ("claim A. model M { } query a : " + " /\\ ".join("ZYXWVUTSRQPONMLKJIHGFEDCB") + " in M.",
+             "claim 'B' is not declared", 1, 22),
+            ('claim A. query a : B in M.', "claim 'B' is not declared", 1, 10),
+            ('claim A. model M { } query a : B in M', "claim 'B' is not declared", 1, 22),
+            ('sound X in M.', "proof 'X' is not declared", 1, 7),
+            ('actor P. compare chain U star V from R to S.',
+             "trust relation 'U' is not declared", 1, 24),
+            ('claim A. proof X { assume x : B } frob.', "claim 'B' is not declared", 1, 20),
+            ('claim A. proof X { assume x : B', "expected '}', found end of input", 1, 32),
+        ],
+    )
+    def test_error(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_script(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # until a script declares an actor, the default actor needs no
+            # declaration, whatever else "default" names
+            "claim A. model M { A = { a^default. }. } query a^default : A in M.",
+            "claim default. model M { default = { a. }. } query a : default in M.",
+            "claim A. model M { A = { a. }. } actor P. query a^P : A in M.",
+            "actor default, P. claim A. model M { A = { a. }. } query a : A in M.",
+        ],
+    )
+    def test_default_actor_needs_no_declaration_before_any_actor(self, text):
+        parse_script(text)
 
 
 class TestProofTreeErrors:

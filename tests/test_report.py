@@ -59,23 +59,14 @@ class TestParseStructured:
         )
 
 
-_names = st.text(
-    alphabet=st.characters(
-        codec="ascii", categories=("L", "N", "P", "Zs"), exclude_characters="\r\n"
-    ),
-    max_size=30,
+# Every character but "\n" and "\r", surrogates and the other line breaks
+# str.splitlines knows (U+2028, "\x1c", "\x85" and the rest) among them.
+_chars = st.characters(exclude_categories=(), exclude_characters="\n\r")
+_names = st.text(alphabet=_chars, max_size=30)
+_keys = st.text(alphabet=_chars, min_size=1, max_size=15).filter(
+    lambda key: "=" not in key and not key.startswith("[")
 )
-_keys = st.text(
-    alphabet=st.characters(codec="ascii", categories=("L", "N"), include_characters="-"),
-    min_size=1,
-    max_size=15,
-)
-_values = st.text(
-    alphabet=st.characters(
-        codec="ascii", categories=("L", "N", "P", "Zs"), exclude_characters="\r\n"
-    ),
-    max_size=30,
-)
+_values = st.text(alphabet=_chars, max_size=30)
 _reports = st.builds(
     Report,
     st.lists(
@@ -93,3 +84,14 @@ class TestRoundTrip:
     @given(_reports)
     def test_parse_inverts_render(self, report):
         assert parse_structured(to_structured(report)) == report
+
+    @pytest.mark.parametrize(
+        "char", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+    )
+    def test_other_line_breaks_read_back(self, char):
+        report = Report((Section(f"s{char}t", ((f"k{char}", f"x{char}y"), (char, char))),))
+        assert parse_structured(to_structured(report)) == report
+
+    def test_crlf_line_ends_are_read_as_lf(self):
+        text = "[s]\r\nk=v\r\n\r\n[t]\r\n"
+        assert parse_structured(text) == Report((Section("s", (("k", "v"),)), Section("t", ())))
