@@ -31,7 +31,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from .core import Claimhood, ProofTree, Term, format_weight
@@ -111,7 +110,10 @@ def _load_scripts(cfg: RunConfig) -> list[tuple[str, Script]]:
     loaded = []
     for path in cfg.input_paths:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # newline="" hands the parser the text as written: only "\n"
+            # ends a line, and a lone "\r" stays the blank it parses as.
+            with open(path, encoding="utf-8", newline="") as file:
+                text = file.read()
         except OSError as err:
             raise _CliError(2, f"{path}: {err.strerror or err}") from err
         except UnicodeDecodeError as err:

@@ -1,8 +1,16 @@
 """Finite-model semantics for claims.
 
 A model assigns each atomic claim a finite set of weighted, actor-tagged
-witness terms, closed under a family of trust relations. Composite claims
-denote pointwise:
+witness terms and carries a family of trust relations. Evidence moves
+along trust: an edge of weight e from actor a to actor h gives a, at e
+times x, every term h holds at x. So a holds a term at the highest x_h
+times best(a -> h) over the holders h, where best is the highest product
+of edge weights along a path, and a itself counts as a holder at 1. That
+is the assignment closed under the trust family. The model keeps its
+assignment as it is given and reads atomic weights through reach: the
+first lookup at an actor runs one max-product search from it
+(trust.best_trust_from), and the model caches the products and each
+(claim name, actor) answer. Composite claims denote pointwise:
 
     falsity     the empty set
     X /\\ Y      same-actor pairs, weight the minimum of the components
@@ -22,8 +30,8 @@ claim once, steered by the query witness, and asks each part for the
 weight at which one actor holds one term:
 
     falsity     nothing is held
-    atomic      a lookup in the model's index of the closed assignment,
-                the highest weight among the terms that match
+    atomic      a lookup through the actor's reach, the highest weight
+                among the terms that match
     X /\\ Y      a pair, at the lesser of its components' weights
     X \\/ Y      i(...) is asked of X, j(...) of Y, anything else fails
     X -> Y      a table only: held at weight 1 when its keys are exactly
@@ -33,22 +41,25 @@ weight at which one actor holds one term:
                 are never listed. Arrow members are tables only, so a
                 witness without a table is never a member of an arrow.
 
-No closure is needed at the end. Atomic sets are closed when the model
-is built. A pair set built from closed sets is closed: an edge of weight
-e moves both components of a pair, and e * min(x, y) = min(e * x, e * y)
-is at most the pair's weight at the edge's source. A tagged union of
-closed sets is closed. Only table sets are not closed. A witness without
-a table meets none of them, so it is answered at the query actor alone.
-A witness with a table is answered at every actor that holds it, at that
-weight times the best trust product from the query actor to that actor,
-which is the weight closing the denotation would have given it.
+No closure is needed at the end. Atomic weights are read closed. A pair
+set built from closed sets is closed: an edge of weight e moves both
+components of a pair, and e * min(x, y) = min(e * x, e * y) is at most
+the pair's weight at the edge's source. The same holds along a path,
+with e the product of its weights, so a pair needs no closing on top of
+the reach its atoms were read through. A tagged union of closed sets is
+closed, since a tag keeps its value's weight. Only table sets are not
+closed. A witness without a table meets none of them, so it is answered
+at the query actor alone. A witness with a table is answered at every
+actor the query actor reaches, at the weight that actor holds it times
+the best trust product to it, which is the weight closing the
+denotation would have given it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional, Union
 
@@ -71,6 +82,7 @@ from .core import (
     TagR,
     Term,
     TrustArgs,
+    TrustEdge,
     TrustRelation,
     Weight,
     alpha_equal,
@@ -82,6 +94,7 @@ from .core import (
 from .evaluator import DEFAULT_BUDGET, normalize
 from .kernel import CheckEnv, check_proof
 from .parser import ModelDecl, Script, render_claim, render_term
+from .trust import best_trust_from, outgoing_edges
 
 DEFAULT_DEPTH_BOUND = 3
 
@@ -134,26 +147,83 @@ class WeightedWitness:
 class Model:
     """A finite model: atomic assignments plus the trust family.
 
-    Build instances with build_model or model_from_script, which close the
-    assignments under the trust family (one weight per term and actor) and
-    collect the actor universe. Each model indexes its assignment once, as
-    held: (claim name, actor) to the terms that actor holds for the claim,
-    each at its weight.
+    The assignment is kept as it is given; it need not be closed under the
+    trust family, and a Model built directly, closed or not, answers every
+    query as build_model's model of the same assignment does, given the
+    same actors. held(name, actor) reads what an actor holds for a claim
+    through the actor's reach, its best trust products to every actor,
+    searched on first use. The model caches each reach and each answer.
+    atom_assignment is the closed view of the whole assignment, one weight
+    per term and actor, computed on first read. build_model and
+    model_from_script also collect the actor universe.
     """
 
-    atom_assignment: Mapping[str, frozenset[WeightedWitness]]
+    assignment: Mapping[str, Iterable[WeightedWitness]]
     trust_family: tuple[TrustRelation, ...]
     actors: frozenset[str] = field(default=frozenset())
-    held: Mapping[tuple[str, str], Mapping[SemanticTerm, Weight]] = field(
+    # claim name -> holder -> term -> the highest weight given for it
+    _given: dict[str, dict[str, dict[SemanticTerm, Weight]]] = field(
         init=False, compare=False, repr=False
+    )
+    _outgoing: dict[str, list[TrustEdge]] = field(init=False, compare=False, repr=False)
+    _reach: dict[str, dict[str, Weight]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
+    _held: dict[tuple[str, str], dict[SemanticTerm, Weight]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        held: dict[tuple[str, str], dict[SemanticTerm, Weight]] = defaultdict(dict)
-        for name, entries in self.atom_assignment.items():
+        given: dict[str, dict[str, dict[SemanticTerm, Weight]]] = {}
+        for name, entries in self.assignment.items():
+            by_holder = given.setdefault(name, {})
             for w in entries:
-                held[(name, w.actor)][w.term] = w.weight
-        object.__setattr__(self, "held", dict(held))
+                terms = by_holder.setdefault(w.actor, {})
+                if w.weight > terms.get(w.term, -1):
+                    terms[w.term] = w.weight
+        edges = (edge for relation in self.trust_family for edge in relation.edges)
+        object.__setattr__(self, "_given", given)
+        object.__setattr__(self, "_outgoing", outgoing_edges(edges))
+
+    def reach(self, actor: str) -> Mapping[str, Weight]:
+        """The best trust product from actor to every actor it reaches,
+        itself at 1: the share of a weight held there that actor holds."""
+        found = self._reach.get(actor)
+        if found is None:
+            found = self._reach[actor] = best_trust_from(self._outgoing, actor)[0]
+        return found
+
+    def held(self, name: str, actor: str) -> Mapping[SemanticTerm, Weight]:
+        """The terms actor holds for the named claim under closure, each at
+        its highest weight: x_h times the best trust product to h, over the
+        holders h that actor reaches."""
+        key = (name, actor)
+        terms = self._held.get(key)
+        if terms is None:
+            terms = {}
+            given = self._given.get(name, {})
+            for holder, share in self.reach(actor).items():
+                for term, weight in given.get(holder, {}).items():
+                    weight *= share
+                    if weight > terms.get(term, -1):
+                        terms[term] = weight
+            self._held[key] = terms
+        return terms
+
+    @cached_property
+    def atom_assignment(self) -> Mapping[str, frozenset[WeightedWitness]]:
+        """The assignment closed under the trust family."""
+        # Only a holder, or an actor with an edge out, can hold anything.
+        actors = {a for by_holder in self._given.values() for a in by_holder}
+        actors |= self._outgoing.keys()
+        return {
+            name: frozenset(
+                WeightedWitness(term, actor, weight)
+                for actor in actors
+                for term, weight in self.held(name, actor).items()
+            )
+            for name in self._given
+        }
 
 
 def close_under_trust(
@@ -166,51 +236,24 @@ def close_under_trust(
     result keeps only the maximal weight per (term, actor) pair; lower
     weights are subsumed because membership tests ask for a threshold.
     The quotient also cuts the descending chains that weighted cycles
-    would otherwise generate.
+    would otherwise generate. It is the closed view of a one-claim model:
+    a fold of the witnesses over each actor's best trust products.
     """
-    best: dict[tuple[SemanticTerm, str], Fraction] = {}
-    queue: deque[tuple[SemanticTerm, str]] = deque()
-
-    def offer(term: SemanticTerm, actor: str, weight: Fraction) -> None:
-        key = (term, actor)
-        known = best.get(key)
-        if known is None or weight > known:
-            best[key] = weight
-            queue.append(key)
-
-    for w in witnesses:
-        offer(w.term, w.actor, w.weight)
-
-    by_target: dict[str, list] = defaultdict(list)
-    for relation in family:
-        for edge in relation.edges:
-            by_target[edge.target].append(edge)
-
-    while queue:
-        term, actor = queue.popleft()
-        weight = best[(term, actor)]
-        for edge in by_target.get(actor, ()):
-            offer(term, edge.source, edge.weight * weight)
-
-    return frozenset(
-        WeightedWitness(term, actor, weight) for (term, actor), weight in best.items()
-    )
+    return Model({"": witnesses}, tuple(family)).atom_assignment[""]
 
 
 def build_model(
     assignments: Mapping[str, Iterable[WeightedWitness]],
     trust_family: Iterable[TrustRelation] = (),
 ) -> Model:
-    """Close the assignments under the trust family and package a model."""
+    """Package the assignments and the trust family as a model, with every
+    actor either names; the assignments are not closed here."""
     family = tuple(trust_family)
-    closed = {
-        name: close_under_trust(entries, family)
-        for name, entries in assignments.items()
-    }
-    actors = {w.actor for entries in closed.values() for w in entries}
+    given = {name: frozenset(entries) for name, entries in assignments.items()}
+    actors = {w.actor for entries in given.values() for w in entries}
     for relation in family:
         actors |= relation.actors()
-    return Model(closed, family, frozenset(actors))
+    return Model(given, family, frozenset(actors))
 
 
 def model_from_script(script: Script, name: Optional[str] = None) -> Model:
@@ -253,9 +296,10 @@ def denote(
 ) -> frozenset[WeightedWitness]:
     """The whole witness set of a claim in a model.
 
-    Atomic assignments are already trust-closed; the composite set built
-    here is not re-closed. Arrows enumerate every table, so this is for
-    callers that need the whole set; member answers one query without it.
+    Atomic sets are the model's closed view, Model.atom_assignment; the
+    composite set built here is not re-closed. Arrows enumerate every
+    table, so this is for callers that need the whole set; member answers
+    one query without it.
     """
     _check_depth(claim, depth_bound)
     return _denote(claim, model)
@@ -340,7 +384,7 @@ def member(
         exact = not _contains(witness, (Lambda, CasesOf, SplitOf))
         weight = _held(claim, witness, judgement.actor, model, exact)
         return weight is not None and weight >= judgement.weight
-    for actor, share in _trust_reach(judgement.actor, model.trust_family).items():
+    for actor, share in model.reach(judgement.actor).items():
         weight = _held(claim, witness, actor, model, True)
         if weight is not None and share * weight >= judgement.weight:
             return True
@@ -356,7 +400,7 @@ def _held(
     if isinstance(claim, Bottom):
         return None
     if isinstance(claim, Atomic):
-        terms = model.held.get((claim.name, actor), {})
+        terms = model.held(claim.name, actor)
         if exact:
             return terms.get(term)
         return max((w for t, w in terms.items() if alpha_equal(term, t)), default=None)
@@ -403,7 +447,7 @@ def _count(claim: Claim, actor: str, model: Model, cap: int) -> int:
     """How many witnesses actor holds in the claim's denotation, or cap if
     that many or more (cap >= 1)."""
     if isinstance(claim, Atomic):
-        return min(len(model.held.get((claim.name, actor), ())), cap)
+        return min(len(model.held(claim.name, actor)), cap)
     if isinstance(claim, And):
         left, right = _count(claim.left, actor, model, cap), _count(claim.right, actor, model, cap)
         return min(left * right, cap)
@@ -420,26 +464,6 @@ def _count(claim: Claim, actor: str, model: Model, cap: int) -> int:
             tables = min(tables * codomain, cap)
         return tables
     return 0
-
-
-def _trust_reach(actor: str, family: Iterable[TrustRelation]) -> dict[str, Fraction]:
-    """The best trust product from actor to every actor it reaches, itself
-    at 1: the share of a weight held there that closure gives actor."""
-    by_source: dict[str, list] = defaultdict(list)
-    for relation in family:
-        for edge in relation.edges:
-            by_source[edge.source].append(edge)
-    best = {actor: Fraction(1)}
-    queue = deque([actor])
-    while queue:
-        source = queue.popleft()
-        for edge in by_source.get(source, ()):
-            weight = best[source] * edge.weight
-            known = best.get(edge.target)
-            if known is None or weight > known:
-                best[edge.target] = weight
-                queue.append(edge.target)
-    return best
 
 
 def _relations_used(tree: ProofTree) -> frozenset[str]:

@@ -6,7 +6,9 @@ between two actors maximizes that product over all paths. Self-trust is
 implicit at weight 1, so best trust from an actor to itself never needs
 an explicit loop. Max-product search runs as a priority-driven
 relaxation: float logs order the queue, but every comparison and every
-result uses exact rationals.
+result uses exact rationals. One search from a source, best_trust_from,
+finds the best product to every actor at once; best_trust_path reads one
+target from it, and a semantics model reads an actor's whole reach.
 
 The decay witness of `relation_properties` is the least (weight, path)
 over maximal simple paths, with paths compared as tuples of actor names.
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .core import TrustRelation, Weight
+from .core import TrustEdge, TrustRelation, Weight
 
 
 @dataclass(frozen=True)
@@ -54,26 +56,29 @@ class TrustGraph:
         return cls(relation, relation.actors() | frozenset(extra_actors))
 
 
-def best_trust_path(
-    graph: TrustGraph, source: str, target: str
-) -> Optional[tuple[tuple[str, ...], Weight]]:
-    """The maximum-product trust path from source to target, with its weight.
-
-    Returns None when the target is unreachable. An actor reaches itself
-    at weight 1 along the empty path.
-    """
-    if source == target:
-        return (source,), Fraction(1)
-
-    outgoing: dict[str, list] = {}
-    for edge in graph.relation.edges:
+def outgoing_edges(edges: Iterable[TrustEdge]) -> dict[str, list[TrustEdge]]:
+    """The edges grouped by source actor, as best_trust_from reads them."""
+    outgoing: dict[str, list[TrustEdge]] = {}
+    for edge in edges:
         outgoing.setdefault(edge.source, []).append(edge)
+    return outgoing
 
-    best: dict[str, Fraction] = {source: Fraction(1)}
+
+def best_trust_from(
+    outgoing: Mapping[str, Iterable[TrustEdge]], source: str
+) -> tuple[dict[str, Weight], dict[str, str]]:
+    """The maximum path product from source to every actor it reaches,
+    source itself at 1, and the actor before each other one on a best path.
+
+    outgoing maps each actor to its edges, as outgoing_edges builds it.
+    """
+    best: dict[str, Weight] = {source: Fraction(1)}
     parent: dict[str, str] = {}
     tiebreak = count()
     # Priorities approximate -log(product); stale entries are skipped and
     # improvements re-queued, so float rounding cannot affect the result.
+    # The log is taken of numerator and denominator apart: a product below
+    # the smallest float would round to 0.0, which has no log.
     heap = [(0.0, next(tiebreak), source)]
     while heap:
         _, _, node = heapq.heappop(heap)
@@ -85,9 +90,25 @@ def best_trust_path(
                 continue
             best[edge.target] = candidate
             parent[edge.target] = node
-            priority = math.inf if candidate == 0 else -math.log(candidate)
+            priority = (
+                math.inf if candidate == 0
+                else math.log(candidate.denominator) - math.log(candidate.numerator)
+            )
             heapq.heappush(heap, (priority, next(tiebreak), edge.target))
+    return best, parent
 
+
+def best_trust_path(
+    graph: TrustGraph, source: str, target: str
+) -> Optional[tuple[tuple[str, ...], Weight]]:
+    """The maximum-product trust path from source to target, with its weight.
+
+    Returns None when the target is unreachable. An actor reaches itself
+    at weight 1 along the empty path.
+    """
+    if source == target:
+        return (source,), Fraction(1)
+    best, parent = best_trust_from(outgoing_edges(graph.relation.edges), source)
     if target not in best:
         return None
     path = [target]

@@ -3,7 +3,8 @@
 The membership query semantics answered before its witness-steered walk,
 frozen with the denotation and the trust closure it relied on: build the
 claim's whole denotation (every table of every arrow), close it under the
-trust family, then scan it for the witness.  It is slow on purpose, and
+trust family, then scan it for the witness.  Atomic sets are the model's
+assignment as given, closed here by oracle_close, never by the package.  It is slow on purpose, and
 exponential in the arrows' domains, and must stay simple;
 veracity.semantics.member is checked against it.
 """
@@ -65,7 +66,7 @@ def oracle_denote(claim, model: Model, depth_bound: int) -> frozenset:
     if isinstance(claim, Bottom):
         return frozenset()
     if isinstance(claim, Atomic):
-        return model.atom_assignment.get(claim.name, frozenset())
+        return oracle_close(model.assignment.get(claim.name, ()), model.trust_family)
     if isinstance(claim, And):
         lefts = oracle_denote(claim.left, model, depth_bound)
         rights = oracle_denote(claim.right, model, depth_bound)

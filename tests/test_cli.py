@@ -10,6 +10,7 @@ import pytest
 
 import veracity
 from veracity.cli import RunConfig, main, run_check, run_model, run_trust
+from veracity.parser import parse_script
 from veracity.report import parse_structured, to_structured
 
 FIXTURES = veracity.fixtures_path()
@@ -32,14 +33,17 @@ def run(capsys, *argv):
 
 
 def run_subprocess(*argv):
-    """main(argv) in a fresh interpreter."""
+    """main(argv) in a fresh interpreter, its output decoded as written."""
     src = str(Path(veracity.__file__).resolve().parent.parent)
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-c", "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True,
-        text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+    )
+    # Decoded by hand: text mode would read a "\r" the program writes as "\n".
+    return subprocess.CompletedProcess(
+        done.args, done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
     )
 
 
@@ -240,6 +244,53 @@ class TestManySoundChecks:
         assert time.perf_counter() - start < 5
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.count("\n") == self.N + 1 and done.stdout.endswith(self.OUT_TAIL)
+
+
+def _chain_script(n):
+    """n actors in a trust chain, every 50th edge at 0.5 and the rest at 1,
+    holding 2n witnesses round the chain, with four queries."""
+    actors = [f"a{k}" for k in range(n)]
+    edges = "".join(
+        f"  {a} -> {b} @ {'0.5' if k % 50 == 49 else '1.0'}.\n"
+        for k, (a, b) in enumerate(zip(actors, actors[1:]))
+    )
+    held = "".join(f"    w{k}^{actors[k % n]}.\n" for k in range(2 * n))
+    last = f"w{2 * n - 1}"
+    return (
+        f"claim A.\nactor {', '.join(actors)}.\ntrust T {{\n{edges}}}\n"
+        f"model M uses T {{\n  A = {{\n{held}  }}.\n}}\n"
+        f"query {last}^a0@0.0078125 : A in M.\nquery {last}^a0@0.5 : A in M.\n"
+        f"query w0^a{n - 1}@0 : A in M.\nquery w{n}^a0 : A in M.\n"
+    )
+
+
+class TestTrustChainModel:
+    """model reads each query actor's trust reach instead of closing the
+    whole assignment, so a 400-actor chain holding 800 witnesses answers
+    well inside the bound; closing every witness took 3.7 s."""
+
+    OUT = (
+        "  query w799^a0@0.0078125 : A in M: holds\n"
+        "  query w799^a0@0.5 : A in M: does not hold\n"
+        "  query w0^a399@0.0 : A in M: does not hold\n"
+        "  query w400^a0 : A in M: holds\n"
+    )
+
+    def test_in_process(self, capsys, tmp_path):
+        script = tmp_path / "chain.vlp"
+        script.write_text(_chain_script(400), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "model", str(script))
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (1, f"model {script}\n" + self.OUT, "")
+
+    def test_in_a_subprocess(self, tmp_path):
+        script = tmp_path / "chain.vlp"
+        script.write_text(_chain_script(400), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_subprocess("model", str(script))
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stdout, done.stderr) == (1, f"model {script}\n" + self.OUT, "")
 
 
 class TestModel:
@@ -659,6 +710,46 @@ class TestUnusableInput:
             "",
             f"{script}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
         )
+
+
+class TestLineEndings:
+    """Scripts are read as written: only "\\n" ends a line, so the CLI
+    parses a file as parse_script parses its text, and a CRLF script gives
+    the same output as its LF twin."""
+
+    def both(self, capsys, *argv):
+        in_process = run(capsys, *argv)
+        done = run_subprocess(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == in_process
+        return in_process
+
+    def test_a_lone_carriage_return_is_a_blank(self, capsys, tmp_path):
+        script = tmp_path / "cr.vlp"
+        script.write_bytes(
+            b'claim A. actor P.\nmodel M { A = { a{who="x\ry"}. }. }\nquery a{who="x\ry"} : A in M.\n'
+        )
+        with open(script, encoding="utf-8", newline="") as file:
+            assert len(parse_script(file.read()).queries) == 1
+        assert self.both(capsys, "model", str(script)) == (
+            0,
+            f'model {script}\n  query a{{who="x\ry"}}^P : A in M: holds\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("fixture", sorted(path.name for path in FIXTURES.glob("*.vlp")))
+    def test_crlf_scripts_give_the_lf_output(self, capsys, monkeypatch, tmp_path, fixture):
+        text = (FIXTURES / fixture).read_text(encoding="utf-8")
+        for folder, ending in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / fixture).write_bytes(text.replace("\n", ending).encode("utf-8"))
+        for command in ("check", "eval", "model", "trust", "report"):
+            for form in ("text", "structured"):
+                outputs = []
+                for folder in ("lf", "crlf"):
+                    monkeypatch.chdir(tmp_path / folder)
+                    outputs.append(run(capsys, command, fixture, "--format", form))
+                assert outputs[0] == outputs[1]
+        self.both(capsys, "report", str(tmp_path / "crlf" / fixture))
 
 
 class TestRecursionLimit:

@@ -361,20 +361,26 @@ class TestMemberWalk:
 
     def test_builds_no_denotation_and_closes_nothing(self, monkeypatch):
         family = (TrustRelation("T", (TrustEdge("k", "l", Fraction(1, 2)),)),)
-        model = build_model({"A": {ww(Atom("a"), "l")}, "B": {ww(Atom("b"), "l")}}, family)
-
-        (table,) = (w.term for w in denote(Implies(A, B), model) if w.actor == "l")
+        assignments = {"A": {ww(Atom("a"), "l")}, "B": {ww(Atom("b"), "l")}}
+        script = parse_script(
+            "claim A, B. actor k, l. trust T { k -> l @ 0.5. }\n"
+            "model M uses T { A = { a^l. }. B = { b^l. }. }\n"
+        )
+        (table,) = (
+            w.term for w in denote(Implies(A, B), build_model(assignments, family)) if w.actor == "l"
+        )
 
         def refuse(*args):
-            raise AssertionError("member enumerated or closed a set")
+            raise AssertionError("the model or member enumerated or closed a set")
 
         for name in ("denote", "_denote", "close_under_trust"):
             monkeypatch.setattr(semantics, name, refuse)
-        assert member(Judgement(Pair(Atom("a"), Atom("b")), "k", Fraction(1, 2), And(A, B)), model)
-        assert member(Judgement(TagR(Atom("b")), "k", Fraction(1, 2), Or(A, B)), model)
-        assert member(Judgement(table, "k", Fraction(1, 2), Implies(A, B)), model)
-        assert not member(Judgement(table, "k", Fraction(3, 4), Implies(A, B)), model)
-        assert not member(Judgement(Lambda("x", Atom("b")), "l", Fraction(0), Implies(A, B)), model)
+        for model in (build_model(assignments, family), model_from_script(script)):
+            assert member(Judgement(Pair(Atom("a"), Atom("b")), "k", Fraction(1, 2), And(A, B)), model)
+            assert member(Judgement(TagR(Atom("b")), "k", Fraction(1, 2), Or(A, B)), model)
+            assert member(Judgement(table, "k", Fraction(1, 2), Implies(A, B)), model)
+            assert not member(Judgement(table, "k", Fraction(3, 4), Implies(A, B)), model)
+            assert not member(Judgement(Lambda("x", Atom("b")), "l", Fraction(0), Implies(A, B)), model)
 
     def test_a_pair_holds_at_the_lesser_weight(self):
         model = build_model(
@@ -404,6 +410,13 @@ class TestMemberWalk:
         assert member(Judgement(table, "P", Fraction(1, 2), Implies(A, B)), model)
         assert not member(Judgement(table, "P", Fraction(3, 4), Implies(A, B)), model)
         assert not member(Judgement(MapTable(()), "S", Fraction(0), Implies(B, A)), model)
+
+    def test_reach_along_a_chain_too_long_for_floats(self):
+        actors = [f"a{k}" for k in range(1200)]
+        edges = tuple(TrustEdge(a, b, Fraction(1, 2)) for a, b in zip(actors, actors[1:]))
+        model = build_model({"A": {ww(Atom("a"), "a1199")}}, (TrustRelation("T", edges),))
+        assert member(Judgement(Atom("a"), "a0", Fraction(1, 2**1199), A), model)
+        assert not member(Judgement(Atom("a"), "a0", Fraction(1, 2**1198), A), model)
 
     def test_a_table_belongs_to_the_actor_its_witnesses_name(self):
         both = lambda term: {ww(term, "P"), ww(term, "Q")}
@@ -464,7 +477,7 @@ def _size(claim, model, bound):
     or in the part the oracle builds before an arrow too deep stops it;
     it keeps the enumerating oracle small."""
     if isinstance(claim, Atomic):
-        entries = model.atom_assignment.get(claim.name, ())
+        entries = oracle_close(model.assignment.get(claim.name, ()), model.trust_family)
         return max([sum(w.actor == a for w in entries) for a in model.actors] + [0])
     if isinstance(claim, (And, Or)):
         left, right = _size(claim.left, model, bound), _size(claim.right, model, bound)
@@ -568,6 +581,39 @@ class TestMemberOracle:
             closed = frozenset()
         query = Judgement(*data.draw(oracle_queries(closed)), claim)
         assert _outcome(member, query, model, bound) == _outcome(oracle_member, query, model, bound)
+
+
+class TestUnclosedModel:
+    """A Model keeps its assignment as given and closes it through each
+    actor's reach, so a directly built Model need not be closed: unclosed,
+    closed by the oracle, or built by build_model, it answers alike."""
+
+    @staticmethod
+    def variants(built):
+        family, actors = built.trust_family, built.actors
+        given = {name: list(entries) for name, entries in built.assignment.items()}
+        closed = {name: oracle_close(entries, family) for name, entries in given.items()}
+        return Model(given, family, actors), Model(closed, family, actors)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(ORACLE_MODELS, ORACLE_CLAIMS, st.integers(min_value=0, max_value=3), st.data())
+    def test_a_hand_built_model_answers_as_build_model(self, built, claim, bound, data):
+        assume(_size(claim, built, bound) <= 300)
+        try:
+            closed = oracle_close(oracle_denote(claim, built, bound), built.trust_family)
+        except DepthExceeded:
+            closed = frozenset()
+        query = Judgement(*data.draw(oracle_queries(closed)), claim)
+        want = _outcome(member, query, built, bound)
+        for model in self.variants(built):
+            assert _outcome(member, query, model, bound) == want
+
+    @given(ORACLE_MODELS)
+    def test_atom_assignment_is_the_oracle_closure(self, built):
+        for model in (built, *self.variants(built)):
+            assert model.atom_assignment.keys() == built.assignment.keys()
+            for name, entries in built.assignment.items():
+                assert model.atom_assignment[name] == oracle_close(entries, built.trust_family)
 
 
 class TestModelFromScript:

@@ -161,6 +161,12 @@ class TestBestTrust:
     def test_self_path_is_a_single_node(self):
         assert best_trust_path(CHAIN, "l", "l") == (("l",), Fraction(1))
 
+    def test_a_product_below_the_smallest_float_is_found(self):
+        # 2**-1199 rounds to 0.0 as a float, which has no log.
+        actors = [f"a{k}" for k in range(1200)]
+        g = graph(*((a, b, Fraction(1, 2)) for a, b in zip(actors, actors[1:])))
+        assert best_trust_path(g, "a0", "a1199") == (tuple(actors), Fraction(1, 2**1199))
+
     def test_path_weights_recover_the_edges(self):
         path, weight = best_trust_path(CHAIN, "k", "m")
         assert path_weights(CHAIN, path) == (Fraction(1, 2), Fraction(2, 5))
