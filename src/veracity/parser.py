@@ -5,13 +5,18 @@ weight transformers, judgements, sequents, proof trees, and whole script
 files.  Script files (.vlp) declare claims, actors, trust relations, proofs,
 models, and the queries to run against them; `#` starts a line comment.
 
-The tokenizer scans each line with one regex, which works because no token
-spans a newline: strings exclude "\\n" and comments stop at it.  Only "\\n"
-ends a line; the other line breaks str.splitlines knows (form feed and the
-rest) are unexpected characters, as any character no token starts with.
-Tokens are plain tuples.  No operator's text equals the text of an
-identifier, number or string, so the parser's cursor tells an operator or a
-keyword by its text alone.
+The scanner runs one regex over the whole text and keeps two parallel
+lists: each lexeme's text, with Unicode operators in their ASCII spelling,
+and the offset at which it starts.  The parser's cursor reads those texts
+directly.  No operator's text equals the text of an identifier, number or
+string, so the cursor tells an operator or a keyword by its text alone, and
+any other token's kind by its first character.  Line and column are worked
+out from an offset only where a location is kept or an error is raised.
+No token spans a newline: strings exclude "\\n" and comments stop at it.
+Only "\\n" ends a line; the other line breaks str.splitlines knows (form
+feed and the rest) are unexpected characters, as any character no token
+starts with.  tokenize gives the same scan as Token tuples with their
+kinds and positions.
 
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
@@ -27,8 +32,10 @@ kernel._RULES.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
@@ -109,25 +116,82 @@ _UNICODE_OPS = {
     "·": "*",     # product
 }
 
-# One scan per line.  Leading blanks belong to the token, so they need no
-# match of their own; a comment ends the line; anything else that is not
-# blank is an error.  Trailing blanks match nothing, and finditer skips them.
-_LINE_SCAN = re.compile(
+# One scan over the whole text.  Each match skips blanks, newlines and
+# comments, then takes a token (group 1), the end of the text, or a bad
+# character (group 2).  One of the three matches wherever the skip stops, so
+# finditer never steps over a character unseen and the skip is never
+# backtracked into; that is why the pattern needs no possessive quantifier
+# or atomic group, which Python 3.10's re lacks.
+_SCAN = re.compile(
     r"""
-    [\ \t\r]*
+    [\ \t\r\n]* (?: \#[^\n]* [\ \t\r\n]* )*
     (?:
-      (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
-    | (?P<op>/\\|\\/|->|=>|\|-|_\|_
-        | [()\{\}\[\],.:;^@|=*~\\])
-    | (?P<unicode_op>[∧∨→¬⊥λ⊢∈·])
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-    | (?P<string>"(?:[^"\\\n]|\\["\\])*")
-    | (?P<comment>\#)
-    | (?P<bad>[^\ \t\r])
+      ( \d+(?:\.\d+)?(?:/\d+)?
+      | /\\ | \\/ | -> | => | \|- | _\|_
+      | [()\{\}\[\],.:;^@|=*~\\∧∨→¬⊥λ⊢∈·]
+      | [A-Za-z_][A-Za-z0-9_]*'*
+      | "(?:[^"\\\n]|\\["\\])*"
+      )
+    | \Z
+    | (.)
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 ).finditer
+
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The lexemes of text, Unicode operators in their ASCII spelling, and
+    their start offsets; both end with the eof entry "" at len(text)."""
+    texts: list[str] = []
+    starts: list[int] = []
+    add_text, add_start = texts.append, starts.append
+    for m in _SCAN(text):
+        lexeme = m[1]
+        if lexeme is None:
+            break
+        add_text(lexeme)
+        add_start(m.start(1))
+    if m[2] is not None:
+        raise ParseError(f"unexpected character {m[2]!r}", *_locate(_line_starts(text), m.start(2)))
+    texts.append("")
+    starts.append(len(text))
+    if not text.isascii():
+        texts = [_UNICODE_OPS.get(t, t) for t in texts]
+    return texts, starts
+
+
+def _is_ident(text: str) -> bool:
+    return text[:1] in _IDENT_START and text != "_|_"
+
+
+def _kind(text: str) -> str:
+    """The kind of a lexeme, told by its first character."""
+    if not text:
+        return "eof"
+    if text[0] == '"':
+        return "string"
+    if text[0].isdecimal():   # \d: any Unicode decimal digit
+        return "number"
+    return "ident" if _is_ident(text) else "op"
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of text after the first starts, and
+    len(text) + 1 last."""
+    return list(accumulate(map((1).__add__, map(len, text.split("\n")))))
+
+
+def _locate(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of an offset into a text."""
+    line = bisect_right(line_starts, offset)
+    return line + 1, offset + 1 - (line_starts[line - 1] if line else 0)
+
+
+def _describe(text: str) -> str:
+    return repr(text) if text else "end of input"
 
 
 class Token(NamedTuple):
@@ -138,23 +202,11 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__   # a Token without NamedTuple's Python-level __new__
-    for line, chars in enumerate(text.split("\n"), 1):
-        for m in _LINE_SCAN(chars):
-            kind = m.lastgroup
-            if kind == "comment":
-                break
-            lexeme = m[kind]
-            if kind == "bad":
-                raise ParseError(f"unexpected character {lexeme!r}", line, m.end())
-            if kind == "unicode_op":
-                append(new(Token, ("op", _UNICODE_OPS[lexeme], line, m.end())))
-            else:
-                append(new(Token, (kind, lexeme, line, m.start(kind) + 1)))
-    append(new(Token, ("eof", "", line, len(chars) + 1)))
-    return tokens
+    """The tokens of text, each with its kind and position, ending with an
+    eof token: a view of the scan the parser reads directly."""
+    texts, starts = _scan(text)
+    line_starts = _line_starts(text)
+    return [Token(_kind(t), t, *_locate(line_starts, at)) for t, at in zip(texts, starts)]
 
 
 def _decode_string(raw: str) -> str:
@@ -256,7 +308,10 @@ def _default_actor(actors: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_RULE_NAMES = {r.value for r in Rule}
+_RULE_BY_NAME = {r.value: r for r in Rule}
+
+# The names that build a term when "(" follows with no blank between.
+_CONSTRUCTORS = frozenset(("i", "j", "cases", "split"))
 
 # Every rule but assume is written name(arg, ...).  Its row lists the kinds
 # of those arguments in order, builds the node's argument record from the
@@ -323,9 +378,17 @@ def _needs_comma(kinds: tuple[str, ...], k: int) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        # The lexemes, ending with the eof entry "", and the offset in text
+        # at which each starts; the cursor pos indexes both.
+        self.texts, self.starts = _scan(text)
         self.pos = 0
+        # Where each line of text starts, found when a location is first
+        # asked for: only proof nodes, declarations and errors keep one.
+        self.line_starts: Optional[list[int]] = None
+        # Each weight literal converted so far, by its text.
+        self.weights: dict[str, Weight] = {}
         # The names bound where the parser stands, each with the number of
         # enclosing binders that bind it.  Binders bind and unbind beside
         # the call that parses their body, not in a helper around it, so a
@@ -354,15 +417,11 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def loc(self, at: int) -> tuple[int, int]:
+        """The line and column of the token at index at."""
+        if self.line_starts is None:
+            self.line_starts = _line_starts(self.text)
+        return _locate(self.line_starts, self.starts[at])
 
     # at, accept and expect take an operator or a keyword and compare texts
     # only: no operator's text is the text of an identifier, number, string
@@ -370,48 +429,50 @@ class _Parser:
     # check.
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.texts[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.tokens[self.pos].text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text == text:
-            self.pos += 1
-            return tok
-        raise ParseError(f"expected {text!r}, found {self._describe(tok)}", tok.line, tok.col)
+    def expect(self, text: str) -> None:
+        found = self.texts[self.pos]
+        if found != text:
+            raise ParseError(f"expected {text!r}, found {_describe(found)}", *self.loc(self.pos))
+        self.pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident":
-            self.pos += 1
-            return tok
-        raise ParseError(f"expected {what}, found {self._describe(tok)}", tok.line, tok.col)
+    def expect_ident(self, what: str = "identifier") -> str:
+        found = self.texts[self.pos]
+        # _is_ident inline: a call would deepen the deepest frame of each
+        # binder's nesting level, and "nesting too deep" would come sooner.
+        if found[:1] not in _IDENT_START or found == "_|_":
+            raise ParseError(f"expected {what}, found {_describe(found)}", *self.loc(self.pos))
+        self.pos += 1
+        return found
 
     def expect_eof(self) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.line, tok.col)
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        found = self.texts[self.pos]
+        if found:
+            raise ParseError(f"unexpected {_describe(found)}", *self.loc(self.pos))
 
     # -- weights
 
     def weight(self) -> Weight:
-        tok = self.tokens[self.pos]
-        if tok.kind != "number":
-            raise ParseError(f"expected a weight, found {self._describe(tok)}", tok.line, tok.col)
-        self.advance()
-        try:
-            return as_weight(tok.text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad weight {tok.text!r}: {exc}", tok.line, tok.col) from None
+        at = self.pos
+        text = self.texts[at]
+        value = self.weights.get(text)
+        if value is None:
+            if not text[:1].isdecimal():
+                raise ParseError(f"expected a weight, found {_describe(text)}", *self.loc(at))
+            try:
+                value = as_weight(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad weight {text!r}: {exc}", *self.loc(at)) from None
+            self.weights[text] = value
+        self.pos = at + 1
+        return value
 
     def weight_expr(self) -> WeightExpr:
         expr = self.weight_factor()
@@ -420,8 +481,7 @@ class _Parser:
         return expr
 
     def weight_factor(self) -> WeightExpr:
-        tok = self.tokens[self.pos]
-        if tok.kind == "number":
+        if self.texts[self.pos][:1].isdecimal():
             return Const(self.weight())
         if self.accept("z"):
             return ARG
@@ -436,9 +496,8 @@ class _Parser:
             expr = self.weight_expr()
             self.expect(")")
             return expr
-        raise ParseError(
-            f"expected a weight expression, found {self._describe(tok)}", tok.line, tok.col
-        )
+        found = self.texts[self.pos]
+        raise ParseError(f"expected a weight expression, found {_describe(found)}", *self.loc(self.pos))
 
     # -- claims
 
@@ -466,17 +525,17 @@ class _Parser:
         return self.claim_atom()
 
     def claim_atom(self) -> Claim:
-        tok = self.tokens[self.pos]
         if self.accept("_|_"):
             return Bottom()
         if self.accept("("):
             inner = self.claim()
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            self.advance()
-            return Atomic(tok.text)
-        raise ParseError(f"expected a claim, found {self._describe(tok)}", tok.line, tok.col)
+        found = self.texts[self.pos]
+        if not _is_ident(found):
+            raise ParseError(f"expected a claim, found {_describe(found)}", *self.loc(self.pos))
+        self.pos += 1
+        return Atomic(found)
 
     # -- witness terms
 
@@ -487,7 +546,7 @@ class _Parser:
 
     def lambda_term(self) -> Term:
         self.expect("\\")
-        param = self.expect_ident("a parameter name").text
+        param = self.expect_ident("a parameter name")
         self.expect(".")
         self.bind((param,))
         body = self.term()
@@ -498,12 +557,11 @@ class _Parser:
 
     def application(self) -> Term:
         term = self.primary()
-        while (tok := self.tokens[self.pos]).kind == "ident" or tok.text == "(":
+        while (found := self.texts[self.pos]) == "(" or _is_ident(found):
             term = Apply(term, self.primary())
         return term
 
     def primary(self) -> Term:
-        tok = self.tokens[self.pos]
         if self.accept("("):
             first = self.term()
             if self.accept(","):
@@ -512,58 +570,49 @@ class _Parser:
                 return Pair(first, second)
             self.expect(")")
             return first
-        if tok.kind != "ident":
-            raise ParseError(f"expected a term, found {self._describe(tok)}", tok.line, tok.col)
-        name = tok.text
+        at = self.pos
+        name = self.texts[at]
+        if not _is_ident(name):
+            raise ParseError(f"expected a term, found {_describe(name)}", *self.loc(at))
+        self.pos = at + 1
         # Constructor names bind only to an immediately adjacent "(", so an
         # identifier i applied to a parenthesized argument (written "i (x)")
         # stays an application.
-        nxt = self.peek(1)
-        fused = nxt.text == "(" and nxt.line == tok.line and nxt.col == tok.col + len(tok.text)
-        if name in ("i", "j") and fused:
-            self.advance()
-            self.expect("(")
-            inner = self.term()
-            self.expect(")")
-            return TagL(inner) if name == "i" else TagR(inner)
-        if name == "cases" and fused:
-            self.advance()
-            self.expect("(")
+        if name in _CONSTRUCTORS and self.at("(") and self.starts[at + 1] == self.starts[at] + len(name):
+            self.pos += 1
             scrutinee = self.term()
+            if name == "i" or name == "j":
+                self.expect(")")
+                return TagL(scrutinee) if name == "i" else TagR(scrutinee)
             self.expect(",")
-            lv = self.expect_ident("a binder").text
+            if name == "cases":
+                lv = self.expect_ident("a binder")
+                self.expect(".")
+                self.bind((lv,))
+                lbody = self.term()
+                self.unbind((lv,))
+                self.expect(",")
+                rv = self.expect_ident("a binder")
+                self.expect(".")
+                self.bind((rv,))
+                rbody = self.term()
+                self.unbind((rv,))
+                self.expect(")")
+                return CasesOf(scrutinee, lv, lbody, rv, rbody)
+            fv = self.expect_ident("a binder")
             self.expect(".")
-            self.bind((lv,))
-            lbody = self.term()
-            self.unbind((lv,))
-            self.expect(",")
-            rv = self.expect_ident("a binder").text
-            self.expect(".")
-            self.bind((rv,))
-            rbody = self.term()
-            self.unbind((rv,))
-            self.expect(")")
-            return CasesOf(scrutinee, lv, lbody, rv, rbody)
-        if name == "split" and fused:
-            self.advance()
-            self.expect("(")
-            scrutinee = self.term()
-            self.expect(",")
-            fv = self.expect_ident("a binder").text
-            self.expect(".")
-            sv = self.expect_ident("a binder").text
+            sv = self.expect_ident("a binder")
             if fv == sv:
-                raise ParseError("split binders must be distinct", tok.line, tok.col)
+                raise ParseError("split binders must be distinct", *self.loc(at))
             self.expect(".")
             self.bind((fv, sv))
             body = self.term()
             self.unbind((fv, sv))
             self.expect(")")
             return SplitOf(scrutinee, fv, sv, body)
-        self.advance()
         if name in self.bound:
             if self.at("{"):
-                raise ParseError("provenance belongs on atoms, not bound variables", tok.line, tok.col)
+                raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
             return Var(name)
         if self.at("{"):
             return Atom(name, self.provenance())
@@ -573,25 +622,20 @@ class _Parser:
         self.expect("{")
         fields: dict[str, str] = {}
         while not self.accept("}"):
-            key_tok = self.expect_ident("a provenance field")
-            if key_tok.text not in ("who", "where", "when", "how"):
-                raise ParseError(
-                    f"unknown provenance field {key_tok.text!r}", key_tok.line, key_tok.col
-                )
-            if key_tok.text in fields:
-                raise ParseError(
-                    f"duplicate provenance field {key_tok.text!r}", key_tok.line, key_tok.col
-                )
+            at = self.pos
+            key = self.expect_ident("a provenance field")
+            if key not in ("who", "where", "when", "how"):
+                raise ParseError(f"unknown provenance field {key!r}", *self.loc(at))
+            if key in fields:
+                raise ParseError(f"duplicate provenance field {key!r}", *self.loc(at))
             self.expect("=")
-            val_tok = self.tokens[self.pos]
-            if val_tok.kind != "string":
+            value = self.texts[self.pos]
+            if value[:1] != '"':
                 raise ParseError(
-                    f"expected a quoted string, found {self._describe(val_tok)}",
-                    val_tok.line,
-                    val_tok.col,
+                    f"expected a quoted string, found {_describe(value)}", *self.loc(self.pos)
                 )
-            self.advance()
-            fields[key_tok.text] = _decode_string(val_tok.text)
+            self.pos += 1
+            fields[key] = _decode_string(value)
             if not self.at("}"):
                 self.expect(",")
         return Provenance(**fields)
@@ -606,13 +650,13 @@ class _Parser:
         return Judgement(witness, *self.actor_weight_claim())
 
     def hypothesis(self) -> Hypothesis:
-        var = self.expect_ident("a hypothesis variable").text
+        var = self.expect_ident("a hypothesis variable")
         return Hypothesis(var, *self.actor_weight_claim())
 
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
         """The [^actor] [@weight] ":" claim that ends a judgement or a
         hypothesis."""
-        actor = self.expect_ident("an actor").text if self.accept("^") else self.default_actor
+        actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(":")
         return actor, weight, self.claim()
@@ -635,18 +679,17 @@ class _Parser:
         return node
 
     def tree_node(self) -> ProofTree:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident" or tok.text not in _RULE_NAMES:
-            raise ParseError(
-                f"expected a rule name, found {self._describe(tok)}", tok.line, tok.col
-            )
-        rule = Rule(tok.text)
-        loc = (tok.line, tok.col)
-        self.advance()
+        at = self.pos
+        rule = _RULE_BY_NAME.get(self.texts[at])
+        if rule is None:
+            found = self.texts[at]
+            raise ParseError(f"expected a rule name, found {_describe(found)}", *self.loc(at))
+        loc = self.loc(at)
+        self.pos = at + 1
 
         if rule is Rule.ASSUME:
-            var = self.expect_ident("a hypothesis variable").text
-            actor = self.expect_ident("an actor").text if self.accept("^") else None
+            var = self.expect_ident("a hypothesis variable")
+            actor = self.expect_ident("an actor") if self.accept("^") else None
             self.expect(":")
             claim = self.claim()
             context: list[Hypothesis] = []
@@ -676,15 +719,14 @@ class _Parser:
             return self.family()
         if kind == "weight":
             return self.weight_expr() if self.accept(",") else ARG
-        name = self.expect_ident(_NAME_KINDS[kind]).text
+        name = self.expect_ident(_NAME_KINDS[kind])
         if kind in _SELF_ENDING:
             self.expect(_SELF_ENDING[kind])
         return name
 
     def family(self) -> ClaimFamily:
-        if self.at("i") and self.peek(1).text == "=>":
-            self.advance()
-            self.expect("=>")
+        if self.at("i") and self.texts[self.pos + 1] == "=>":
+            self.pos += 2
             on_left = self.claim()
             self.expect("|")
             self.expect("j")
@@ -702,19 +744,21 @@ class _Parser:
             items.append(item())
         return items
 
-    def declare(self, kind: str) -> Token:
-        """The token of a new name of the kind."""
-        tok = self.expect_ident(_SCRIPT_NAMES[kind][1])
-        if tok.text in self.declared:
-            raise ParseError(f"duplicate name {tok.text!r}", tok.line, tok.col)
-        self.declared[tok.text] = kind
-        return tok
+    def declare(self, kind: str) -> str:
+        """A new name of the kind."""
+        at = self.pos
+        name = self.expect_ident(_SCRIPT_NAMES[kind][1])
+        if name in self.declared:
+            raise ParseError(f"duplicate name {name!r}", *self.loc(at))
+        self.declared[name] = kind
+        return name
 
     def reference(self, kind: str) -> str:
         """A name declared as the kind."""
-        tok = self.expect_ident(_SCRIPT_NAMES[kind][2])
-        self.require(kind, tok.text, (tok.line, tok.col))
-        return tok.text
+        at = self.pos
+        name = self.expect_ident(_SCRIPT_NAMES[kind][2])
+        self.require_at(kind, name, at)
+        return name
 
     def require(self, kind: str, name: str, loc: tuple[int, int]) -> None:
         if self.declared.get(name) == kind:
@@ -722,6 +766,12 @@ class _Parser:
         if kind == "actor" and name == DEFAULT_ACTOR and not self.actors:
             return   # a script without actors judges as the default actor
         raise ParseError(f"{_SCRIPT_NAMES[kind][0]} {name!r} is not declared", *loc)
+
+    def require_at(self, kind: str, name: str, at: int) -> None:
+        """require, reported at the token at index at, whose location is
+        worked out only if the name is not declared as the kind."""
+        if self.declared.get(name) != kind:
+            self.require(kind, name, self.loc(at))
 
     def require_claim(self, claim: Claim, loc: tuple[int, int]) -> None:
         for atom in sorted(atoms_of_claim(claim)):
@@ -772,31 +822,31 @@ class _Parser:
         queries: list[QueryDecl] = []
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
-        while (tok := self.tokens[self.pos]).kind != "eof":
-            if tok.kind != "ident":
-                raise ParseError(
-                    f"expected a declaration, found {self._describe(tok)}", tok.line, tok.col
-                )
-            loc = (tok.line, tok.col)
+        while word := self.texts[self.pos]:   # "" is the eof entry
+            at = self.pos
+            if not _is_ident(word):
+                raise ParseError(f"expected a declaration, found {word!r}", *self.loc(at))
             if self.accept("claim"):
-                claims += (t.text for t in self.comma_list(lambda: self.declare("claim")))
+                claims += self.comma_list(lambda: self.declare("claim"))
                 self.expect(".")
             elif self.accept("actor"):
-                self.actors += (t.text for t in self.comma_list(lambda: self.declare("actor")))
+                self.actors += self.comma_list(lambda: self.declare("actor"))
                 self.default_actor = _default_actor(self.actors)
                 self.expect(".")
             elif self.accept("trust"):
                 relations.append(self.trust_relation())
             elif self.accept("proof"):
-                name_tok = self.declare("proof")
+                loc = self.loc(self.pos)
+                name = self.declare("proof")
                 self.expect("{")
                 tree = self.tree()
                 self.expect("}")
                 self.require_tree(tree)
-                proofs.append(ProofDecl(name_tok.text, tree, (name_tok.line, name_tok.col)))
+                proofs.append(ProofDecl(name, tree, loc))
             elif self.accept("model"):
                 models.append(self.model_decl())
             elif self.accept("query"):
+                loc = self.loc(at)
                 judgement = self.judgement()
                 self.require_judged(judgement, loc)
                 self.expect("in")
@@ -808,7 +858,7 @@ class _Parser:
                 self.expect("in")
                 model = self.reference("model")
                 self.expect(".")
-                sounds.append(SoundDecl(proof, model, loc))
+                sounds.append(SoundDecl(proof, model, self.loc(at)))
             elif self.accept("compare"):
                 self.expect("chain")
                 chain = self.reference("relation")
@@ -819,38 +869,39 @@ class _Parser:
                 self.expect("to")
                 target = self.reference("actor")
                 self.expect(".")
-                compares.append(CompareDecl(chain, star, source, target, loc))
+                compares.append(CompareDecl(chain, star, source, target, self.loc(at)))
             else:
-                raise ParseError(f"unknown declaration {tok.text!r}", *loc)
+                raise ParseError(f"unknown declaration {word!r}", *self.loc(at))
         found = (claims, self.actors, relations, proofs, models, queries, sounds, compares)
         return Script(*map(tuple, found))
 
     def trust_relation(self) -> TrustRelation:
-        name = self.declare("relation").text
+        name = self.declare("relation")
         self.expect("{")
         edges: dict[tuple[str, str], TrustEdge] = {}
         while not self.accept("}"):
-            src_tok = self.tokens[self.pos]
+            at = self.pos
             src = self.reference("actor")
             self.expect("->")
             dst = self.reference("actor")
             weight = self.weight() if self.accept("@") else _ONE
             self.expect(".")
             if (src, dst) in edges:
-                raise ParseError(f"duplicate trust edge {src} -> {dst}", src_tok.line, src_tok.col)
+                raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.loc(at))
             edges[src, dst] = TrustEdge(src, dst, weight)
         return TrustRelation(name, tuple(edges.values()))
 
     def model_decl(self) -> ModelDecl:
-        name_tok = self.declare("model")
+        loc = self.loc(self.pos)
+        name = self.declare("model")
         uses = self.comma_list(lambda: self.reference("relation")) if self.accept("uses") else []
         self.expect("{")
         assignments: dict[str, tuple[ModelEntry, ...]] = {}
         while not self.accept("}"):
-            claim_tok = self.tokens[self.pos]
+            at = self.pos
             claim = self.reference("claim")
             if claim in assignments:
-                raise ParseError(f"claim {claim!r} assigned twice", claim_tok.line, claim_tok.col)
+                raise ParseError(f"claim {claim!r} assigned twice", *self.loc(at))
             self.expect("=")
             self.expect("{")
             entries: list[ModelEntry] = []
@@ -858,20 +909,19 @@ class _Parser:
                 entries.append(self.model_entry())
             self.expect(".")
             assignments[claim] = tuple(entries)
-        loc = (name_tok.line, name_tok.col)
-        return ModelDecl(name_tok.text, tuple(uses), tuple(assignments.items()), loc)
+        return ModelDecl(name, tuple(uses), tuple(assignments.items()), loc)
 
     def model_entry(self) -> ModelEntry:
         """term [^actor] [@weight] ".", whose left-out actor is the default
         one, checked once the entry is read."""
-        entry_tok = self.tokens[self.pos]
+        at = self.pos
         term = self.term()
         actor = self.reference("actor") if self.accept("^") else None
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(".")
         if actor is None:
             actor = self.default_actor
-            self.require("actor", actor, (entry_tok.line, entry_tok.col))
+            self.require_at("actor", actor, at)
         return ModelEntry(term, actor, weight)
 
 
@@ -880,13 +930,12 @@ class _Parser:
 
 
 def _run(text: str, parse, *, bound: Iterable[str] = ()):
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     p.bind(bound)
     try:
         value = parse(p)
     except RecursionError:
-        tok = p.peek()
-        raise ParseError("nesting too deep", tok.line, tok.col) from None
+        raise ParseError("nesting too deep", *p.loc(p.pos)) from None
     p.expect_eof()
     return value
 

@@ -604,6 +604,14 @@ class TestTrust:
         assert "chain = 0.7" in out
         assert "star = 0.7" in out
 
+    def test_unicode_digit_weight_renders_in_ascii(self, capsys, tmp_path):
+        # "٠.٥" is Arabic-Indic digits for 0.5: a number like any other.
+        script = tmp_path / "digits.vlp"
+        script.write_text("actor a, b.\ntrust T { a -> b @ ٠.٥. }\n", encoding="utf-8")
+        code, out, _ = run(capsys, "trust", str(script))
+        assert code == 0
+        assert "    decay: a -> b @ 0.5\n" in out
+
     def test_unreachable_comparison(self, capsys, tmp_path):
         script = tmp_path / "un.vlp"
         script.write_text(

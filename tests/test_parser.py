@@ -94,7 +94,9 @@ class TestTokenizer:
         assert [t.text for t in tokenize("x x' x''")][:3] == ["x", "x'", "x''"]
 
     def test_number_forms(self):
-        assert [t.kind for t in tokenize("1 0.5 1/3")][:3] == ["number"] * 3
+        # Digits are Unicode decimal digits, as Python's \d and Fraction
+        # read them: "٣" is Arabic-Indic three.
+        assert [t.kind for t in tokenize("1 0.5 1/3 ٣ ٠.٥")][:5] == ["number"] * 5
 
     def test_unknown_character_is_located(self):
         with pytest.raises(ParseError) as exc:
@@ -190,6 +192,88 @@ class TestTokenizerOracle:
         variants = [text, text.rstrip("\n"), *_mutations(text, zlib.crc32(name.encode()), 150)]
         for k, variant in enumerate(variants):
             assert _tokens_or_error(tokenize, variant) == _tokens_or_error(oracle_tokenize, variant), k
+
+
+class TestErrorLocations:
+    """Errors whose location comes from a token the parser has stepped past
+    or looked ahead of, with the message, line and column each had when
+    every token carried its own position."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message, line, col",
+        [
+            (parse_term, 'a{who="x", who="y"}', "duplicate provenance field 'who'", 1, 12),
+            (parse_term, "split(p, x. x. x)", "split binders must be distinct", 1, 1),
+            (parse_term, '\\x. x{who="y"}', "provenance belongs on atoms, not bound variables", 1, 5),
+            (parse_term, 'a{why="y"}', "unknown provenance field 'why'", 1, 3),
+            (parse_term, "a{who=b}", "expected a quoted string, found 'b'", 1, 7),
+            (parse_weight_expr, "z * (", "expected a weight expression, found end of input", 1, 6),
+            (parse_script, "claim A.\nactor P, Q.\nmodel M {\n  A = { a. }.\n}\n",
+             "actor 'default' is not declared", 4, 9),
+        ],
+    )
+    def test_error(self, parse, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+    def test_no_location_is_worked_out_where_none_is_kept(self, monkeypatch):
+        # Names, edges, weights and model entries keep no location, so a
+        # script of them parses without finding a single line start.
+        import veracity.parser as parser
+
+        def refuse(text):
+            raise AssertionError("a location was worked out")
+
+        monkeypatch.setattr(parser, "_line_starts", refuse)
+        edges = " ".join(f"a{k} -> a{k + 1} @ 0.5." for k in range(50))
+        actors = ", ".join(f"a{k}" for k in range(51))
+        parse_script(f"claim A.\nactor {actors}.\ntrust T {{ {edges} }}\n")
+        parse_term("cases(i(a), x. (x, b), y. split(y, u. v. u v))")
+        parse_sequent("x^P@0.5 : A |- (\\y.x)^P : B -> A")
+
+
+def _token_at(text, loc, word):
+    """Whether the token at (line, col) of text is word, found by slicing
+    the source alone."""
+    line, col = loc
+    rest = text.split("\n")[line - 1][col - 1:]
+    after = rest[len(word):len(word) + 1]
+    return rest.startswith(word) and not (after.isalnum() or after in ("_", "'"))
+
+
+class TestLocations:
+    """Every location a parsed script keeps points at its token, checked by
+    slicing the source text, not through the scanner: each proof node at
+    its rule name, each proof and model at its name, and each query, sound
+    and compare declaration at its keyword.  Covers the fixtures and every
+    seeded mutation of them that still parses."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.vlp")))
+    def test_locations_point_at_their_tokens(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        checked = 0
+        for k, variant in enumerate([text, *_mutations(text, zlib.crc32(name.encode()) + 1, 150)]):
+            try:
+                script = parse_script(variant)
+            except ParseError:
+                continue
+            for decl in script.proofs:
+                assert _token_at(variant, decl.loc, decl.name), (k, decl)
+                nodes = [decl.tree]
+                while nodes:
+                    node = nodes.pop()
+                    assert _token_at(variant, node.loc, node.rule.value), (k, node.loc, node.rule)
+                    nodes.extend(node.premises)
+                    checked += 1
+            for decl in script.models:
+                assert _token_at(variant, decl.loc, decl.name), (k, decl.name, decl.loc)
+            for decls, keyword in ((script.queries, "query"), (script.sounds, "sound"),
+                                   (script.compares, "compare")):
+                for decl in decls:
+                    assert _token_at(variant, decl.loc, keyword), (k, decl)
+                    checked += 1
+        assert checked > 0
 
 
 class TestClaimParsing:
@@ -296,6 +380,11 @@ class TestTermParsing:
             Apply(Atom("f"), Atom("i")), Pair(Atom("a"), Atom("b"))
         )
         assert parse_term("cases (a,b)") == Apply(Atom("cases"), Pair(Atom("a"), Atom("b")))
+        # A "(" at the start of the next line is not adjacent either.
+        assert parse_term("i\n(a)") == Apply(Atom("i"), Atom("a"))
+        assert parse_term("a\ni(a)") == Apply(Atom("a"), TagL(Atom("a")))
+        assert parse_term("split\t(p)") == Apply(Atom("split"), Atom("p"))
+        assert parse_term("i(\na)") == TagL(Atom("a"))
 
     def test_provenance(self):
         t = parse_term('a{who="p", when="2024"}')
@@ -336,6 +425,11 @@ class TestWeightExprParsing:
 
     def test_fraction_weights(self):
         assert parse_weight_expr("1/3") == Const(Fraction(1, 3))
+
+    def test_unicode_digit_weights(self):
+        assert parse_weight_expr("٠.٥*z") == Mul(Const(Fraction(1, 2)), ARG)
+        script = parse_script("actor a, b. trust T { a -> b @ ٠.٥. }")
+        assert script.relations[0].edges == (TrustEdge("a", "b", Fraction(1, 2)),)
 
     def test_weight_above_one_is_rejected(self):
         with pytest.raises(ParseError):
@@ -405,7 +499,7 @@ class TestProofTreeParsing:
     def parse_tree(self, text, default_actor="default"):
         from veracity.parser import _Parser
 
-        p = _Parser(tokenize(text))
+        p = _Parser(text)
         p.default_actor = default_actor
         tree = p.tree()
         p.expect_eof()
