@@ -464,10 +464,10 @@ def _parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # Deep proof trees and terms recurse; the default limit is too tight
-    # for adversarial but legitimate inputs.  The caller gets its own
-    # limit back.
+    # for adversarial but legitimate inputs.  A higher caller limit stays,
+    # as the library works under it, and the caller gets it back.
     caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
+    sys.setrecursionlimit(max(caller_limit, 10000))
     try:
         return _main(argv)
     finally:

@@ -158,6 +158,17 @@ def _discharge(
     )
 
 
+def _require_assumed(path: Path, branch: str, hyp: Hypothesis, need: Claim) -> None:
+    """A branch's discharged hypothesis must assume the claim it stands for."""
+    if hyp.claim != need:
+        raise CheckError(
+            ErrorKind.HYPOTHESIS_MISSING,
+            path,
+            f"{branch} assumes {hyp.var} : {render_claim(hyp.claim)}, "
+            f"need {render_claim(need)}",
+        )
+
+
 def _same_actor(path: Path, *judgements: Judgement) -> str:
     actors = {j.actor for j in judgements}
     if len(actors) != 1:
@@ -234,21 +245,9 @@ def check_or_elim(
     actor = _same_actor(path, sj, lj, rj)
 
     left_hyp, left_rest = _discharge(left_branch.hypotheses, left_var, path)
-    if left_hyp.claim != sj.claim.left:
-        raise CheckError(
-            ErrorKind.HYPOTHESIS_MISSING,
-            path,
-            f"left branch assumes {left_var} : {render_claim(left_hyp.claim)}, "
-            f"need {render_claim(sj.claim.left)}",
-        )
+    _require_assumed(path, "left branch", left_hyp, sj.claim.left)
     right_hyp, right_rest = _discharge(right_branch.hypotheses, right_var, path)
-    if right_hyp.claim != sj.claim.right:
-        raise CheckError(
-            ErrorKind.HYPOTHESIS_MISSING,
-            path,
-            f"right branch assumes {right_var} : {render_claim(right_hyp.claim)}, "
-            f"need {render_claim(sj.claim.right)}",
-        )
+    _require_assumed(path, "right branch", right_hyp, sj.claim.right)
 
     want_left = family_at(family, TagL(Var(left_var)))
     want_right = family_at(family, TagR(Var(right_var)))
@@ -319,20 +318,8 @@ def check_and_elim(
     actor = _same_actor(path, sj, bj)
     fst_hyp, rest = _discharge(branch.hypotheses, fst_var, path)
     snd_hyp, rest = _discharge(rest, snd_var, path)
-    if fst_hyp.claim != sj.claim.left:
-        raise CheckError(
-            ErrorKind.HYPOTHESIS_MISSING,
-            path,
-            f"branch assumes {fst_var} : {render_claim(fst_hyp.claim)}, "
-            f"need {render_claim(sj.claim.left)}",
-        )
-    if snd_hyp.claim != sj.claim.right:
-        raise CheckError(
-            ErrorKind.HYPOTHESIS_MISSING,
-            path,
-            f"branch assumes {snd_var} : {render_claim(snd_hyp.claim)}, "
-            f"need {render_claim(sj.claim.right)}",
-        )
+    _require_assumed(path, "branch", fst_hyp, sj.claim.left)
+    _require_assumed(path, "branch", snd_hyp, sj.claim.right)
     if bj.claim != family.claim:
         raise CheckError(
             ErrorKind.SEQUENT_MISMATCH,

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, get_args
 
 from .core import (
     ARG,
@@ -1144,13 +1144,11 @@ def render_proof_tree(tree: ProofTree) -> str:
 
 def render(value: object) -> str:
     """Render any surface value back to its concrete syntax."""
-    if isinstance(value, (Bottom, Atomic, And, Or, Implies)):
+    if isinstance(value, get_args(Claim)):
         return render_claim(value)
-    if isinstance(
-        value, (Atom, Var, Pair, TagL, TagR, Lambda, Apply, CasesOf, SplitOf)
-    ):
+    if isinstance(value, get_args(Term)):
         return render_term(value)
-    if isinstance(value, (Arg, Const, Mul, Min)):
+    if isinstance(value, get_args(WeightExpr)):
         return render_weight_expr(value)
     if isinstance(value, Fraction):
         return format_weight(value)

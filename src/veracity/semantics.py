@@ -64,20 +64,18 @@ from itertools import product
 from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
+    BINDING_TERMS,
     And,
     Atom,
     Atomic,
     Bottom,
-    CasesOf,
     Claim,
     Claimhood,
     Implies,
     Judgement,
-    Lambda,
     Or,
     Pair,
     ProofTree,
-    SplitOf,
     TagL,
     TagR,
     Term,
@@ -381,7 +379,7 @@ def member(
     _check_depth(claim, depth_bound)
     if not _contains_table(witness):
         # Binder-free terms are alpha-equal exactly when they are equal.
-        exact = not _contains(witness, (Lambda, CasesOf, SplitOf))
+        exact = not _contains(witness, BINDING_TERMS)
         weight = _held(claim, witness, judgement.actor, model, exact)
         return weight is not None and weight >= judgement.weight
     for actor, share in model.reach(judgement.actor).items():

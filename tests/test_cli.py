@@ -10,7 +10,8 @@ import pytest
 
 import veracity
 from veracity.cli import RunConfig, main, run_check, run_model, run_trust
-from veracity.parser import parse_script
+from veracity.evaluator import normalize
+from veracity.parser import parse_script, parse_term, render_term
 from veracity.report import parse_structured, to_structured
 
 FIXTURES = veracity.fixtures_path()
@@ -784,6 +785,20 @@ class TestRecursionLimit:
             with pytest.raises(SystemExit):
                 main(["frobnicate"])
             assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_a_higher_caller_limit_is_kept(self, capsys):
+        # 4,000 nested tags parse at limit 30,000 but not at 10,000, so the
+        # CLI must not lower the caller's limit while it runs.
+        text = "i(" * 4000 + "a" + ")" * 4000
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(30000)
+        try:
+            normal = normalize(parse_term(text))
+            code, out, err = run(capsys, "eval", "-e", text)
+            assert (code, out, err) == (0, f"{render_term(normal)} (0 steps)\n", "")
+            assert sys.getrecursionlimit() == 30000
         finally:
             sys.setrecursionlimit(saved)
 

@@ -7,6 +7,8 @@ laws second.
 
 from __future__ import annotations
 
+import sys
+import typing
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from strategies import (
     weight_exprs,
     weights,
 )
+from veracity import core
 from veracity.core import (
     ARG,
     Apply,
@@ -285,6 +288,37 @@ class TestAlphaEquality:
             Lambda("x", Var("x")),
         )
 
+    @pytest.mark.parametrize(
+        "a, b, equal",
+        [
+            # An inner binder shadows an outer one, renamed or not.
+            (Lambda("x", Lambda("x", Var("x"))), Lambda("q", Lambda("x", Var("x"))), True),
+            (Lambda("q", Lambda("x", Var("x"))), Lambda("x", Lambda("x", Var("x"))), True),
+            (Lambda("x", Lambda("x", Var("x"))), Lambda("x", Lambda("z", Var("x"))), False),
+            (Lambda("x", Lambda("z", Var("x"))), Lambda("x", Lambda("x", Var("x"))), False),
+            (Lambda("x", Lambda("y", Var("x"))), Lambda("y", Lambda("x", Var("y"))), True),
+            (
+                CasesOf(Var("s"), "x", Lambda("x", Var("x")), "y", Var("y")),
+                CasesOf(Var("s"), "u", Lambda("x", Var("x")), "y", Var("y")),
+                True,
+            ),
+            (
+                SplitOf(Var("p"), "x", "y", Lambda("y", Pair(Var("x"), Var("y")))),
+                SplitOf(Var("p"), "y", "x", Lambda("x", Pair(Var("y"), Var("x")))),
+                True,
+            ),
+            (
+                SplitOf(Var("p"), "x", "y", Pair(Var("x"), Var("y"))),
+                SplitOf(Var("p"), "x", "x", Pair(Var("x"), Var("x"))),
+                False,
+            ),
+        ],
+    )
+    def test_shadowing(self, a, b, equal) -> None:
+        assert alpha_equal(a, b) is equal
+        assert alpha_equal(b, a) is equal
+        assert (to_db(a) == to_db(b)) is equal
+
     @given(terms())
     @settings(max_examples=300)
     def test_reflexive(self, t) -> None:
@@ -306,6 +340,75 @@ class TestAlphaEquality:
         renamed = _prime_binders(t)
         assert alpha_equal(t, renamed)
         assert to_db(t) == to_db(renamed)
+
+
+def _chain(depth, binder, bottom):
+    """depth nested binders \\b_k.(inner, b_k) around bottom."""
+    term = bottom
+    for k in range(depth):
+        term = Lambda(f"{binder}{k}", Pair(term, Var(f"{binder}{k}")))
+    return term
+
+
+class TestDeepTerms:
+    """Deep terms compare and report free names at a recursion limit far
+    below their depth."""
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    def test_alpha_equal_on_renamed_chains(self) -> None:
+        assert alpha_equal(_chain(20000, "x", Var("z")), _chain(20000, "y", Var("z")))
+
+    def test_alpha_equal_sees_a_difference_at_the_bottom(self) -> None:
+        assert not alpha_equal(_chain(20000, "x", Var("z")), _chain(20000, "y", Var("w")))
+        # The outermost binder in one, the innermost in the other.
+        assert not alpha_equal(_chain(20000, "x", Var("x0")), _chain(20000, "x", Var("x19999")))
+
+    def test_free_vars_on_a_chain(self) -> None:
+        bottom = Pair(Var("z"), Pair(Var("x5"), Var("x20000")))
+        assert free_vars(_chain(20000, "x", bottom)) == {"z", "x20000"}
+
+
+_SAMPLES = {
+    Atom: Atom("a", Provenance(who="p")),
+    Var: Var("v"),
+    Pair: Pair(Var("x"), Atom("a")),
+    TagL: TagL(Var("x")),
+    TagR: TagR(Atom("a")),
+    Lambda: Lambda("x", Var("x"), Mul(Const(Fraction(1, 2)), ARG)),
+    Apply: Apply(Var("f"), Var("x")),
+    CasesOf: CasesOf(Var("s"), "x", Var("x"), "y", Atom("b")),
+    SplitOf: SplitOf(Var("p"), "x", "y", Pair(Var("y"), Var("x"))),
+}
+
+
+class TestShapeTable:
+    """The table in core is the one description of term structure; a new
+    constructor without a row fails here."""
+
+    def test_every_constructor_has_one_row(self) -> None:
+        constructors = typing.get_args(core.Term)
+        assert len(set(constructors)) == len(constructors)
+        assert set(core._SHAPES) == set(constructors) == set(_SAMPLES)
+
+    @pytest.mark.parametrize("kind", typing.get_args(core.Term), ids=lambda k: k.__name__)
+    def test_rebuilding_from_own_subterms_gives_the_node(self, kind) -> None:
+        term = _SAMPLES[kind]
+        assert type(term) is kind
+        assert with_subterms(term, subterms(term)) == term
+
+    def test_binding_constructors(self) -> None:
+        assert set(core.BINDING_TERMS) == {Lambda, CasesOf, SplitOf}
+
+    @pytest.mark.parametrize("kind", core.BINDING_TERMS, ids=lambda k: k.__name__)
+    def test_one_scope_per_subterm(self, kind) -> None:
+        term = _SAMPLES[kind]
+        assert len(core._SHAPES[kind].scopes(term)) == len(subterms(term))
 
 
 def _prime_binders(term):

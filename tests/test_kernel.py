@@ -239,6 +239,28 @@ class TestOrElim:
             )
         assert exc.value.kind is ErrorKind.HYPOTHESIS_MISSING
 
+    @pytest.mark.parametrize(
+        "left, right, detail",
+        [
+            (C, B, "left branch assumes x : C, need A"),
+            (A, C, "right branch assumes y : C, need B"),
+            (C, C, "left branch assumes x : C, need A"),
+        ],
+    )
+    def test_branch_must_assume_its_disjunct(self, left, right, detail):
+        scrutinee = closed(TagL(Var("a")), "P", 1, Or(A, B))
+        with pytest.raises(CheckError) as exc:
+            check_or_elim(
+                scrutinee,
+                branch("x", left, A, Var("x")),
+                branch("y", right, B, Var("y")),
+                self.FAMILY,
+                "x",
+                "y",
+                ENV,
+            )
+        assert (exc.value.kind, exc.value.detail) == (ErrorKind.HYPOTHESIS_MISSING, detail)
+
     def test_branch_claim_must_match_family(self):
         scrutinee = closed(TagL(Var("a")), "P", 1, Or(A, B))
         with pytest.raises(CheckError) as exc:
@@ -365,6 +387,25 @@ class TestAndElim:
         with pytest.raises(CheckError) as exc:
             check_and_elim(self.scrutinee(), b, ConstantFamily(A), "x", "y", ENV)
         assert exc.value.kind is ErrorKind.HYPOTHESIS_MISSING
+
+    @pytest.mark.parametrize(
+        "fst, snd, detail",
+        [
+            (C, B, "branch assumes x : C, need A"),
+            (A, C, "branch assumes y : C, need B"),
+            (C, C, "branch assumes x : C, need A"),
+            # Both variables are discharged before either claim is compared.
+            (C, None, "no hypothesis 'y' to discharge"),
+        ],
+    )
+    def test_branch_must_assume_both_components(self, fst, snd, detail):
+        hyps = [Hypothesis("x", "P", Fraction(1), fst)]
+        if snd is not None:
+            hyps.append(Hypothesis("y", "P", Fraction(1), snd))
+        b = Sequent(tuple(hyps), Judgement(Var("x"), "P", Fraction(1), A))
+        with pytest.raises(CheckError) as exc:
+            check_and_elim(self.scrutinee(), b, ConstantFamily(A), "x", "y", ENV)
+        assert (exc.value.kind, exc.value.detail) == (ErrorKind.HYPOTHESIS_MISSING, detail)
 
 
 class TestImpliesIntro:
