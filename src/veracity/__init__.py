@@ -70,6 +70,7 @@ from .semantics import (
 )
 from .trust import (
     ChainStarComparison,
+    DecayBudgetExceeded,
     TrustGraph,
     best_trust,
     best_trust_path,
@@ -97,6 +98,7 @@ __all__ = [
     "CheckEnv",
     "CheckError",
     "Claimhood",
+    "DecayBudgetExceeded",
     "DepthExceeded",
     "ErrorKind",
     "Hypothesis",

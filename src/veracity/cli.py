@@ -11,7 +11,8 @@ Subcommands:
 Exit status: 0 when everything succeeds; 1 when a proof fails to check,
 a query does not hold, a soundness check finds the proof unsound or cannot
 run (the proof does not check or a hypothesis fails in the model), a step
-budget runs out, or a claim nests arrows past the depth bound; and 2 on
+budget runs out, a claim nests arrows past the depth bound, or a trust
+relation's decay search runs past its work budget; and 2 on
 unusable input: a parse or IO failure, a script that is not valid UTF-8, a
 structured report that would hold a line break ("\n" or "\r"), or a bad
 option such as a negative --step-budget. Output is deterministic:
@@ -55,7 +56,13 @@ from .semantics import (
     model_from_script,
     soundness_check,
 )
-from .trust import TrustGraph, compare_relations, relation_properties
+from .trust import (
+    DecayBudgetExceeded,
+    TrustGraph,
+    compare_relations,
+    relation_properties,
+    symmetric_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,20 @@ def _model_into(out: _Output, path: str, script: Script) -> None:
 def _trust_into(out: _Output, path: str, script: Script) -> None:
     out.lines.append(f"trust {path}")
     for relation in script.relations:
-        props = relation_properties(TrustGraph.from_relation(relation))
-        pairs = props.symmetric_pairs
-        decay_path = decay_weight = ""
-        if props.longest_chain_decay is not None:
-            actors, weight = props.longest_chain_decay
-            decay_path, decay_weight = " -> ".join(actors), format_weight(weight)
+        try:
+            props = relation_properties(TrustGraph.from_relation(relation))
+        except DecayBudgetExceeded as err:
+            pairs, failed = symmetric_pairs(relation), True
+            decay_fields = [("status", "budget-exceeded"), ("budget", str(err.budget))]
+            decay_text = f"not computed within budget {err.budget}"
+        else:
+            pairs, failed = props.symmetric_pairs, False
+            decay_path = decay_weight = ""
+            if props.longest_chain_decay is not None:
+                actors, weight = props.longest_chain_decay
+                decay_path, decay_weight = " -> ".join(actors), format_weight(weight)
+            decay_fields = [("decay-path", decay_path), ("decay-weight", decay_weight)]
+            decay_text = f"{decay_path} @ {decay_weight}" if decay_path else "none"
         # Self-trust is implicit, so every relation is reflexive-complete.
         out.add(
             f"trust {path} relation {relation.name}",
@@ -305,13 +320,13 @@ def _trust_into(out: _Output, path: str, script: Script) -> None:
                 ("edges", str(len(relation.edges))),
                 ("reflexive-complete", "true"),
                 ("symmetric-pairs", " ".join(f"{a}<->{b}" for a, b in pairs)),
-                ("decay-path", decay_path),
-                ("decay-weight", decay_weight),
+                *decay_fields,
             ],
             f"  relation {relation.name}: {_plural(len(relation.edges), 'edge')}",
             "    reflexive: complete (implicit self-trust)",
             f"    symmetric pairs: {', '.join(f'{a} <-> {b}' for a, b in pairs) or 'none'}",
-            f"    decay: {f'{decay_path} @ {decay_weight}' if decay_path else 'none'}",
+            f"    decay: {decay_text}",
+            failed=failed,
         )
     for index, compare in enumerate(script.compares, 1):
         relations = script.relation(compare.chain), script.relation(compare.star)

@@ -347,20 +347,18 @@ def _denote(claim: Claim, model: Model) -> frozenset[WeightedWitness]:
     raise TypeError(f"not a claim: {claim!r}")
 
 
-def _contains(term: SemanticTerm, kinds: tuple[type, ...]) -> bool:
-    """Whether term has a node of one of the kinds; tables are leaves."""
+def _kinds_held(term: SemanticTerm) -> tuple[bool, bool]:
+    """Whether term holds a table, and whether it holds a binder, from one
+    walk that stops at the first table; tables are leaves."""
+    binder = False
     todo = [term]
     while todo:
         node = todo.pop()
-        if isinstance(node, kinds):
-            return True
-        if not isinstance(node, MapTable):
-            todo.extend(subterms(node))
-    return False
-
-
-def _contains_table(term: SemanticTerm) -> bool:
-    return _contains(term, (MapTable,))
+        if isinstance(node, MapTable):
+            return True, binder
+        binder = binder or isinstance(node, BINDING_TERMS)
+        todo.extend(subterms(node))
+    return False, binder
 
 
 def member(
@@ -377,10 +375,10 @@ def member(
     """
     claim, witness = judgement.claim, judgement.witness
     _check_depth(claim, depth_bound)
-    if not _contains_table(witness):
+    table, binder = _kinds_held(witness)
+    if not table:
         # Binder-free terms are alpha-equal exactly when they are equal.
-        exact = not _contains(witness, BINDING_TERMS)
-        weight = _held(claim, witness, judgement.actor, model, exact)
+        weight = _held(claim, witness, judgement.actor, model, not binder)
         return weight is not None and weight >= judgement.weight
     for actor, share in model.reach(judgement.actor).items():
         weight = _held(claim, witness, actor, model, True)
@@ -528,7 +526,7 @@ def _render_semantic_term(term: SemanticTerm) -> str:
             for key, value in term.entries
         )
         return f"table{{{inner}}}"
-    if _contains_table(term):
+    if _kinds_held(term)[0]:
         if isinstance(term, Pair):
             parts = f"{_render_semantic_term(term.fst)},{_render_semantic_term(term.snd)}"
             return f"({parts})"

@@ -20,13 +20,38 @@ actors of its own component already on the path, and when the path
 enters a component that is the entry actor alone. The search therefore
 runs components in reverse topological order and keeps one answer per
 entry actor: an acyclic relation, where every component is one actor,
-costs time linear in its edges, and only a cyclic component is searched
-by backtracking over its simple paths, which can take time exponential in
-its size. A positive edge weight keeps the order of the completions
-behind it, but a zero-weight edge makes every completion weigh 0, so
-behind it the least path is the lexicographically first one: the
-smallest free successor at every step. Suffixes are shared cons cells,
-so memory stays linear in actors and edges, and no step recurses.
+costs time linear in its edges.
+
+Inside a cyclic component the order has optimal substructure: multiplying
+by a positive weight keeps the order of weights, and putting the same
+actor in front keeps the order of paths. So in a component of at most
+MEMO_CAP actors (12) the least completion from a state, the bitmask of
+the component's actors on the path and the current actor, is worked out
+once (the subset method of Held and Karp 1962) and kept in one memo that
+every entry actor of the component shares: at most MEMO_CAP *
+2**(MEMO_CAP - 1) states, filled from one explicit stack and dropped
+when the component is done. A larger component is searched by
+backtracking over its simple paths, which can take time exponential in
+its size. A zero-weight edge makes every completion behind it weigh 0,
+so behind it the least path is the lexicographically first one: the
+smallest free successor at every step.
+
+Exits from a component lead into components already searched, so an
+actor's least exit is the same whatever else is on the path: it is found
+once per actor, and a frame walks only the edges inside its component.
+Both searches count their work, one unit per memo state or backtracking
+frame pushed below an entry actor, against one budget of DECAY_BUDGET
+units per relation (100,000); past it relation_properties raises
+DecayBudgetExceeded instead of running on. An acyclic relation pushes
+no frame.
+
+Weights in the search are unreduced (numerator, denominator) int pairs,
+multiplied fieldwise with no gcd and compared by cross-multiplying; only
+the witness becomes a Fraction. A pair grows no faster than the Fraction
+product it replaces, where a common denominator for the whole relation
+would, with many distinct prime denominators, run to millions of bits.
+Suffixes are shared cons cells, so memory outside the memo stays linear
+in actors and edges, and no step recurses.
 """
 
 from __future__ import annotations
@@ -183,6 +208,36 @@ class RelationProperties:
     longest_chain_decay: Optional[tuple[tuple[str, ...], Weight]]
 
 
+# A cyclic component of at most MEMO_CAP actors is searched with a memo of
+# at most MEMO_CAP * 2**(MEMO_CAP - 1) = 24,576 states; a complete relation
+# of that size takes about 0.2 s and 7 MiB. Beyond it the memo grows too
+# large to be worth holding, and larger components are backtracked.
+MEMO_CAP = 12
+# Frames the decay search may push in one relation, each walking at most
+# its actor's edges inside the component: room for four full memos of
+# MEMO_CAP actors and for every relation of the trust-graphs benchmark
+# (the largest takes about 6,300), while a 60-actor complete relation
+# reaches it in about half a second.
+DECAY_BUDGET = 100_000
+
+
+class DecayBudgetExceeded(RuntimeError):
+    """The decay search would push more than budget frames."""
+
+    def __init__(self, budget: int) -> None:
+        super().__init__(f"decay not computed within budget {budget}")
+        self.budget = budget
+
+
+def symmetric_pairs(relation: TrustRelation) -> tuple[tuple[str, str], ...]:
+    """The actor pairs with an edge each way, each pair in name order."""
+    return tuple(sorted(
+        (e.source, e.target)
+        for e in relation.edges
+        if e.source < e.target and relation.weight_between(e.target, e.source) is not None
+    ))
+
+
 def relation_properties(graph: TrustGraph) -> RelationProperties:
     """Report symmetric edges and chain decay.
 
@@ -194,27 +249,40 @@ def relation_properties(graph: TrustGraph) -> RelationProperties:
     an actor with no such edge at all is a one-actor path of weight 1.
     Equal products go to the path that is smaller as a tuple of actor
     names, so the witness is unique. It is found by the search described
-    in the module docstring: linear in the edges on an acyclic relation,
-    exponential only in the size of a cyclic strongly connected component.
+    in the module docstring: linear in the edges on an acyclic relation;
+    in a cyclic strongly connected component of at most MEMO_CAP actors
+    one memo over (on-path actors, actor) states shared by all its entry
+    actors; in a larger one a backtracking search. Products are exact
+    (numerator, denominator) int pairs until the witness becomes a
+    Fraction. Raises DecayBudgetExceeded, carrying .budget, when the memo
+    states and backtracking frames together would pass DECAY_BUDGET.
     """
-    relation = graph.relation
-    symmetric = sorted(
-        (e.source, e.target)
-        for e in relation.edges
-        if e.source < e.target and relation.weight_between(e.target, e.source) is not None
-    )
     decay: Optional[tuple[tuple[str, ...], Weight]] = None
     if graph.actors:
-        weight, suffix = min(_least_decays(graph).values())
-        decay = (_flatten(suffix), weight)
-    return RelationProperties(tuple(symmetric), decay)
+        least = None
+        for found in _least_decays(graph).values():
+            if least is None or _below(found, least):
+                least = found
+        numerator, denominator, suffix = least
+        decay = (_flatten(suffix), Fraction(numerator, denominator))
+    return RelationProperties(symmetric_pairs(graph.relation), decay)
 
 
 # A path suffix is a cons list (actor, rest) ending in (). Cons lists compare
 # exactly like the flat tuples they spell, and a suffix found once is shared
-# by every longer path that ends with it.
+# by every longer path that ends with it. A completion is (numerator,
+# denominator, suffix): a path's weight as an unreduced int pair with a
+# positive denominator, and the path.
 Suffix = tuple
-Successors = dict[str, list[tuple[str, Weight]]]
+Completion = tuple[int, int, Suffix]
+Successors = dict[str, list[tuple[str, int, int]]]
+
+
+def _below(a: Completion, b: Completion) -> bool:
+    """Whether completion a comes before b: the smaller weight, compared by
+    cross-multiplying, then the smaller path."""
+    left, right = a[0] * b[1], b[0] * a[1]
+    return left < right or (left == right and a[2] < b[2])
 
 
 def _flatten(suffix: Suffix) -> tuple[str, ...]:
@@ -225,27 +293,61 @@ def _flatten(suffix: Suffix) -> tuple[str, ...]:
     return tuple(path)
 
 
-def _least_decays(graph: TrustGraph) -> dict[str, tuple[Weight, Suffix]]:
-    """The least (weight, path) maximal simple path from every actor."""
+def _least_decays(graph: TrustGraph) -> dict[str, Completion]:
+    """The least completion, a maximal simple path, from every actor."""
     successors: Successors = {actor: [] for actor in graph.actors}
     for edge in graph.relation.edges:
         if edge.source != edge.target:
-            successors[edge.source].append((edge.target, edge.weight))
+            weight = edge.weight
+            successors[edge.source].append((edge.target, weight.numerator, weight.denominator))
     for steps in successors.values():
         steps.sort()
 
     # First paths are only ever taken behind a zero-weight edge.
     zero = any(edge.weight == 0 for edge in graph.relation.edges)
-    least: dict[str, tuple[Weight, Suffix]] = {}
+    least: dict[str, Completion] = {}
     first: dict[str, Suffix] = {}
+    work = [DECAY_BUDGET]
     for members in _strong_components(successors):
         inside = frozenset(members)
         if zero:
             for actor in members:
                 first[actor] = _first_path(actor, set(), inside, successors, first)
+        inner = {actor: [s for s in successors[actor] if s[0] in inside] for actor in members}
+        exits = {actor: _least_exit(actor, successors[actor], inside, least, first) for actor in members}
+        bits = None
+        if 1 < len(members) <= MEMO_CAP:
+            bits = {actor: 1 << i for i, actor in enumerate(members)}
+        memo: dict[tuple[int, str], Completion] = {}
         for actor in members:
-            least[actor] = _least_path(actor, inside, successors, least, first)
+            least[actor] = _least_path(
+                actor, inside, inner, exits, successors, first, bits, memo, work
+            )
     return least
+
+
+def _least_exit(
+    actor: str,
+    steps: list[tuple[str, int, int]],
+    inside: frozenset[str],
+    least: dict[str, Completion],
+    first: dict[str, Suffix],
+) -> Optional[Completion]:
+    """The least completion from actor that leaves its component at once,
+    None when it has no exit. Exits lead into components already searched,
+    so it is the same whatever else is on the path."""
+    best = None
+    for target, numerator, denominator in steps:
+        if target in inside:
+            continue
+        if numerator:
+            product, under, suffix = least[target]
+            found = (numerator * product, denominator * under, (actor, suffix))
+        else:
+            found = (0, 1, (actor, first[target]))
+        if best is None or _below(found, best):
+            best = found
+    return best
 
 
 def _strong_components(successors: Successors) -> list[list[str]]:
@@ -265,7 +367,7 @@ def _strong_components(successors: Successors) -> list[list[str]]:
         work = [(root, iter(successors[root]))]
         while work:
             actor, steps = work[-1]
-            for target, _ in steps:
+            for target, _, _ in steps:
                 if target not in index:
                     index[target] = low[target] = len(index)
                     stack.append(target)
@@ -307,7 +409,7 @@ def _first_path(
             break
         walk.append(step)
         on_path.add(step)
-        step = next((t for t, _ in successors[step] if t not in on_path), None)
+        step = next((t for t, _, _ in successors[step] if t not in on_path), None)
     on_path.difference_update(walk)
     for actor in reversed(walk):
         tail = (actor, tail)
@@ -317,43 +419,64 @@ def _first_path(
 def _least_path(
     entry: str,
     inside: frozenset[str],
+    inner: Successors,
+    exits: dict[str, Optional[Completion]],
     successors: Successors,
-    least: dict[str, tuple[Weight, Suffix]],
     first: dict[str, Suffix],
-) -> tuple[Weight, Suffix]:
-    """The least (weight, path) maximal simple path from entry, found by
-    backtracking through entry's component; exits into components already
-    searched read their answers from least and first."""
+    bits: Optional[dict[str, int]],
+    memo: dict[tuple[int, str], Completion],
+    work: list[int],
+) -> Completion:
+    """The least completion from entry through entry's component, whose
+    actors' successors inside it are inner and whose least exits are exits.
+    When bits numbers the component's actors, memo holds the least
+    completion of every (bitmask of on-path actors, actor) state already
+    searched, and the search reads and fills it; otherwise it backtracks.
+    work holds what is left of the budget: each frame pushed below entry
+    costs one, and walks only the edges inside the component."""
+    if bits is not None and (bits[entry], entry) in memo:
+        return memo[bits[entry], entry]
     on_path = {entry}
-    # A frame is [actor, weight of the edge into it, its successor
-    # iterator, least completion found so far].
-    stack: list[list] = [[entry, Fraction(1), iter(successors[entry]), None]]
+    left = work[0]
+    # A frame is [actor, the edge into it as numerator and denominator, the
+    # bitmask of on-path actors (None without bits), its iterator over
+    # inner, least completion found so far].
+    stack: list[list] = [[entry, 1, 1, bits and bits[entry], iter(inner[entry]), exits[entry]]]
     while True:
         frame = stack[-1]
-        actor, into, steps, best = frame
-        for target, weight in steps:
+        actor, into, over, mask, steps, best = frame
+        for target, numerator, denominator in steps:
             if target in on_path:
                 continue
-            if weight and target in inside:
-                frame[3] = best
-                on_path.add(target)
-                stack.append([target, weight, iter(successors[target]), None])
-                break
-            if weight:
-                product, suffix = least[target]
-                found = (weight * product, (actor, suffix))
+            if not numerator:
+                found = (0, 1, (actor, _first_path(target, on_path, inside, successors, first)))
             else:
-                found = (weight, (actor, _first_path(target, on_path, inside, successors, first)))
-            if best is None or found < best:
+                known = bits and memo.get((mask | bits[target], target))
+                if not known:
+                    left -= 1
+                    if left < 0:
+                        raise DecayBudgetExceeded(DECAY_BUDGET)
+                    frame[5] = best
+                    on_path.add(target)
+                    stack.append([
+                        target, numerator, denominator, bits and mask | bits[target],
+                        iter(inner[target]), exits[target],
+                    ])
+                    break
+                found = (numerator * known[0], denominator * known[1], (actor, known[2]))
+            if best is None or _below(found, best):
                 best = found
         else:
             stack.pop()
             on_path.discard(actor)
             if best is None:
-                best = (Fraction(1), (actor, ()))
+                best = (1, 1, (actor, ()))
+            if bits is not None:
+                memo[mask, actor] = best
             if not stack:
+                work[0] = left
                 return best
             parent = stack[-1]
-            found = (into * best[0], (parent[0], best[1]))
-            if parent[3] is None or found < parent[3]:
-                parent[3] = found
+            found = (into * best[0], over * best[1], (parent[0], best[2]))
+            if parent[5] is None or _below(found, parent[5]):
+                parent[5] = found

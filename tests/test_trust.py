@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -12,13 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decayoracle
 from strategies import weights
 import veracity
+from veracity.cli import main
 from veracity.core import Atomic, Judgement, Sequent, TrustEdge, TrustRelation, Var, format_weight
 from veracity.kernel import CheckEnv, check_trust
 from veracity.parser import parse_script
+from veracity.report import parse_structured
 from veracity.trust import (
+    DECAY_BUDGET,
     ChainStarComparison,
+    DecayBudgetExceeded,
     TrustGraph,
     best_trust,
     best_trust_path,
@@ -27,6 +33,7 @@ from veracity.trust import (
     compare_relations,
     path_weights,
     relation_properties,
+    symmetric_pairs,
 )
 
 
@@ -106,6 +113,56 @@ def small_graphs(draw):
         TrustEdge(a, b, draw(st.one_of(TIED_WEIGHTS, weights))) for a, b in chosen
     )
     return TrustGraph.from_relation(TrustRelation("T", edges), names[len(linked):])
+
+
+@st.composite
+def component_graphs(draw):
+    """Up to eight actors, some of them isolated and the rest split into up
+    to three groups. A cycle through each group makes it one strongly
+    connected component, a drawn share of its other pairs fills it in, and
+    edges run from earlier groups to later ones only, so they are exits.
+    Self-loops are drawn too, and weights tie often and include 0 and 1,
+    inside components and on exits."""
+    names = draw(st.permutations(["p", "q", "r", "s", "t", "u", "v", "w"]))
+    names = names[: draw(st.integers(0, 8))]
+    linked = names[: draw(st.integers(0, len(names)))]
+    group = {actor: draw(st.integers(0, 2)) for actor in linked}
+    pairs = set()
+    for index in set(group.values()):
+        members = [actor for actor in linked if group[actor] == index]
+        if len(members) > 1:
+            pairs.update(zip(members, members[1:] + members[:1]))
+    density = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    for a in linked:
+        for b in linked:
+            if group[a] < group[b] or (group[a] == group[b] and a != b and (a, b) not in pairs):
+                if draw(st.floats(0, 1)) < density:
+                    pairs.add((a, b))
+            elif a == b and draw(st.integers(0, 3)) == 0:
+                pairs.add((a, a))
+    edges = tuple(
+        TrustEdge(a, b, draw(st.one_of(TIED_WEIGHTS, weights))) for a, b in sorted(pairs)
+    )
+    return TrustGraph.from_relation(TrustRelation("T", edges), names[len(linked):])
+
+
+@st.composite
+def ring_graphs(draw):
+    """A directed ring of 13 to 20 actors, more than the decay memo takes,
+    with up to four chords or reversed edges and up to two exits to actors
+    outside it, weights tying often; sparse enough to backtrack quickly."""
+    n = draw(st.integers(13, 20))
+    actors = [f"r{i:02d}" for i in range(n)]
+    pairs = set(zip(actors, actors[1:] + actors[:1]))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(actors)), draw(st.sampled_from(actors))
+        pairs.add((a, b))
+    for exit_actor in ("x", "y")[: draw(st.integers(0, 2))]:
+        pairs.add((draw(st.sampled_from(actors)), exit_actor))
+    edges = tuple(
+        TrustEdge(a, b, draw(st.one_of(TIED_WEIGHTS, weights))) for a, b in sorted(pairs)
+    )
+    return TrustGraph.from_relation(TrustRelation("T", edges))
 
 
 def chain_actors(n: int) -> list[str]:
@@ -358,6 +415,16 @@ class TestRelationProperties:
     def test_matches_the_enumeration_oracle(self, g):
         assert relation_properties(g).longest_chain_decay == oracle_decay(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(component_graphs())
+    def test_matches_the_backtracking_search(self, g):
+        assert relation_properties(g).longest_chain_decay == decayoracle.decay(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ring_graphs())
+    def test_matches_the_backtracking_search_past_the_memo_cap(self, g):
+        assert relation_properties(g).longest_chain_decay == decayoracle.decay(g)
+
     def test_long_chain_at_the_default_recursion_limit(self, default_recursion_limit):
         actors = chain_actors(3000)
         g = graph(*((a, b, "4/5") for a, b in zip(actors, actors[1:])))
@@ -392,3 +459,139 @@ class TestRelationProperties:
         assert done.returncode == 0, done.stderr
         decay = f"    decay: {' -> '.join(actors)} @ {format_weight(Fraction(4, 5) ** 2999)}"
         assert decay in done.stdout.splitlines()
+
+
+def planted_complete(n: int) -> tuple[TrustRelation, tuple[str, ...]]:
+    """A complete digraph on n actors with every edge at 1 except those of
+    one Hamiltonian path, in a seeded order, at 1/2; and that path. Every
+    maximal simple path of a complete digraph visits every actor, and any
+    other one crosses fewer planted edges, so the planted path is the
+    decay witness, at (1/2)**(n - 1)."""
+    actors = [f"k{i:02d}" for i in range(n)]
+    planted = actors[:]
+    random.Random(n).shuffle(planted)
+    halves = set(zip(planted, planted[1:]))
+    edges = tuple(
+        TrustEdge(a, b, Fraction(1, 2) if (a, b) in halves else Fraction(1))
+        for a in actors
+        for b in actors
+        if a != b
+    )
+    return TrustRelation("T", edges), tuple(planted)
+
+
+def dense_relation(n: int) -> TrustRelation:
+    """A complete digraph on n actors with seeded weights in tenths."""
+    rng = random.Random(n)
+    actors = [f"d{i:02d}" for i in range(n)]
+    return TrustRelation(
+        "T",
+        tuple(
+            TrustEdge(a, b, Fraction(rng.randint(1, 10), 10))
+            for a in actors
+            for b in actors
+            if a != b
+        ),
+    )
+
+
+def relation_script(relation: TrustRelation) -> str:
+    actors = sorted(relation.actors())
+    return f"actor {', '.join(actors)}.\n\ntrust {relation.name} {{\n" + "".join(
+        f"  {e.source} -> {e.target} @ {format_weight(e.weight)}.\n" for e in relation.edges
+    ) + "}\n"
+
+
+# Cases the old backtracking search could not finish: two with a known
+# witness, computed exactly, and one past the work budget.
+DECAY_CASES = {
+    "complete-10": lambda: planted_complete(10),
+    "complete-12": lambda: planted_complete(12),
+    "dense-60": lambda: (dense_relation(60), None),
+}
+
+# Seconds any one of them may take, in the library or through the CLI.
+WALL_BOUND = 20
+
+
+def expected_decay(relation: TrustRelation, path):
+    """The decay text line, the structured fields and the exit code."""
+    pairs = " ".join(f"{a}<->{b}" for a, b in symmetric_pairs(relation))
+    head = (("edges", str(len(relation.edges))), ("reflexive-complete", "true"), ("symmetric-pairs", pairs))
+    if path is None:
+        line = f"    decay: not computed within budget {DECAY_BUDGET}"
+        return line, head + (("status", "budget-exceeded"), ("budget", str(DECAY_BUDGET))), 1
+    shown = format_weight(Fraction(1, 2) ** (len(path) - 1))
+    line = f"    decay: {' -> '.join(path)} @ {shown}"
+    return line, head + (("decay-path", " -> ".join(path)), ("decay-weight", shown)), 0
+
+
+class TestDecaySearchBounds:
+    @pytest.mark.parametrize("case", DECAY_CASES)
+    def test_library(self, case):
+        relation, path = DECAY_CASES[case]()
+        started = time.perf_counter()
+        if path is None:
+            with pytest.raises(DecayBudgetExceeded) as raised:
+                relation_properties(TrustGraph.from_relation(relation))
+            assert raised.value.budget == DECAY_BUDGET
+        else:
+            props = relation_properties(TrustGraph.from_relation(relation))
+            assert props.longest_chain_decay == (path, Fraction(1, 2) ** (len(path) - 1))
+        assert time.perf_counter() - started < WALL_BOUND
+
+    def test_exits_do_not_multiply_the_work(self):
+        # 13 complete actors, one past the memo cap, each with an edge to
+        # each of 300 actors outside: every frame of the search would
+        # cost 300 more steps if it walked the exits again.
+        relation = dense_relation(13)
+        sinks = [f"z{i:03d}" for i in range(300)]
+        edges = relation.edges + tuple(
+            TrustEdge(a, z, Fraction(1, 2)) for a in sorted(relation.actors()) for z in sinks
+        )
+        started = time.perf_counter()
+        with pytest.raises(DecayBudgetExceeded):
+            relation_properties(TrustGraph.from_relation(TrustRelation("T", edges)))
+        assert time.perf_counter() - started < 5
+
+    # Each case runs trust and report, each in text and structured form,
+    # one of the two in process and the other in a subprocess.
+    @pytest.mark.parametrize("case", DECAY_CASES)
+    @pytest.mark.parametrize(
+        ("command", "output_format", "in_process"),
+        [
+            ("trust", "structured", True),
+            ("report", "text", True),
+            ("trust", "text", False),
+            ("report", "structured", False),
+        ],
+    )
+    def test_cli(self, case, command, output_format, in_process, tmp_path, capsys):
+        relation, path = DECAY_CASES[case]()
+        script = tmp_path / "dense.vlp"
+        script.write_text(relation_script(relation), encoding="utf-8")
+        argv = [command, str(script), "--format", output_format]
+        started = time.perf_counter()
+        if in_process:
+            code = main(argv)
+            out = capsys.readouterr().out
+        else:
+            src = str(Path(veracity.__file__).resolve().parent.parent)
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from veracity.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True,
+                text=True,
+                timeout=WALL_BOUND,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert done.stderr == ""
+            code, out = done.returncode, done.stdout
+        assert time.perf_counter() - started < WALL_BOUND
+        line, fields, want = expected_decay(relation, path)
+        assert code == want
+        if output_format == "text":
+            assert line in out.splitlines()
+        else:
+            section = f"trust {script} relation T"
+            found = [s.fields for s in parse_structured(out).sections if s.name == section]
+            assert found == [fields]
