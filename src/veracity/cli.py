@@ -13,7 +13,9 @@ a query does not hold, a soundness check finds the proof unsound or cannot
 run (the proof does not check or a hypothesis fails in the model), a step
 budget runs out, a claim nests arrows past the depth bound, or a trust
 relation's decay search runs past its work budget; and 2 on
-unusable input: a parse or IO failure, a script that is not valid UTF-8, a
+unusable input: a parse or IO failure, a script that is not valid UTF-8,
+input that parses but nests too deep to check, evaluate, model or render
+("FILE: nesting too deep", or "-e: nesting too deep" for an -e term), a
 structured report that would hold a line break ("\n" or "\r"), or a bad
 option such as a negative --step-budget. Output is deterministic:
 identical inputs produce byte-identical reports. The --format flag selects
@@ -370,12 +372,22 @@ def _run(cfg: RunConfig, parts: tuple[_Part, ...], exprs=False, files_optional=F
         raise _CliError(2, "veracity eval: give -e expressions or input files")
     out = _Output(cfg)
     if exprs:
-        _eval_exprs_into(out)
+        _within_stack("-e", _eval_exprs_into, out)
     if cfg.input_paths or not files_optional:
         for path, script in _load_scripts(cfg):
             for part in parts:
-                part(out, path, script)
+                _within_stack(path, part, out, path, script)
     return out.code, out.lines, Report(tuple(out.sections))
+
+
+def _within_stack(where: str, part: Callable[..., None], *args) -> None:
+    """part(*args), where input that parsed but nests too deep for the
+    interpreter's stack to check, evaluate, model or render is unusable
+    input, reported at where."""
+    try:
+        part(*args)
+    except RecursionError:
+        raise _CliError(2, f"{where}: nesting too deep") from None
 
 
 def run_check(cfg: RunConfig) -> _Result:

@@ -18,6 +18,14 @@ feed and the rest) are unexpected characters, as any character no token
 starts with.  tokenize gives the same scan as Token tuples with their
 kinds and positions.
 
+Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
+three binary operators and recurses only for the right side of "->", a
+parenthesis or a negation.  Input nested past the interpreter's stack is a
+ParseError "nesting too deep".  Each parse shares its leaves: one Atomic
+per declared claim name, one Var per bound name, one Atom per name written
+without provenance.  A script proof or query is walked for an undeclared
+name, to report the first in a fixed order, only if the parser noted one.
+
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
 parentheses minimal; round-tripping a rendered value re-parses to an
@@ -36,10 +44,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, get_args
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union, get_args
 
 from .core import (
     ARG,
+    BOTTOM,
     And,
     Apply,
     Arg,
@@ -349,14 +358,15 @@ _RULE_SYNTAX: dict[Rule, _RuleSyntax] = {
     ),
 }
 
-# What each name-valued kind is called in a parse error, and the token that
-# ends a kind that is not followed by ",".
+# What each name-valued kind is called in a parse error, the kind of script
+# name it must be declared as, if any, and the token that ends a kind that
+# is not followed by ",".
 _NAME_KINDS = {
-    "binder": "a binder",
-    "var": "the discharged variable",
-    "relation": "a trust relation",
-    "source": "an actor",
-    "target": "an actor",
+    "binder": ("a binder", None),
+    "var": ("the discharged variable", None),
+    "relation": ("a trust relation", "relation"),
+    "source": ("an actor", "actor"),
+    "target": ("an actor", "actor"),
 }
 _SELF_ENDING = {"binder": ".", "source": "->"}
 
@@ -370,11 +380,32 @@ _SCRIPT_NAMES = {
     "model": ("model", "a model name", "a model name"),
 }
 
+# The binary claim operators: how tightly each binds and what it builds.
+# Conjunction and disjunction group to the left, implication to the right.
+_CLAIM_OPS = {"->": (1, Implies), "\\/": (2, Or), "/\\": (3, And)}
+
 _T = TypeVar("_T")
 
 
-def _needs_comma(kinds: tuple[str, ...], k: int) -> bool:
-    return k > 0 and kinds[k] != "weight" and kinds[k - 1] not in _SELF_ENDING
+# Each rule's arguments in order, as (kind, whether "," comes before it).
+_ARG_LAYOUT: dict[Rule, tuple[tuple[str, bool], ...]] = {
+    rule: tuple(
+        (kind, k > 0 and kind != "weight" and kinds[k - 1] not in _SELF_ENDING)
+        for k, kind in enumerate(kinds)
+    )
+    for rule, (kinds, _, _) in _RULE_SYNTAX.items()
+}
+
+
+class _Leaves(dict):
+    """One leaf per name, built the first time the name is looked up."""
+
+    def __init__(self, build: Callable[[str], Any]) -> None:
+        self.build = build
+
+    def __missing__(self, name: str) -> Any:
+        leaf = self[name] = self.build(name)
+        return leaf
 
 
 class _Parser:
@@ -390,11 +421,14 @@ class _Parser:
         # Each weight literal converted so far, by its text.
         self.weights: dict[str, Weight] = {}
         # The names bound where the parser stands, each with the number of
-        # enclosing binders that bind it.  Binders bind and unbind beside
-        # the call that parses their body, not in a helper around it, so a
-        # nesting level costs the same frames and "nesting too deep" is
-        # reported where it always was.
+        # enclosing binders that bind it.
         self.bound: dict[str, int] = {}
+        # The leaves this parse shares.
+        self.var_leaves = _Leaves(Var)
+        self.atom_leaves = _Leaves(Atom)
+        self.claim_leaves: dict[str, Atomic] = {}
+        # False once the proof or query being read names an undeclared name.
+        self.all_declared = True
         # The actor of a judgement or hypothesis written without ^actor;
         # a script resets it where it declares actors.
         self.default_actor = DEFAULT_ACTOR
@@ -402,18 +436,6 @@ class _Parser:
         # with its kind, a key of _SCRIPT_NAMES.
         self.actors: list[str] = []
         self.declared: dict[str, str] = {}
-
-    def bind(self, names: Iterable[str]) -> None:
-        for name in names:
-            self.bound[name] = self.bound.get(name, 0) + 1
-
-    def unbind(self, names: Iterable[str]) -> None:
-        for name in names:
-            left = self.bound[name] - 1
-            if left:
-                self.bound[name] = left
-            else:
-                del self.bound[name]
 
     # -- token plumbing
 
@@ -445,8 +467,6 @@ class _Parser:
 
     def expect_ident(self, what: str = "identifier") -> str:
         found = self.texts[self.pos]
-        # _is_ident inline: a call would deepen the deepest frame of each
-        # binder's nesting level, and "nesting too deep" would come sooner.
         if found[:1] not in _IDENT_START or found == "_|_":
             raise ParseError(f"expected {what}, found {_describe(found)}", *self.loc(self.pos))
         self.pos += 1
@@ -502,64 +522,74 @@ class _Parser:
     # -- claims
 
     def claim(self) -> Claim:
-        left = self.claim_or()
-        if self.accept("->"):
-            return Implies(left, self.claim())
-        return left
-
-    def claim_or(self) -> Claim:
-        left = self.claim_and()
-        while self.accept("\\/"):
-            left = Or(left, self.claim_and())
-        return left
-
-    def claim_and(self) -> Claim:
-        left = self.claim_unary()
-        while self.accept("/\\"):
-            left = And(left, self.claim_unary())
-        return left
+        # Each operand of /\ or \/ waits, with its operator, for an operator
+        # that binds no tighter; ->, the loosest, takes the rest as its
+        # right side.
+        waiting: list[tuple[Claim, int, type]] = []
+        operand = self.claim_unary()
+        while True:
+            op = _CLAIM_OPS.get(self.texts[self.pos])
+            tightness = op[0] if op else 0
+            while waiting and waiting[-1][1] >= tightness:
+                left, _, build = waiting.pop()
+                operand = build(left, operand)
+            if op is None:
+                return operand
+            self.pos += 1
+            if op[1] is Implies:
+                return Implies(operand, self.claim())
+            waiting.append((operand, *op))
+            operand = self.claim_unary()
 
     def claim_unary(self) -> Claim:
-        if self.accept("~"):
-            return Implies(self.claim_unary(), Bottom())
-        return self.claim_atom()
-
-    def claim_atom(self) -> Claim:
-        if self.accept("_|_"):
-            return Bottom()
-        if self.accept("("):
+        at = self.pos
+        found = self.texts[at]
+        self.pos = at + 1
+        leaf = self.claim_leaves.get(found)
+        if leaf is not None:
+            return leaf
+        if found == "~":
+            return Implies(self.claim_unary(), BOTTOM)
+        if found == "(":
             inner = self.claim()
             self.expect(")")
             return inner
-        found = self.texts[self.pos]
-        if not _is_ident(found):
-            raise ParseError(f"expected a claim, found {_describe(found)}", *self.loc(self.pos))
-        self.pos += 1
+        if found == "_|_":
+            return BOTTOM
+        if found[:1] not in _IDENT_START:
+            raise ParseError(f"expected a claim, found {_describe(found)}", *self.loc(at))
+        self.all_declared = False
         return Atomic(found)
 
     # -- witness terms
 
     def term(self) -> Term:
-        if self.at("\\"):
-            return self.lambda_term()
-        return self.application()
-
-    def lambda_term(self) -> Term:
-        self.expect("\\")
-        param = self.expect_ident("a parameter name")
-        self.expect(".")
-        self.bind((param,))
-        body = self.term()
-        self.unbind((param,))
-        if self.accept("@"):
-            return Lambda(param, body, self.weight_expr())
-        return Lambda(param, body)
-
-    def application(self) -> Term:
+        if self.accept("\\"):
+            param = self.expect_ident("a parameter name")
+            self.expect(".")
+            body = self.scoped_term((param,))
+            if self.accept("@"):
+                return Lambda(param, body, self.weight_expr())
+            return Lambda(param, body)
         term = self.primary()
-        while (found := self.texts[self.pos]) == "(" or _is_ident(found):
+        texts = self.texts
+        while (found := texts[self.pos]) == "(" or found[:1] in _IDENT_START and found != "_|_":
             term = Apply(term, self.primary())
         return term
+
+    def scoped_term(self, names: tuple[str, ...]) -> Term:
+        """A term in which names are bound."""
+        bound = self.bound
+        for name in names:
+            bound[name] = bound.get(name, 0) + 1
+        body = self.term()
+        for name in names:
+            left = bound[name] - 1
+            if left:
+                bound[name] = left
+            else:
+                del bound[name]
+        return body
 
     def primary(self) -> Term:
         if self.accept("("):
@@ -588,15 +618,11 @@ class _Parser:
             if name == "cases":
                 lv = self.expect_ident("a binder")
                 self.expect(".")
-                self.bind((lv,))
-                lbody = self.term()
-                self.unbind((lv,))
+                lbody = self.scoped_term((lv,))
                 self.expect(",")
                 rv = self.expect_ident("a binder")
                 self.expect(".")
-                self.bind((rv,))
-                rbody = self.term()
-                self.unbind((rv,))
+                rbody = self.scoped_term((rv,))
                 self.expect(")")
                 return CasesOf(scrutinee, lv, lbody, rv, rbody)
             fv = self.expect_ident("a binder")
@@ -605,18 +631,14 @@ class _Parser:
             if fv == sv:
                 raise ParseError("split binders must be distinct", *self.loc(at))
             self.expect(".")
-            self.bind((fv, sv))
-            body = self.term()
-            self.unbind((fv, sv))
+            body = self.scoped_term((fv, sv))
             self.expect(")")
             return SplitOf(scrutinee, fv, sv, body)
-        if name in self.bound:
-            if self.at("{"):
-                raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
-            return Var(name)
         if self.at("{"):
+            if name in self.bound:
+                raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
             return Atom(name, self.provenance())
-        return Atom(name)
+        return self.var_leaves[name] if name in self.bound else self.atom_leaves[name]
 
     def provenance(self) -> Provenance:
         self.expect("{")
@@ -642,11 +664,9 @@ class _Parser:
 
     # -- judgements and sequents
 
-    def judgement(self, names: Iterable[str] = ()) -> Judgement:
+    def judgement(self, names: tuple[str, ...] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
-        self.bind(names)
-        witness = self.term()
-        self.unbind(names)
+        witness = self.scoped_term(names)
         return Judgement(witness, *self.actor_weight_claim())
 
     def hypothesis(self) -> Hypothesis:
@@ -657,6 +677,7 @@ class _Parser:
         """The [^actor] [@weight] ":" claim that ends a judgement or a
         hypothesis."""
         actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
+        self.note("actor", actor)
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(":")
         return actor, weight, self.claim()
@@ -664,21 +685,12 @@ class _Parser:
     def sequent(self) -> Sequent:
         hyps = [] if self.at("|-") else self.comma_list(self.hypothesis)
         self.expect("|-")
-        conclusion = self.judgement([h.var for h in hyps])
+        conclusion = self.judgement(tuple(h.var for h in hyps))
         return Sequent(tuple(hyps), conclusion)
 
     # -- proof trees
 
     def tree(self) -> ProofTree:
-        node = self.tree_node()
-        if self.accept("stating"):
-            self.expect("(")
-            stated = self.sequent()
-            self.expect(")")
-            node = ProofTree(node.rule, node.premises, node.args, stated, node.loc)
-        return node
-
-    def tree_node(self) -> ProofTree:
         at = self.pos
         rule = _RULE_BY_NAME.get(self.texts[at])
         if rule is None:
@@ -686,40 +698,52 @@ class _Parser:
             raise ParseError(f"expected a rule name, found {_describe(found)}", *self.loc(at))
         loc = self.loc(at)
         self.pos = at + 1
-
         if rule is Rule.ASSUME:
-            var = self.expect_ident("a hypothesis variable")
-            actor = self.expect_ident("an actor") if self.accept("^") else None
-            self.expect(":")
-            claim = self.claim()
-            context: list[Hypothesis] = []
-            if self.accept("under"):
-                self.expect("(")
-                context = self.comma_list(self.hypothesis)
-                self.expect(")")
-            return ProofTree(rule, (), AssumeArgs(var, claim, actor, tuple(context)), None, loc)
+            premises, args = (), self.assume_args()
+        else:
+            subtrees: list[ProofTree] = []
+            values: list[object] = []
+            self.expect("(")
+            for kind, comma in _ARG_LAYOUT[rule]:
+                if comma:
+                    self.expect(",")
+                if kind == "tree":
+                    subtrees.append(self.tree())
+                else:
+                    values.append(self.rule_arg(kind))
+            self.expect(")")
+            premises, args = tuple(subtrees), _RULE_SYNTAX[rule][1](*values)
+        stated = None
+        if self.accept("stating"):
+            self.expect("(")
+            stated = self.sequent()
+            self.expect(")")
+        return ProofTree(rule, premises, args, stated, loc)
 
-        kinds, build, _ = _RULE_SYNTAX[rule]
-        premises: list[ProofTree] = []
-        values: list[object] = []
-        self.expect("(")
-        for k, kind in enumerate(kinds):
-            if _needs_comma(kinds, k):
-                self.expect(",")
-            (premises if kind == "tree" else values).append(self.rule_arg(kind))
-        self.expect(")")
-        return ProofTree(rule, tuple(premises), build(*values), None, loc)
+    def assume_args(self) -> AssumeArgs:
+        var = self.expect_ident("a hypothesis variable")
+        actor = self.note("actor", self.expect_ident("an actor")) if self.accept("^") else None
+        self.expect(":")
+        claim = self.claim()
+        context: list[Hypothesis] = []
+        if self.accept("under"):
+            self.expect("(")
+            context = self.comma_list(self.hypothesis)
+            self.expect(")")
+        return AssumeArgs(var, claim, actor, tuple(context))
 
     def rule_arg(self, kind: str) -> object:
-        if kind == "tree":
-            return self.tree()
+        """A rule argument that is not a premise."""
         if kind == "claim":
             return self.claim()
         if kind == "family":
             return self.family()
         if kind == "weight":
             return self.weight_expr() if self.accept(",") else ARG
-        name = self.expect_ident(_NAME_KINDS[kind])
+        what, declared_as = _NAME_KINDS[kind]
+        name = self.expect_ident(what)
+        if declared_as:
+            self.note(declared_as, name)
         if kind in _SELF_ENDING:
             self.expect(_SELF_ENDING[kind])
         return name
@@ -751,27 +775,36 @@ class _Parser:
         if name in self.declared:
             raise ParseError(f"duplicate name {name!r}", *self.loc(at))
         self.declared[name] = kind
+        if kind == "claim":
+            self.claim_leaves[name] = Atomic(name)
         return name
 
     def reference(self, kind: str) -> str:
         """A name declared as the kind."""
         at = self.pos
         name = self.expect_ident(_SCRIPT_NAMES[kind][2])
-        self.require_at(kind, name, at)
+        self.require(kind, name, at)
         return name
 
-    def require(self, kind: str, name: str, loc: tuple[int, int]) -> None:
-        if self.declared.get(name) == kind:
-            return
-        if kind == "actor" and name == DEFAULT_ACTOR and not self.actors:
-            return   # a script without actors judges as the default actor
-        raise ParseError(f"{_SCRIPT_NAMES[kind][0]} {name!r} is not declared", *loc)
+    def is_declared(self, kind: str, name: str) -> bool:
+        # A script without actors judges as the default actor.
+        return self.declared.get(name) == kind or (
+            kind == "actor" and name == DEFAULT_ACTOR and not self.actors
+        )
 
-    def require_at(self, kind: str, name: str, at: int) -> None:
-        """require, reported at the token at index at, whose location is
-        worked out only if the name is not declared as the kind."""
-        if self.declared.get(name) != kind:
-            self.require(kind, name, self.loc(at))
+    def note(self, kind: str, name: str) -> str:
+        """name, noting whether it is declared as the kind."""
+        if not self.is_declared(kind, name):
+            self.all_declared = False
+        return name
+
+    def require(self, kind: str, name: str, where: Union[int, tuple[int, int]]) -> None:
+        """A ParseError at where, a location or the index of a token whose
+        location is worked out only then, unless name is declared as the
+        kind."""
+        if not self.is_declared(kind, name):
+            loc = self.loc(where) if isinstance(where, int) else where
+            raise ParseError(f"{_SCRIPT_NAMES[kind][0]} {name!r} is not declared", *loc)
 
     def require_claim(self, claim: Claim, loc: tuple[int, int]) -> None:
         for atom in sorted(atoms_of_claim(claim)):
@@ -801,10 +834,8 @@ class _Parser:
                 elif kind == "family":
                     for claim in family_claims(value):
                         self.require_claim(claim, loc)
-                elif kind == "relation":
-                    self.require("relation", value, loc)
-                elif kind in ("source", "target"):
-                    self.require("actor", value, loc)
+                elif kind in _NAME_KINDS and _NAME_KINDS[kind][1]:
+                    self.require(_NAME_KINDS[kind][1], value, loc)
         if tree.stated is not None:
             for h in tree.stated.hypotheses:
                 self.require_judged(h, loc)
@@ -839,16 +870,20 @@ class _Parser:
                 loc = self.loc(self.pos)
                 name = self.declare("proof")
                 self.expect("{")
+                self.all_declared = True
                 tree = self.tree()
                 self.expect("}")
-                self.require_tree(tree)
+                if not self.all_declared:
+                    self.require_tree(tree)
                 proofs.append(ProofDecl(name, tree, loc))
             elif self.accept("model"):
                 models.append(self.model_decl())
             elif self.accept("query"):
                 loc = self.loc(at)
+                self.all_declared = True
                 judgement = self.judgement()
-                self.require_judged(judgement, loc)
+                if not self.all_declared:
+                    self.require_judged(judgement, loc)
                 self.expect("in")
                 model = self.reference("model")
                 self.expect(".")
@@ -921,7 +956,7 @@ class _Parser:
         self.expect(".")
         if actor is None:
             actor = self.default_actor
-            self.require_at("actor", actor, at)
+            self.require("actor", actor, at)
         return ModelEntry(term, actor, weight)
 
 
@@ -929,9 +964,8 @@ class _Parser:
 # Public parse entry points
 
 
-def _run(text: str, parse, *, bound: Iterable[str] = ()):
+def _run(text: str, parse):
     p = _Parser(text)
-    p.bind(bound)
     try:
         value = parse(p)
     except RecursionError:
@@ -945,7 +979,8 @@ def parse_claim(text: str) -> Claim:
 
 
 def parse_term(text: str, *, var_names: Iterable[str] = ()) -> Term:
-    return _run(text, lambda p: p.term(), bound=var_names)
+    names = tuple(var_names)
+    return _run(text, lambda p: p.scoped_term(names))
 
 
 def parse_weight_expr(text: str) -> WeightExpr:
@@ -955,11 +990,13 @@ def parse_weight_expr(text: str) -> WeightExpr:
 def parse_judgement(
     text: str, *, default_actor: str = DEFAULT_ACTOR, var_names: Iterable[str] = ()
 ) -> Judgement:
+    names = tuple(var_names)
+
     def parse(p: _Parser) -> Judgement:
         p.default_actor = default_actor
-        return p.judgement()
+        return p.judgement(names)
 
-    return _run(text, parse, bound=var_names)
+    return _run(text, parse)
 
 
 def parse_sequent(text: str, *, default_actor: str = DEFAULT_ACTOR) -> Sequent:
@@ -1127,11 +1164,10 @@ def render_proof_tree(tree: ProofTree) -> str:
         if args.context:
             text += " under (" + ", ".join(render_hypothesis(h) for h in args.context) + ")"
     elif tree.rule in _RULE_SYNTAX:
-        kinds, _, read = _RULE_SYNTAX[tree.rule]
-        premises, values = iter(tree.premises), iter(read(args))
+        premises, values = iter(tree.premises), iter(_RULE_SYNTAX[tree.rule][2](args))
         text = f"{Rule(tree.rule).value}("
-        for k, kind in enumerate(kinds):
-            if _needs_comma(kinds, k):
+        for kind, comma in _ARG_LAYOUT[tree.rule]:
+            if comma:
                 text += ", "
             text += _render_rule_arg(kind, next(premises if kind == "tree" else values))
         text += ")"

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, golden text output, structured round-trips."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 import veracity
 from veracity.cli import RunConfig, main, run_check, run_model, run_trust
 from veracity.evaluator import normalize
-from veracity.parser import parse_script, parse_term, render_term
+from veracity.parser import parse_claim, parse_script, parse_term, render_term
 from veracity.report import parse_structured, to_structured
+
+from test_parser import NESTINGS
 
 FIXTURES = veracity.fixtures_path()
 PENELOPE = str(FIXTURES / "penelope.vlp")
@@ -789,9 +792,9 @@ class TestRecursionLimit:
             sys.setrecursionlimit(saved)
 
     def test_a_higher_caller_limit_is_kept(self, capsys):
-        # 4,000 nested tags parse at limit 30,000 but not at 10,000, so the
+        # 6,000 nested tags parse at limit 30,000 but not at 10,000, so the
         # CLI must not lower the caller's limit while it runs.
-        text = "i(" * 4000 + "a" + ")" * 4000
+        text = "i(" * 6000 + "a" + ")" * 6000
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(30000)
         try:
@@ -801,6 +804,81 @@ class TestRecursionLimit:
             assert sys.getrecursionlimit() == 30000
         finally:
             sys.setrecursionlimit(saved)
+
+
+# Run in a fresh interpreter by TestDeepInput: main(argv) for each argv
+# read from stdin, printing per run one JSON line of its exit code and its
+# stderr, or of None and the traceback of an exception main let through.
+_DEEP_DRIVER = """
+import contextlib, io, json, sys, traceback
+from veracity.cli import main
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def _claim_script(claim):
+    """A claim assumed, stated, queried and checked for soundness."""
+    stated = f"x^P : {claim} |- x^P : {claim}"
+    return (
+        f"claim A. actor P.\nproof D {{ assume x : {claim} stating ({stated}) }}\n"
+        f"model M {{ A = {{ a. }}. }}\nquery a : {claim} in M.\nsound D in M.\n"
+    ), []
+
+
+def _term_script(term):
+    """A term as a stated witness, a model entry, a query witness and an
+    -e expression."""
+    return (
+        f"claim A. actor P.\nproof D {{ assume x : A stating (x^P : A |- {term} : A) }}\n"
+        f"model M {{ A = {{ {term}. }}. }}\nquery {term} : A in M.\n"
+    ), [term]
+
+
+class TestDeepInput:
+    """Every nesting construct of the parser tests, at depths around where
+    the parser and the stages after it run out of stack at the limit the
+    CLI sets, through check, model, report and eval in a fresh interpreter:
+    each run exits 0, 1 or 2, and none prints a traceback."""
+
+    DEPTHS = (1990, 2000, 3320, 3330, 4900, 5000, 9980, 10000, 20000)
+
+    @pytest.mark.parametrize("name", sorted(NESTINGS))
+    def test_every_subcommand(self, tmp_path, name):
+        parse, build = NESTINGS[name]
+        embed = {parse_claim: _claim_script, parse_term: _term_script}.get(parse, lambda s: (s, []))
+        runs = []
+        for depth in self.DEPTHS:
+            text, exprs = embed(build(depth))
+            script = tmp_path / f"{depth}.vlp"
+            script.write_text(text, encoding="utf-8")
+            for command in ("check", "model", "report", "eval"):
+                argv = [command, str(script)]
+                if command in ("report", "eval"):
+                    argv += [arg for expr in exprs for arg in ("-e", expr)]
+                runs.append(argv)
+        src = str(Path(veracity.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_DRIVER],
+            input=json.dumps(runs), capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+        )
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(results) == len(runs)
+        for argv, (code, err) in zip(runs, results):
+            where = (argv[0], Path(argv[1]).stem)
+            assert code in (0, 1, 2), (where, err[-2000:])
+            assert "Traceback" not in err, (where, err[-2000:])
+            if code == 2:
+                assert err.endswith("nesting too deep\n"), (where, err)
 
 
 class TestColor:

@@ -7,7 +7,10 @@ laws second.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import sys
+import tracemalloc
 import typing
 from fractions import Fraction
 
@@ -480,3 +483,54 @@ class TestTrustRelations:
         assert rel.weight_between("k", "l") == Fraction(1, 2)
         assert rel.weight_between("l", "k") is None
         assert rel.actors() == {"k", "l"}
+
+
+def _dataclass_twin(cls):
+    """A frozen dataclass with cls's fields, defaults and __post_init__,
+    whose __init__ is the one dataclass generates."""
+    namespace = {"__annotations__": {f.name: f.type for f in dataclasses.fields(cls)}}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            namespace[f.name] = dataclasses.field(default=f.default, compare=f.compare)
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+_CORE_DATACLASSES = [
+    value for value in vars(core).values()
+    if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == core.__name__
+]
+
+
+class TestConstructors:
+    """Every core dataclass keeps the constructor dataclass gave it: the
+    same parameters and defaults, __post_init__ still run, and instances
+    no larger under tracemalloc."""
+
+    @pytest.mark.parametrize("cls", _CORE_DATACLASSES, ids=lambda cls: cls.__name__)
+    def test_parameters_and_defaults(self, cls):
+        def shape(c):
+            return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+        assert shape(cls) == shape(_dataclass_twin(cls))
+
+    def test_keywords_defaults_and_validation(self):
+        assert Lambda(body=Var("x"), param="x") == Lambda("x", Var("x"), ARG)
+        assert Judgement(Atom("a"), "P", "1/2", Atomic("A")).weight == Fraction(1, 2)
+        with pytest.raises(ValueError, match="outside"):
+            Const(Fraction(3, 2))
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'snd'"):
+            Pair(Atom("a"))
+        assert dataclasses.replace(Pair(Atom("a"), Atom("b")), snd=Atom("c")) == Pair(Atom("a"), Atom("c"))
+
+    def test_instances_are_no_larger(self):
+        twin = _dataclass_twin(Pair)
+        sizes = []
+        for build in (Pair, twin):
+            tracemalloc.start()
+            kept = [build(k, k) for k in range(1000)]
+            sizes.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+            del kept
+        assert sizes[0] <= sizes[1]

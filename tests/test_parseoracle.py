@@ -1,0 +1,329 @@
+"""The parser against the frozen one in parseoracle.py: every input gives an
+equal value, with the same proof locations, or the same ParseError at the
+same line and column.  Only "nesting too deep" may differ, since the two
+spend the stack differently."""
+
+import random
+import zlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import veracity
+import veracity.parser as parser
+from veracity.core import (
+    ARG,
+    AssumeArgs,
+    ConstantFamily,
+    Hypothesis,
+    Judgement,
+    ProofTree,
+    Rule,
+    Sequent,
+    TagFamily,
+)
+from veracity.parser import ParseError, Script, render, tokenize
+
+import parseoracle as oracle
+from strategies import claims, terms, weight_exprs
+from test_parser import _mutations
+
+FIXTURES = veracity.fixtures_path()
+
+# Each entry point, beside the oracle's.
+PARSES = {
+    name: (getattr(parser, name), getattr(oracle, name))
+    for name in ("parse_claim", "parse_term", "parse_judgement", "parse_sequent", "parse_script")
+}
+
+
+def _proof_locations(value):
+    """The location of every proof node of a script, in pre-order: the one
+    field of a parsed value that == does not compare."""
+    if not isinstance(value, Script):
+        return None
+    found = []
+    for decl in value.proofs:
+        todo = [decl.tree]
+        while todo:
+            node = todo.pop()
+            found.append(node.loc)
+            todo.extend(reversed(node.premises))
+    return found
+
+
+def _outcome(parse, text, **options):
+    try:
+        value = parse(text, **options)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+    return ("value", value, _proof_locations(value))
+
+
+def assert_agrees(name, text, **options):
+    new, old = (_outcome(parse, text, **options) for parse in PARSES[name])
+    if ("error", "nesting too deep") in (new[:2], old[:2]):
+        return
+    assert new == old, text
+
+
+# -- generated inputs
+
+CLAIM_NAMES = ["A", "B", "C", "D"]
+ACTOR_NAMES = ["P", "Q", "R", "default"]
+RELATION_NAMES = ["T", "U"]
+BINDERS = ["x", "y", "u", "v"]
+
+actors = st.sampled_from(ACTOR_NAMES)
+small_weights = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 8)])
+hypotheses = st.builds(Hypothesis, st.sampled_from(BINDERS), actors, small_weights, claims(4))
+
+
+def judgements(size):
+    return st.builds(Judgement, terms(size), actors, small_weights, claims(size))
+
+
+sequents = st.builds(Sequent, st.lists(hypotheses, max_size=2).map(tuple), judgements(4))
+
+# The values of each kind of rule argument that is not a premise.
+_ARG_VALUES = {
+    "claim": claims(4),
+    "family": st.one_of(
+        claims(3).map(ConstantFamily), st.builds(TagFamily, claims(3), claims(3))
+    ),
+    "binder": st.sampled_from(BINDERS),
+    "var": st.sampled_from(BINDERS),
+    "relation": st.sampled_from(RELATION_NAMES),
+    "source": actors,
+    "target": actors,
+    "weight": st.one_of(st.just(ARG), weight_exprs(2)),
+}
+
+assumptions = st.builds(
+    lambda var, claim, actor, context, stated: ProofTree(
+        Rule.ASSUME, (), AssumeArgs(var, claim, actor, tuple(context)), stated
+    ),
+    st.sampled_from(BINDERS),
+    claims(4),
+    st.one_of(st.none(), actors),
+    st.lists(hypotheses, max_size=2),
+    st.one_of(st.none(), sequents),
+)
+
+
+@st.composite
+def _rule_node(draw, premises):
+    rule = draw(st.sampled_from(sorted(parser._RULE_SYNTAX, key=lambda r: r.value)))
+    kinds, build, _ = parser._RULE_SYNTAX[rule]
+    subtrees, values = [], []
+    for kind in kinds:
+        if kind == "tree":
+            subtrees.append(draw(premises))
+        else:
+            values.append(draw(_ARG_VALUES[kind]))
+    stated = draw(st.one_of(st.none(), sequents))
+    return ProofTree(rule, tuple(subtrees), build(*values), stated)
+
+
+proof_trees = st.recursive(assumptions, _rule_node, max_leaves=5)
+
+
+@st.composite
+def scripts(draw):
+    """Script text that declares some of the names its proofs, models and
+    queries use, so some parse and some fail on an undeclared name."""
+    lines = []
+
+    def some_or_all(names):
+        return draw(st.one_of(st.just(names), st.lists(st.sampled_from(names), unique=True)))
+
+    declared_claims = some_or_all(CLAIM_NAMES)
+    declared_actors = some_or_all(ACTOR_NAMES)
+    if declared_claims:
+        lines.append(f"claim {', '.join(declared_claims)}.")
+    if declared_actors:
+        lines.append(f"actor {', '.join(declared_actors)}.")
+    for name in some_or_all(RELATION_NAMES):
+        edges = draw(st.lists(st.tuples(actors, actors), unique=True, max_size=2))
+        lines.append(f"trust {name} {{ {' '.join(f'{s} -> {t} @ 0.5.' for s, t in edges)} }}")
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"proof D{k} {{ {render(draw(proof_trees))} }}")
+    if draw(st.booleans()):
+        held = draw(st.lists(st.tuples(terms(3), actors), max_size=2))
+        entries = " ".join(f"{render(term)}^{actor}." for term, actor in held)
+        lines.append(f"model M {{ {draw(st.sampled_from(CLAIM_NAMES))} = {{ {entries} }}. }}")
+        for judgement in draw(st.lists(judgements(3), max_size=2)):
+            lines.append(f"query {render(judgement)} in M.")
+    return "\n".join(lines) + "\n"
+
+
+# -- mutations
+
+_TOKEN_POOL = [
+    "(", ")", ",", ".", ":", "^", "@", "|-", "->", "\\/", "/\\", "~", "_|_", "\\", "{", "}",
+    "A", "E", "P", "S", "T", "V", "x", "a", "i", "j", "0.5", "stating", "under", "assume",
+    "trust", "andIntro", "orElim", "impIntro", "=>", "|", "claim", "actor", "proof", "in",
+]
+
+
+def char_mutation(text, seed):
+    """text with a few characters deleted, inserted or swapped."""
+    return _mutations(text, seed, 1)[0]
+
+
+def token_mutation(text, seed):
+    """text's tokens, a few deleted, inserted, repeated or replaced, joined
+    by blanks; text itself when it does not scan."""
+    try:
+        words = [t.text for t in tokenize(text)][:-1]
+    except ParseError:
+        return text
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(words) + 1)
+        how = rng.randrange(4)
+        if how == 1 or not words:
+            words.insert(at, rng.choice(_TOKEN_POOL))
+        elif at < len(words):
+            if how == 0:
+                del words[at]
+            elif how == 2:
+                words.insert(at, words[at])
+            else:
+                words[at] = rng.choice(_TOKEN_POOL)
+    return " ".join(words)
+
+
+def with_mutations(texts):
+    """The texts, and the texts after a character or a token mutation."""
+    mutate = st.sampled_from([char_mutation, token_mutation])
+    mutated = st.tuples(texts, mutate, st.integers(0, 2**32)).map(lambda p: p[1](p[0], p[2]))
+    return st.one_of(texts, mutated)
+
+
+class TestAgainstTheOracle:
+    @given(with_mutations(claims(12).map(render)))
+    @settings(max_examples=400)
+    def test_claims(self, text):
+        assert_agrees("parse_claim", text)
+
+    @given(with_mutations(terms(12).map(render)))
+    @settings(max_examples=400)
+    def test_terms(self, text):
+        assert_agrees("parse_term", text)
+        assert_agrees("parse_term", text, var_names=("x", "y"))
+
+    @given(with_mutations(judgements(6).map(render)))
+    @settings(max_examples=200)
+    def test_judgements(self, text):
+        assert_agrees("parse_judgement", text)
+
+    @given(with_mutations(sequents.map(render)))
+    @settings(max_examples=200)
+    def test_sequents(self, text):
+        assert_agrees("parse_sequent", text)
+
+    @given(with_mutations(scripts()))
+    @settings(max_examples=400, deadline=None)
+    def test_scripts(self, text):
+        assert_agrees("parse_script", text)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.vlp")))
+    def test_fixtures_and_their_mutations(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        seed = zlib.crc32(name.encode()) + 2
+        variants = [text, *_mutations(text, seed, 100)]
+        variants += [token_mutation(text, seed + k) for k in range(100)]
+        for variant in variants:
+            assert_agrees("parse_script", variant)
+
+
+class TestNameCheckOrder:
+    """A proof or query with undeclared names reports the first one the
+    oracle's full walk reports, at the same place: in a proof, a node's own
+    arguments first, then its stated sequent, then its premises in order."""
+
+    PRELUDE = "claim A, B. actor P, Q. trust T { P -> Q. }\nproof X {\n"
+
+    @pytest.mark.parametrize(
+        "tree, message, line, col",
+        [
+            # a rule argument: claim, family, relation, source, target
+            ("orIntroL(assume x : A, E)", "claim 'E' is not declared", 3, 3),
+            ("orElim(assume x : A \\/ B, u.assume u : A, v.assume v : B, i => A | j => E)",
+             "claim 'E' is not declared", 3, 3),
+            ("trust(U, P -> Q, assume a^Q : A)", "trust relation 'U' is not declared", 3, 3),
+            ("trust(T, R -> Q, assume a^Q : A)", "actor 'R' is not declared", 3, 3),
+            ("trust(T, P -> S, assume a^Q : A)", "actor 'S' is not declared", 3, 3),
+            # the assumed claim and actor
+            ("assume x : E", "claim 'E' is not declared", 3, 3),
+            ("assume x^R : A", "actor 'R' is not declared", 3, 3),
+            # an under hypothesis: its claim, its actor, the default actor
+            ("assume x : A under (y^P : E)", "claim 'E' is not declared", 3, 3),
+            ("assume x : A under (y^R : A)", "actor 'R' is not declared", 3, 3),
+            ("assume x : A under (y : A)", "actor 'default' is not declared", 3, 3),
+            # a stated hypothesis and a stated conclusion
+            ("assume x^P : A stating (y^P : E |- x : A)", "claim 'E' is not declared", 3, 3),
+            ("assume x^P : A stating (y^R : A |- x : A)", "actor 'R' is not declared", 3, 3),
+            ("assume x^P : A stating (x^P : A |- x^P : E)", "claim 'E' is not declared", 3, 3),
+            ("assume x^P : A stating (x^P : A |- x^R : A)", "actor 'R' is not declared", 3, 3),
+            ("assume x^P : A stating (x^P : A |- x : A)", "actor 'default' is not declared", 3, 3),
+            # the node's own arguments before its stated sequent and premises
+            ("orIntroL(assume x^R : E, F) stating (|- i(x)^S : G)",
+             "claim 'F' is not declared", 3, 3),
+            ("orIntroL(assume x^R : A, B) stating (|- i(x)^S : A \\/ B)",
+             "actor 'S' is not declared", 3, 3),
+            ("trust(T, P -> Q, assume a^R : A) stating (|- a^P : E)",
+             "claim 'E' is not declared", 3, 3),
+            # a premise below another bad name, and premises in order
+            ("orIntroL(bottomElim(assume y^R : _|_, E), F)", "claim 'F' is not declared", 3, 3),
+            ("andIntro(assume x : A, impElim(assume f^R : A -> B, bottomElim(assume y : _|_, E)))",
+             "actor 'R' is not declared", 3, 34),
+            ("andIntro(bottomElim(assume y : _|_, E), assume x^R : A)",
+             "claim 'E' is not declared", 3, 12),
+            # claims are checked atom by atom in name order
+            ("orIntroR(assume x : A, G /\\ E)", "claim 'E' is not declared", 3, 3),
+        ],
+    )
+    def test_first_error(self, tree, message, line, col):
+        text = f"{self.PRELUDE}  {tree}\n}}\n"
+        assert _outcome(parser.parse_script, text) == ("error", message, line, col)
+        assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+    @pytest.mark.parametrize(
+        "prelude, tree",
+        [
+            # With no actor declared, the default actor needs no declaration.
+            ("claim A.", "assume x : A under (y : A) stating (y : A |- y : A)"),
+            ("claim A, B. actor P, Q. trust T { P -> Q. }",
+             "trust(T, P -> Q, assume a^Q : A under (h^P : B)) stating (h^P : B |- a^P : A)"),
+        ],
+    )
+    def test_declared_names_pass(self, prelude, tree):
+        text = f"{prelude}\nproof X {{ {tree} }}\n"
+        assert _outcome(parser.parse_script, text) == _outcome(oracle.parse_script, text)
+        assert _outcome(parser.parse_script, text)[0] == "value"
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("a^P : A", None),
+            ("a^P : E", "claim 'E' is not declared"),
+            ("a^R : A", "actor 'R' is not declared"),
+            ("a : A", "actor 'default' is not declared"),
+            ("a^R : G /\\ E", "claim 'E' is not declared"),
+        ],
+    )
+    def test_query(self, query, message):
+        text = f"claim A. actor P, Q.\nmodel M {{ A = {{ a^P. }}. }}\nquery {query} in M.\n"
+        want = ("error", message, 3, 1) if message else "value"
+        for parse in (parser.parse_script, oracle.parse_script):
+            outcome = _outcome(parse, text)
+            assert (outcome if message else outcome[0]) == want
+
+    def test_a_name_declared_after_the_proof_is_not_declared_in_it(self):
+        text = "actor P.\nproof X { assume x^P : A }\nclaim A.\n"
+        assert _outcome(parser.parse_script, text) == ("error", "claim 'A' is not declared", 2, 11)
+        assert _outcome(oracle.parse_script, text) == ("error", "claim 'A' is not declared", 2, 11)

@@ -161,6 +161,8 @@ def _mutations(text: str, seed: int, count: int) -> list[str]:
     for _ in range(count):
         chars = list(text)
         for _ in range(rng.randint(1, 4)):
+            if not chars:
+                break
             at = rng.randrange(len(chars))
             how = rng.randrange(3)
             if how == 0:
