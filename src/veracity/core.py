@@ -8,20 +8,22 @@ value; the kernel, evaluator, and semantics modules build on these types
 without ever mutating them.
 
 One table, _SHAPES, describes term structure: each constructor's subterms,
-the names its binders scope over, and how to rebuild it.  subterms,
+the names its binders scope over, and how to rebuild it.  subterms, scopes,
 with_subterms, free_vars, alpha_equal and BINDING_TERMS read it.
 substitute_many keeps a case per constructor: tracemalloc, which measures
 peak memory, sees the tuples and lists a table-driven walk holds per level,
 not the frames of a recursive one, and such a walk raised the peak memory
 of long reductions by 7 to 15%.
 
-Every dataclass here gets its __init__ from _store_fields_locally: the
-same parameters and the same stores through object.__setattr__, with that
-method held in a closure cell rather than looked up on object once per
-field, so building a node costs less.  It never reads an instance's
-__dict__: writing through it would be faster still, but asking for it
-builds a dict object per instance, which tracemalloc counts, so peak
-memory would rise.
+Every dataclass here but TrustRelation is slotted: an instance holds its
+fields in slots and has no __dict__, so it is smaller, tracemalloc counts
+less per node, and it takes no attribute beyond its fields.  A term also
+has one slot more, _fv, where free_vars keeps the term's free-name set;
+substitute hands each node it builds that set when it can.  TrustRelation
+keeps a dict for its edge index.  Every dataclass gets its __init__ from
+_store_fields_locally: the same parameters and the same stores through
+object.__setattr__, with that method held in a closure cell rather than
+looked up on object once per field, so building a node costs less.
 
 Weights are exact rationals throughout.  Floats are rejected at the door:
 a spelled-out decimal like "0.4096" converts exactly, a float does not.
@@ -84,7 +86,7 @@ def format_weight(w: Weight) -> str:
 # minima.  Every expression is total and stays inside [0, 1].
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: Weight
 
@@ -92,18 +94,18 @@ class Const:
         object.__setattr__(self, "value", as_weight(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arg:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     left: "WeightExpr"
     right: "WeightExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Min:
     left: "WeightExpr"
     right: "WeightExpr"
@@ -131,29 +133,29 @@ def eval_weight_expr(expr: WeightExpr, z: Weight) -> Weight:
 # Claims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atomic:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Claim"
     right: "Claim"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Claim"
     right: "Claim"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     antecedent: "Claim"
     consequent: "Claim"
@@ -195,12 +197,12 @@ def atoms_of_claim(claim: Claim) -> frozenset[str]:
 # claim per tag and nothing more.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantFamily:
     claim: Claim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagFamily:
     on_left: Claim
     on_right: Claim
@@ -235,7 +237,19 @@ def family_at(family: ClaimFamily, scrutinee: "Term") -> Optional[Claim]:
 # Witness terms
 
 
-@dataclass(frozen=True)
+class _FreeNames:
+    """Base of the nine term classes: one slot, _fv, holding the term's
+    free-name set once known and None until then (see free_vars).  It is
+    not a dataclass field, so ==, hash and repr never see it."""
+
+    __slots__ = ("_fv",)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, which clears _fv.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, slots=True)
 class Provenance:
     who: Optional[str] = None
     where: Optional[str] = None
@@ -243,48 +257,48 @@ class Provenance:
     how: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, slots=True)
+class Atom(_FreeNames):
     name: str
     provenance: Optional[Provenance] = None
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_FreeNames):
     name: str
 
 
-@dataclass(frozen=True)
-class Pair:
+@dataclass(frozen=True, slots=True)
+class Pair(_FreeNames):
     fst: "Term"
     snd: "Term"
 
 
-@dataclass(frozen=True)
-class TagL:
+@dataclass(frozen=True, slots=True)
+class TagL(_FreeNames):
     value: "Term"
 
 
-@dataclass(frozen=True)
-class TagR:
+@dataclass(frozen=True, slots=True)
+class TagR(_FreeNames):
     value: "Term"
 
 
-@dataclass(frozen=True)
-class Lambda:
+@dataclass(frozen=True, slots=True)
+class Lambda(_FreeNames):
     param: str
     body: "Term"
     weight_fn: WeightExpr = ARG
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, slots=True)
+class Apply(_FreeNames):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class CasesOf:
+@dataclass(frozen=True, slots=True)
+class CasesOf(_FreeNames):
     scrutinee: "Term"
     left_var: str
     left_body: "Term"
@@ -292,8 +306,8 @@ class CasesOf:
     right_body: "Term"
 
 
-@dataclass(frozen=True)
-class SplitOf:
+@dataclass(frozen=True, slots=True)
+class SplitOf(_FreeNames):
     scrutinee: "Term"
     fst_var: str
     snd_var: str
@@ -346,6 +360,13 @@ def subterms(term: Term) -> tuple[Term, ...]:
     return _SHAPES[type(term)].subterms(term)
 
 
+def scopes(term: Term) -> tuple[tuple[str, ...], ...]:
+    """For each immediate subterm of term, in the same order, the names
+    term binds over it."""
+    subterms_of, _, scopes_of = _SHAPES[type(term)]
+    return scopes_of(term) if scopes_of else ((),) * len(subterms_of(term))
+
+
 def with_subterms(term: Term, subs: Sequence[Term]) -> Term:
     """term with its immediate subterms replaced, binders and weights kept."""
     return _SHAPES[type(term)].rebuild(term, subs)
@@ -354,19 +375,24 @@ def with_subterms(term: Term, subs: Sequence[Term]) -> Term:
 def free_vars(term: Term) -> frozenset[str]:
     """The names free in term.
 
-    Each node keeps its set once computed, stored beside its dataclass
-    fields (as TrustRelation keeps _weights), so ==, hash and repr never
-    see it.  A repeated query is a lookup; a first query visits only the
-    nodes not cached yet, with an explicit stack instead of recursion.
+    Each node keeps its set in its _fv slot once known, computed here or
+    handed over by substitute from the node's children, so a repeated query
+    is one slot read.  A first query visits only the nodes whose slot is
+    still None, with an explicit stack instead of recursion.  A node's set
+    is stored only after every child's, so a node with a set has sets all
+    the way down.
     """
-    cached = getattr(term, "_fv", None)
+    try:
+        cached = term._fv
+    except AttributeError:
+        raise TypeError(f"not a term type: {type(term).__name__}") from None
     if cached is None:
         todo = [term]
         while todo:
             node = todo[-1]
             subterms_of, _, scopes_of = _SHAPES[type(node)]
             subs = subterms_of(node)
-            missing = [s for s in subs if getattr(s, "_fv", None) is None]
+            missing = [s for s in subs if s._fv is None]
             if missing:
                 todo.extend(missing)
                 continue
@@ -379,12 +405,13 @@ def free_vars(term: Term) -> frozenset[str]:
                 names = _NO_NAMES
                 for sub, bound in zip(subs, scopes_of(node)):
                     names = _union(names, _unbind(sub._fv, bound))
-            object.__setattr__(node, "_fv", names)
+            _set(node, "_fv", names)
         cached = term._fv
     return cached
 
 
 _NO_NAMES: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
 # Both helpers return an operand itself when it already is the answer, so
@@ -406,8 +433,97 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
-    """Replace free occurrences of one variable, avoiding capture."""
-    return substitute_many(term, {name: replacement})
+    """Replace free occurrences of one variable, avoiding capture.
+
+    The same result as substitute_many(term, {name: replacement}), bound
+    names included, by a walk of its own that carries no mapping.  It asks
+    for the replacement's free names only at the first binder it passes
+    under, and a binder that would capture one of them hands its whole node
+    to substitute_many.  Each node it rebuilds gets its free-name set from
+    its children when every child's set is already known, so later
+    free_vars queries need not walk it again.
+    """
+    if name not in free_vars(term):
+        return term
+    return _substitute(term, name, replacement)
+
+
+def _substitute(term: Term, name: str, replacement: Term) -> Term:
+    # name is free in term, so term and every node below it have their sets.
+    kind = type(term)
+    if kind is Var:
+        return replacement
+    if kind is Apply:
+        fn, arg = term.fn, term.arg
+        if name in fn._fv:
+            fn = _substitute(fn, name, replacement)
+        if name in arg._fv:
+            arg = _substitute(arg, name, replacement)
+        return _with_union(Apply(fn, arg), fn._fv, arg._fv)
+    if kind is Lambda:
+        param = term.param
+        if param in free_vars(replacement):
+            return substitute_many(term, {name: replacement})
+        body = _substitute(term.body, name, replacement)
+        node = Lambda(param, body, term.weight_fn)
+        if body._fv is not None:
+            _set(node, "_fv", _unbind(body._fv, (param,)))
+        return node
+    if kind is Pair:
+        fst, snd = term.fst, term.snd
+        if name in fst._fv:
+            fst = _substitute(fst, name, replacement)
+        if name in snd._fv:
+            snd = _substitute(snd, name, replacement)
+        return _with_union(Pair(fst, snd), fst._fv, snd._fv)
+    if kind is TagL or kind is TagR:
+        value = _substitute(term.value, name, replacement)
+        node = kind(value)
+        _set(node, "_fv", value._fv)
+        return node
+    if kind is CasesOf:
+        scrutinee, lv, lbody, rv, rbody = (
+            term.scrutinee, term.left_var, term.left_body, term.right_var, term.right_body
+        )
+        left = lv != name and name in lbody._fv
+        right = rv != name and name in rbody._fv
+        if left or right:
+            danger = free_vars(replacement)
+            if left and lv in danger or right and rv in danger:
+                return substitute_many(term, {name: replacement})
+            if left:
+                lbody = _substitute(lbody, name, replacement)
+            if right:
+                rbody = _substitute(rbody, name, replacement)
+        if name in scrutinee._fv:
+            scrutinee = _substitute(scrutinee, name, replacement)
+        node = CasesOf(scrutinee, lv, lbody, rv, rbody)
+        if lbody._fv is not None and rbody._fv is not None:
+            bodies = _union(_unbind(lbody._fv, (lv,)), _unbind(rbody._fv, (rv,)))
+            _with_union(node, scrutinee._fv, bodies)
+        return node
+    if kind is SplitOf:
+        scrutinee, binders, body = term.scrutinee, (term.fst_var, term.snd_var), term.body
+        if name not in binders and name in body._fv:
+            if not free_vars(replacement).isdisjoint(binders):
+                return substitute_many(term, {name: replacement})
+            body = _substitute(body, name, replacement)
+        if name in scrutinee._fv:
+            scrutinee = _substitute(scrutinee, name, replacement)
+        node = SplitOf(scrutinee, *binders, body)
+        if body._fv is not None:
+            _with_union(node, scrutinee._fv, _unbind(body._fv, binders))
+        return node
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _with_union(
+    node: Term, a: Optional[frozenset[str]], b: Optional[frozenset[str]]
+) -> Term:
+    """node, given the union of a and b as its free-name set when both are known."""
+    if a is not None and b is not None:
+        _set(node, "_fv", _union(a, b))
+    return node
 
 
 def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -543,7 +659,7 @@ _BIND, _UNBIND = object(), object()
 # Judgements, sequents, trust relations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgement:
     witness: Term
     actor: str
@@ -554,14 +670,14 @@ class Judgement:
         object.__setattr__(self, "weight", as_weight(self.weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claimhood:
     """The judgement form that says a claim is a well-formed veracity claim."""
 
     claim: Claim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     var: str
     actor: str
@@ -572,13 +688,13 @@ class Hypothesis:
         object.__setattr__(self, "weight", as_weight(self.weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     hypotheses: tuple[Hypothesis, ...]
     conclusion: Judgement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustEdge:
     source: str
     target: str
@@ -635,7 +751,7 @@ class Rule(str, Enum):
     TRUST = "trust"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssumeArgs:
     var: str
     claim: Claim
@@ -643,37 +759,37 @@ class AssumeArgs:
     context: tuple[Hypothesis, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BottomElimArgs:
     target: Claim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrIntroArgs:
     other: Claim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrElimArgs:
     family: ClaimFamily
     left_var: str
     right_var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndElimArgs:
     family: ConstantFamily
     fst_var: str
     snd_var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpIntroArgs:
     var: str
     weight_fn: WeightExpr = ARG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustArgs:
     relation: str
     source: str
@@ -685,7 +801,7 @@ RuleArgs = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofTree:
     rule: Rule
     premises: tuple["ProofTree", ...] = ()
@@ -702,8 +818,8 @@ def _store_fields_locally(cls: type) -> None:
     """Give a frozen dataclass an __init__ with the same parameters and
     defaults that stores each field through object.__setattr__ held in a
     closure cell, where the generated one looks the method up on object
-    once per field.  The fields still go through object.__setattr__ into
-    the instance dict as before, so an instance is no larger."""
+    once per field.  A term's __init__ also sets its _fv slot to None, so
+    reading the slot never meets an unset one."""
     if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fields(cls)):
         raise TypeError(f"{cls.__name__}: only positional fields with plain defaults are supported")
     names = [f.name for f in fields(cls)]
@@ -712,6 +828,8 @@ def _store_fields_locally(cls: type) -> None:
         f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
     )
     body = "".join(f"\n        _set(self, {n!r}, {n})" for n in names)
+    if issubclass(cls, _FreeNames):
+        body += "\n        _set(self, '_fv', None)"
     if hasattr(cls, "__post_init__"):
         body += "\n        self.__post_init__()"
     source = (

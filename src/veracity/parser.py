@@ -29,7 +29,9 @@ name, to report the first in a fixed order, only if the parser noted one.
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
 parentheses minimal; round-tripping a rendered value re-parses to an
-alpha-equivalent one.
+alpha-equivalent one.  For that, a binder with an atom of its own name in
+its scope is rendered renamed, since the text cannot tell the atom from the
+bound variable.
 
 The surface form of each proof rule but assume is defined in exactly one row
 of _RULE_SYNTAX; parsing, rendering and the declaration check of script
@@ -96,6 +98,8 @@ from .core import (
     family_claims,
     format_weight,
     is_neg,
+    scopes,
+    subterms,
 )
 
 DEFAULT_ACTOR = "default"
@@ -1058,42 +1062,123 @@ def _render_provenance(p: Provenance) -> str:
 
 
 def render_term(term: Term, min_prec: int = 0) -> str:
+    """term's surface text.  A binder with an atom of its own name in its
+    scope would read back as binding that atom, so such a binder is shown
+    renamed with primes, as substitution renames; every other binder keeps
+    its name."""
+    try:
+        return _render_term(term, min_prec, {}, None)
+    except _AtomUnderItsName:
+        return _render_term(term, min_prec, {}, _Renames(term))
+
+
+class _AtomUnderItsName(Exception):
+    pass
+
+
+def _render_term(
+    term: Term, min_prec: int, shown: dict[str, Optional[str]], renames: Optional[_Renames]
+) -> str:
+    # shown maps each bound name in scope to the name its binder is shown
+    # as.  Each binder updates it in place, not through a helper, so a level
+    # of nesting costs one frame, no more than parsing it did.
     if isinstance(term, Atom):
+        if shown.get(term.name) == term.name:
+            raise _AtomUnderItsName
         if term.provenance is not None:
             return term.name + _render_provenance(term.provenance)
         return term.name
     if isinstance(term, Var):
-        return term.name
+        return term.name if renames is None else shown.get(term.name) or term.name
     if isinstance(term, Pair):
-        return f"({render_term(term.fst)},{render_term(term.snd)})"
+        fst = _render_term(term.fst, 0, shown, renames)
+        return f"({fst},{_render_term(term.snd, 0, shown, renames)})"
     if isinstance(term, TagL):
-        return f"i({render_term(term.value)})"
+        return f"i({_render_term(term.value, 0, shown, renames)})"
     if isinstance(term, TagR):
-        return f"j({render_term(term.value)})"
+        return f"j({_render_term(term.value, 0, shown, renames)})"
     if isinstance(term, CasesOf):
-        return (
-            f"cases({render_term(term.scrutinee)}, "
-            f"{term.left_var}.{render_term(term.left_body)}, "
-            f"{term.right_var}.{render_term(term.right_body)})"
-        )
+        scrutinee = _render_term(term.scrutinee, 0, shown, renames)
+        lv, rv = term.left_var, term.right_var
+        outer = shown.get(lv)
+        shown[lv] = left_as = lv if renames is None else renames.show(lv, shown)
+        left = _render_term(term.left_body, 0, shown, renames)
+        shown[lv] = outer
+        outer = shown.get(rv)
+        shown[rv] = right_as = rv if renames is None else renames.show(rv, shown)
+        right = _render_term(term.right_body, 0, shown, renames)
+        shown[rv] = outer
+        return f"cases({scrutinee}, {left_as}.{left}, {right_as}.{right})"
     if isinstance(term, SplitOf):
-        return (
-            f"split({render_term(term.scrutinee)}, "
-            f"{term.fst_var}.{term.snd_var}.{render_term(term.body)})"
-        )
+        scrutinee = _render_term(term.scrutinee, 0, shown, renames)
+        fv, sv = term.fst_var, term.snd_var
+        outer = shown.get(fv), shown.get(sv)
+        shown[fv] = fst_as = fv if renames is None else renames.show(fv, shown)
+        shown[sv] = snd_as = sv if renames is None else renames.show(sv, shown)
+        body = _render_term(term.body, 0, shown, renames)
+        shown[fv], shown[sv] = outer
+        return f"split({scrutinee}, {fst_as}.{snd_as}.{body})"
     if isinstance(term, Apply):
-        text = f"{render_term(term.fn, 1)} {render_term(term.arg, 2)}"
+        fn = _render_term(term.fn, 1, shown, renames)
+        text = f"{fn} {_render_term(term.arg, 2, shown, renames)}"
         return f"({text})" if min_prec > 1 else text
     if isinstance(term, Lambda):
-        if term.weight_fn == ARG:
-            text = f"\\{term.param}.{render_term(term.body)}"
+        param = term.param
+        outer = shown.get(param)
+        shown[param] = param_as = param if renames is None else renames.show(param, shown)
+        body = _render_term(term.body, 0, shown, renames)
+        shown[param] = outer
+        if isinstance(term.weight_fn, Arg):
+            text = f"\\{param_as}.{body}"
         else:
-            text = (
-                f"\\{term.param}.({render_term(term.body)})"
-                f"@{render_weight_expr(term.weight_fn)}"
-            )
+            text = f"\\{param_as}.({body})@{render_weight_expr(term.weight_fn)}"
         return f"({text})" if min_prec > 0 else text
     raise TypeError(f"not a term: {term!r}")
+
+
+class _Renames:
+    """Which binders of a term render_term shows renamed: those with an
+    atom of their own name in their scope.  Such a binder is shown with
+    primes added until the name is one that no atom, variable or binder of
+    the term has and no other binder in scope is shown as, so it captures
+    nothing and nothing captures its variables."""
+
+    def __init__(self, term: Term) -> None:
+        self.names: set[str] = set()
+        # Per binder, in the order render_term meets them: rename it?
+        self.clashes: list[bool] = []
+        self._mark(term, {})
+        self._next = iter(self.clashes).__next__
+
+    def _mark(self, term: Term, around: dict[str, list[int]]) -> None:
+        # around: per name, the indices in clashes of its binders around term.
+        if isinstance(term, (Atom, Var)):
+            self.names.add(term.name)
+            if isinstance(term, Atom):
+                # Inner ones first; an outer one is marked when an inner one is.
+                for index in reversed(around.get(term.name, ())):
+                    if self.clashes[index]:
+                        break
+                    self.clashes[index] = True
+            return
+        for sub, binders in zip(subterms(term), scopes(term)):
+            for b in binders:
+                self.names.add(b)
+                around.setdefault(b, []).append(len(self.clashes))
+                self.clashes.append(False)
+            self._mark(sub, around)
+            for b in binders:
+                around[b].pop()
+
+    def show(self, binder: str, shown: dict[str, Optional[str]]) -> str:
+        """The name to show the next binder as, binder being its own."""
+        shown[binder] = None   # the binder it shadows may be shown alike
+        if not self._next():
+            return binder
+        name = binder + "'"
+        while name in self.names or name in shown.values():
+            name += "'"
+        return name
 
 
 def render_judgement(j: Judgement) -> str:

@@ -78,10 +78,14 @@ provenances = st.builds(
     how=st.one_of(st.none(), st.just("survey")),
 )
 
-atoms = st.one_of(
-    atom_names.map(Atom),
-    st.tuples(atom_names, provenances).map(lambda p: Atom(p[0], p[1])),
-)
+def atoms_named(names):
+    return st.one_of(
+        names.map(Atom),
+        st.tuples(names, provenances).map(lambda p: Atom(p[0], p[1])),
+    )
+
+
+atoms = atoms_named(atom_names)
 
 
 def claims(max_leaves: int = 8):
@@ -104,8 +108,9 @@ def _split_of(args):
     return SplitOf(scrutinee, fst, snd, body)
 
 
-def terms(max_leaves: int = 10):
-    base = st.one_of(atoms, var_names.map(Var))
+def terms(max_leaves: int = 10, atom_names=atom_names):
+    """Random terms; atom_names draws the atoms' names."""
+    base = st.one_of(atoms_named(atom_names), var_names.map(Var))
     return st.recursive(
         base,
         lambda inner: st.one_of(
@@ -141,11 +146,11 @@ def _split(args):
     return _split_of((Pair(fst, snd), fv, sv, body))
 
 
-def redex_terms(max_leaves: int = 16):
+def redex_terms(max_leaves: int = 16, atom_names=atom_names):
     """Terms dense in redexes of all four kinds, nested in each other's
     functions, scrutinees, arguments and bodies, so that reducing one
     exposes the next (terms() rarely yields a redex at all)."""
-    leaf = st.one_of(atoms, var_names.map(Var))
+    leaf = st.one_of(atoms_named(atom_names), var_names.map(Var))
     base = st.one_of(
         leaf,
         st.tuples(var_names, leaf).map(lambda p: Apply(Lambda(p[0], Var(p[0])), p[1])),

@@ -11,6 +11,7 @@ import pytest
 
 import veracity
 from veracity.cli import RunConfig, main, run_check, run_model, run_trust
+from veracity.core import Atom, Lambda, alpha_equal
 from veracity.evaluator import normalize
 from veracity.parser import parse_claim, parse_script, parse_term, render_term
 from veracity.report import parse_structured, to_structured
@@ -114,6 +115,18 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "-e", "(\\z.\\y.\\x.((x,y),z)) c s l")
         assert code == 0
         assert out == "((l,s),c) (3 steps)\n"
+
+    def test_binder_named_like_an_atom_in_its_scope_is_renamed(self, capsys):
+        # The normal form is \\y.(atom y): printed as \\y.y it would read
+        # back as the identity.
+        text = "(\\x.\\y.x) y"
+        assert run(capsys, "eval", "-e", text) == (0, "\\y'.y (1 step)\n", "")
+        assert run(capsys, "eval", "--format", "structured", "-e", text) == (
+            0, f"[eval 1]\ninput={text}\nnormal=\\y'.y\nsteps=1\n", ""
+        )
+        normal = Lambda("y", Atom("y"))
+        assert alpha_equal(parse_term("\\y'.y"), normal)
+        assert not alpha_equal(parse_term("\\y.y"), normal)
 
     def test_budget_exhaustion_exits_one(self, capsys):
         omega = "(\\x.x x) (\\x.x x)"
@@ -879,6 +892,51 @@ class TestDeepInput:
             assert "Traceback" not in err, (where, err[-2000:])
             if code == 2:
                 assert err.endswith("nesting too deep\n"), (where, err)
+
+
+class TestDeepEval:
+    """eval -e on binders, pairs and tags nested up to the depth the parser
+    reaches at the CLI's recursion limit of 10,000 (4,993, 4,995 and 4,993
+    levels on CPython 3.11): normalizing and rendering such a term must not
+    run out of stack before the parser does."""
+
+    PARSER_DEPTHS = {"term-lambdas": 4993, "term-pairs": 4995, "term-tags": 4993}
+    # What main spends on its own frames before it starts parsing.
+    MAIN_FRAMES = 8
+
+    def test_eval_trips_no_sooner_than_the_parser(self):
+        runs = []
+        for name, depth in sorted(self.PARSER_DEPTHS.items()):
+            build = NESTINGS[name][1]
+            for d in (depth - self.MAIN_FRAMES, depth - 4, depth, depth + 4, 2 * depth):
+                runs.append((name, d, build(d)))
+        src = str(Path(veracity.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_DRIVER],
+            input=json.dumps([["eval", "-e", text] for _, _, text in runs]),
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+        )
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(results) == len(runs)
+        for (name, depth, text), (code, err) in zip(runs, results):
+            if depth <= self.PARSER_DEPTHS[name] - self.MAIN_FRAMES:
+                assert (code, err) == (0, ""), (name, depth, err[-2000:])
+            else:
+                # Either it normalizes, or the parser stops it at a located
+                # position; an unlocated "-e: nesting too deep" would mean
+                # a later stage ran out first.
+                assert code in (0, 2), (name, depth, err[-2000:])
+                if code == 2:
+                    assert err.startswith("-e:1:"), (name, depth, err)
+                    assert err.endswith(": nesting too deep\n"), (name, depth, err)
+
+    def test_deep_normal_forms_render_in_full(self, capsys):
+        for name in sorted(self.PARSER_DEPTHS):
+            text = NESTINGS[name][1](1000)
+            code, out, err = run(capsys, "eval", "-e", text)
+            assert (code, out, err) == (0, f"{text.replace(', ', ',')} (0 steps)\n", ""), name
 
 
 class TestColor:

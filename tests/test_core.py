@@ -7,8 +7,10 @@ laws second.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import sys
 import tracemalloc
 import typing
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from dbterms import to_db
 from steporacle import oracle_free_vars, oracle_substitute
 from strategies import (
+    _nest_pairs,
     decreasing_weight_exprs,
     redex_terms,
     terms,
@@ -56,11 +59,13 @@ from veracity.core import (
     free_vars,
     fresh_name,
     neg,
+    scopes,
     substitute,
     substitute_many,
     subterms,
     with_subterms,
 )
+from veracity.evaluator import BudgetExceeded, normalize_counted
 
 
 class TestWeights:
@@ -201,10 +206,18 @@ class TestFreeVariableCache:
         fresh = _copy(term)
         text = repr(term)
         free_vars(term)
-        assert not hasattr(fresh, "_fv")
+        assert fresh._fv is None
         assert term == fresh and fresh == term
         assert hash(term) == hash(fresh)
         assert repr(term) == repr(fresh) == text
+
+    @given(terms())
+    @settings(max_examples=100)
+    def test_copies_and_pickles_start_without_a_set(self, term) -> None:
+        free_vars(term)
+        for twin in (copy.copy(term), pickle.loads(pickle.dumps(term))):
+            assert twin == term and twin._fv is None
+            assert free_vars(twin) == term._fv
 
     @given(terms(), st.dictionaries(var_names, terms(max_leaves=3), max_size=3))
     @settings(max_examples=300)
@@ -267,6 +280,71 @@ class TestSubstitution:
             assert free_vars(result) == (before - {x}) | free_vars(s)
         else:
             assert to_db(result) == to_db(t)
+
+
+def _binder_names(term):
+    return {
+        name
+        for node in _all_nodes(term)
+        for scope in scopes(node)
+        for name in scope
+    }
+
+
+_SOME_TERMS, _SMALL_TERMS = st.one_of(terms(), redex_terms(12)), terms(max_leaves=3)
+
+
+@st.composite
+def _single_substitutions(draw):
+    """(term, name, replacement): name free in term when any name is, and
+    the replacement built over term's binder names, so that it would be
+    captured unless those binders are renamed."""
+    term = draw(_SOME_TERMS)
+    free = sorted(oracle_free_vars(term))
+    name = draw(st.sampled_from(free) if free else var_names)
+    binders = sorted(_binder_names(term)) or ["x"]
+    over_binders = st.lists(st.sampled_from(binders), min_size=1, max_size=3).map(
+        lambda names: _nest_pairs([Var(n) for n in names])
+    )
+    replacement = draw(st.one_of(over_binders, _SMALL_TERMS))
+    return term, name, replacement
+
+
+def _stored_sets_are_right(term):
+    for node in _all_nodes(term):
+        assert node._fv is None or node._fv == oracle_free_vars(node)
+
+
+class TestSingleNameSubstitution:
+    """substitute walks on its own, not through substitute_many, and hands
+    free-name sets to the nodes it builds."""
+
+    @given(_single_substitutions())
+    @settings(max_examples=500)
+    def test_matches_the_oracle_bound_names_included(self, case) -> None:
+        term, name, replacement = case
+        assert substitute(term, name, replacement) == oracle_substitute(term, {name: replacement})
+
+    @given(_single_substitutions())
+    @settings(max_examples=300)
+    def test_every_stored_set_is_right(self, case) -> None:
+        term, name, replacement = case
+        _stored_sets_are_right(substitute(term, name, replacement))
+        _stored_sets_are_right(substitute_many(term, {name: replacement, "z": replacement}))
+        try:
+            normal, _ = normalize_counted(term, 200)
+        except BudgetExceeded:
+            return
+        _stored_sets_are_right(normal)
+
+    def test_hands_sets_to_rebuilt_nodes(self) -> None:
+        # Under a binder the replacement's set is known, so every node
+        # rebuilt above it gets one.
+        term = Pair(Lambda("y", Pair(Var("x"), Var("y"))), Atom("a"))
+        result = substitute(term, "x", Pair(Var("v"), Atom("b")))
+        assert result == Pair(Lambda("y", Pair(Pair(Var("v"), Atom("b")), Var("y"))), Atom("a"))
+        assert all(node._fv is not None for node in _all_nodes(result))
+        _stored_sets_are_right(result)
 
 
 class TestAlphaEquality:
@@ -408,10 +486,11 @@ class TestShapeTable:
     def test_binding_constructors(self) -> None:
         assert set(core.BINDING_TERMS) == {Lambda, CasesOf, SplitOf}
 
-    @pytest.mark.parametrize("kind", core.BINDING_TERMS, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("kind", typing.get_args(core.Term), ids=lambda k: k.__name__)
     def test_one_scope_per_subterm(self, kind) -> None:
         term = _SAMPLES[kind]
-        assert len(core._SHAPES[kind].scopes(term)) == len(subterms(term))
+        assert len(scopes(term)) == len(subterms(term))
+        assert any(scopes(term)) == (kind in core.BINDING_TERMS)
 
 
 def _prime_binders(term):
@@ -485,16 +564,18 @@ class TestTrustRelations:
         assert rel.actors() == {"k", "l"}
 
 
-def _dataclass_twin(cls):
+def _dataclass_twin(cls, slots=False):
     """A frozen dataclass with cls's fields, defaults and __post_init__,
-    whose __init__ is the one dataclass generates."""
+    whose __init__ is the one dataclass generates; with slots, also with
+    cls's bases and so the same slots."""
     namespace = {"__annotations__": {f.name: f.type for f in dataclasses.fields(cls)}}
     for f in dataclasses.fields(cls):
         if f.default is not dataclasses.MISSING:
             namespace[f.name] = dataclasses.field(default=f.default, compare=f.compare)
     if hasattr(cls, "__post_init__"):
         namespace["__post_init__"] = cls.__post_init__
-    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+    bases = cls.__mro__[1:-1] if slots else ()
+    return dataclasses.dataclass(frozen=True, slots=slots)(type(cls.__name__, bases, namespace))
 
 
 _CORE_DATACLASSES = [
@@ -525,12 +606,17 @@ class TestConstructors:
         assert dataclasses.replace(Pair(Atom("a"), Atom("b")), snd=Atom("c")) == Pair(Atom("a"), Atom("c"))
 
     def test_instances_are_no_larger(self):
-        twin = _dataclass_twin(Pair)
+        # Slotted instances have no __dict__, so a set that free_vars stored
+        # on an earlier Pair, as any earlier test may, cannot widen these.
+        free_vars(Pair(Var("x"), Var("y")))
+        twin = _dataclass_twin(Pair, slots=True)
         sizes = []
         for build in (Pair, twin):
+            [build(k, k) for k in range(1000)]  # once untraced, so lazy caches are not counted
             tracemalloc.start()
             kept = [build(k, k) for k in range(1000)]
             sizes.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.stop()
+            assert not hasattr(kept[0], "__dict__")
             del kept
         assert sizes[0] <= sizes[1]

@@ -6,10 +6,11 @@ from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dbterms import db_step, to_db
 from steporacle import oracle_trace
-from strategies import VAR_NAMES, redex_terms, terms
+from strategies import ATOM_NAMES, VAR_NAMES, redex_terms, terms
 from veracity.core import (
     Apply,
     Atom,
@@ -22,6 +23,8 @@ from veracity.core import (
     TagR,
     Var,
     alpha_equal,
+    free_vars,
+    subterms,
 )
 from veracity.evaluator import (
     BudgetExceeded,
@@ -34,6 +37,8 @@ from veracity.evaluator import (
     trace,
 )
 from veracity.parser import parse_term, render_term
+
+ANY_NAMES = st.sampled_from(ATOM_NAMES + VAR_NAMES)
 
 OMEGA = Apply(
     Lambda("x", Apply(Var("x"), Var("x"))),
@@ -203,13 +208,19 @@ class TestStepOracle:
 
         assert redex_free(normal)
 
-    @given(terms(max_leaves=8))
-    @settings(max_examples=200)
+    @given(st.one_of(terms(8, atom_names=ANY_NAMES), redex_terms(8, atom_names=ANY_NAMES)))
+    @settings(max_examples=300)
     def test_round_trip_of_reducts(self, term):
+        # Atoms may take a variable's name, so a reduct can hold an atom
+        # under a binder of the same name.  A free variable and an atom of
+        # one name print alike, so such a reduct is not read back.
         reduced = step(term)
         if reduced is None:
             return
-        assert alpha_equal(parse_term(render_term(reduced), var_names=VAR_NAMES), reduced)
+        free = free_vars(reduced)
+        if not free.isdisjoint(_atom_names(reduced)):
+            return
+        assert alpha_equal(parse_term(render_term(reduced), var_names=free), reduced)
 
 
 # Steps the recursive oracle takes before a term counts as divergent.
@@ -272,3 +283,13 @@ class TestAgainstRecursiveStep:
         term = parse_term("\\x.(f x, cases(x, u.u, v.i(v)))")
         assert normalize_counted(term) == (term, 0)
         assert normalize(term) is term
+
+
+def _atom_names(term):
+    names, todo = set(), [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atom):
+            names.add(node.name)
+        todo += subterms(node)
+    return names

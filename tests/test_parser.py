@@ -416,6 +416,25 @@ class TestTermParsing:
         reparsed = parse_term(render_term(term), var_names=VAR_NAMES)
         assert alpha_equal(reparsed, term)
 
+    @pytest.mark.parametrize(
+        "term, text",
+        [
+            (Lambda("y", Atom("y")), "\\y'.y"),
+            (Lambda("y", Pair(Var("y"), Atom("y", Provenance(who="p")))), "\\y'.(y',y{who=\"p\"})"),
+            # y' is taken by a binder, so the clashing y becomes y''.
+            (Lambda("y", Lambda("y'", Pair(Var("y"), Atom("y")))), "\\y''.\\y'.(y'',y)"),
+            # Both binders have the atom in scope; the inner one may be
+            # shown as the outer one is, since it shadows it.
+            (Lambda("a", Lambda("a", Pair(Var("a"), Atom("a")))), "\\a'.\\a'.(a',a)"),
+            (Pair(Lambda("b", Atom("b")), Lambda("b", Var("b"))), "(\\b'.b,\\b.b)"),
+            (CasesOf(Atom("x"), "x", Atom("x"), "x", Var("x")), "cases(x, x'.x, x.x)"),
+            (SplitOf(Atom("p"), "u", "v", Pair(Atom("v"), Var("u"))), "split(p, u.v'.(v,u))"),
+        ],
+    )
+    def test_binder_with_an_atom_of_its_name_in_scope_is_renamed(self, term, text):
+        assert render_term(term) == text
+        assert alpha_equal(parse_term(text), term)
+
 
 class TestWeightExprParsing:
     def test_product_is_left_associative(self):
