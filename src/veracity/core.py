@@ -10,20 +10,22 @@ without ever mutating them.
 One table, _SHAPES, describes term structure: each constructor's subterms,
 the names its binders scope over, and how to rebuild it.  subterms, scopes,
 with_subterms, free_vars, alpha_equal and BINDING_TERMS read it.
-substitute_many keeps a case per constructor: tracemalloc, which measures
-peak memory, sees the tuples and lists a table-driven walk holds per level,
-not the frames of a recursive one, and such a walk raised the peak memory
-of long reductions by 7 to 15%.
+Substitution has one walk, under substitute_many; substitute is that walk
+with one entry.  The walk keeps a case per constructor: tracemalloc, which
+measures peak memory, sees the tuples and lists a table-driven walk holds
+per level, not the frames of a recursive one, and such a walk raised the
+peak memory of long reductions by 7 to 15%.
 
 Every dataclass here but TrustRelation is slotted: an instance holds its
 fields in slots and has no __dict__, so it is smaller, tracemalloc counts
 less per node, and it takes no attribute beyond its fields.  A term also
 has one slot more, _fv, where free_vars keeps the term's free-name set;
-substitute hands each node it builds that set when it can.  TrustRelation
-keeps a dict for its edge index.  Every dataclass gets its __init__ from
-_store_fields_locally: the same parameters and the same stores through
-object.__setattr__, with that method held in a closure cell rather than
-looked up on object once per field, so building a node costs less.
+substitution hands each node it builds that set, made from its children's.
+TrustRelation keeps a dict for its edge index.  Every dataclass gets its
+__init__ from _store_fields_locally: the same parameters and the same
+stores through object.__setattr__, with that method held in a closure cell
+rather than looked up on object once per field, so building a node costs
+less.
 
 Weights are exact rationals throughout.  Floats are rejected at the door:
 a spelled-out decimal like "0.4096" converts exactly, a float does not.
@@ -376,9 +378,9 @@ def free_vars(term: Term) -> frozenset[str]:
     """The names free in term.
 
     Each node keeps its set in its _fv slot once known, computed here or
-    handed over by substitute from the node's children, so a repeated query
-    is one slot read.  A first query visits only the nodes whose slot is
-    still None, with an explicit stack instead of recursion.  A node's set
+    handed over by substitute_many from the node's children, so a repeated
+    query is one slot read.  A first query visits only the nodes whose slot
+    is still None, with an explicit stack instead of recursion.  A node's set
     is stored only after every child's, so a node with a set has sets all
     the way down.
     """
@@ -433,88 +435,117 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
-    """Replace free occurrences of one variable, avoiding capture.
+    """Replace the free occurrences of name by replacement, avoiding
+    capture: substitute_many with one entry."""
+    return substitute_many(term, {name: replacement})
 
-    The same result as substitute_many(term, {name: replacement}), bound
-    names included, by a walk of its own that carries no mapping.  It asks
-    for the replacement's free names only at the first binder it passes
-    under, and a binder that would capture one of them hands its whole node
-    to substitute_many.  Each node it rebuilds gets its free-name set from
-    its children when every child's set is already known, so later
-    free_vars queries need not walk it again.
+
+def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
+    """Simultaneous capture-avoiding substitution.
+
+    Simultaneity matters: splitting a pair binds two variables at once, and
+    substituting them one after the other would let the first replacement's
+    free variables collide with the second binder.  A subterm in which no
+    key of mapping is free comes back as the same object.  A binder that
+    would capture a free name of a replacement is renamed first: primes are
+    added to it until the name is free neither in its body nor in any
+    replacement that acts there, is none of their keys, and is no other
+    binder of its group.  Each node built gets its free-name set from its
+    children, so later free_vars queries need not walk it again.
     """
-    if name not in free_vars(term):
+    if not mapping or free_vars(term).isdisjoint(mapping):
         return term
-    return _substitute(term, name, replacement)
+    return _substitute(term, mapping)
 
 
-def _substitute(term: Term, name: str, replacement: Term) -> Term:
-    # name is free in term, so term and every node below it have their sets.
+def _substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
+    # Some key of mapping is free in term, so term and every node below it
+    # have their sets.  Explicit per constructor, not read from _SHAPES, to
+    # keep no subterm tuple or scope list alive per level; see the module
+    # docstring.
     kind = type(term)
     if kind is Var:
-        return replacement
+        return mapping[term.name]
     if kind is Apply:
         fn, arg = term.fn, term.arg
-        if name in fn._fv:
-            fn = _substitute(fn, name, replacement)
-        if name in arg._fv:
-            arg = _substitute(arg, name, replacement)
+        if not fn._fv.isdisjoint(mapping):
+            fn = _substitute(fn, mapping)
+        if not arg._fv.isdisjoint(mapping):
+            arg = _substitute(arg, mapping)
         return _with_union(Apply(fn, arg), fn._fv, arg._fv)
     if kind is Lambda:
-        param = term.param
-        if param in free_vars(replacement):
-            return substitute_many(term, {name: replacement})
-        body = _substitute(term.body, name, replacement)
+        # _substitute_under's first test inline, for the commonest binder:
+        # while no key is the parameter and no replacement has it free, the
+        # body, in which a key is free as in term, takes mapping as it is.
+        param, body = term.param, term.body
+        for replacement in mapping.values():
+            if param in mapping or param in free_vars(replacement):
+                (param,), body = _substitute_under((param,), body, mapping)
+                break
+        else:
+            body = _substitute(body, mapping)
         node = Lambda(param, body, term.weight_fn)
         if body._fv is not None:
             _set(node, "_fv", _unbind(body._fv, (param,)))
         return node
     if kind is Pair:
         fst, snd = term.fst, term.snd
-        if name in fst._fv:
-            fst = _substitute(fst, name, replacement)
-        if name in snd._fv:
-            snd = _substitute(snd, name, replacement)
+        if not fst._fv.isdisjoint(mapping):
+            fst = _substitute(fst, mapping)
+        if not snd._fv.isdisjoint(mapping):
+            snd = _substitute(snd, mapping)
         return _with_union(Pair(fst, snd), fst._fv, snd._fv)
     if kind is TagL or kind is TagR:
-        value = _substitute(term.value, name, replacement)
+        value = _substitute(term.value, mapping)
         node = kind(value)
         _set(node, "_fv", value._fv)
         return node
+    scrutinee = term.scrutinee
+    if not scrutinee._fv.isdisjoint(mapping):
+        scrutinee = _substitute(scrutinee, mapping)
     if kind is CasesOf:
-        scrutinee, lv, lbody, rv, rbody = (
-            term.scrutinee, term.left_var, term.left_body, term.right_var, term.right_body
-        )
-        left = lv != name and name in lbody._fv
-        right = rv != name and name in rbody._fv
-        if left or right:
-            danger = free_vars(replacement)
-            if left and lv in danger or right and rv in danger:
-                return substitute_many(term, {name: replacement})
-            if left:
-                lbody = _substitute(lbody, name, replacement)
-            if right:
-                rbody = _substitute(rbody, name, replacement)
-        if name in scrutinee._fv:
-            scrutinee = _substitute(scrutinee, name, replacement)
+        (lv,), lbody = _substitute_under((term.left_var,), term.left_body, mapping)
+        (rv,), rbody = _substitute_under((term.right_var,), term.right_body, mapping)
         node = CasesOf(scrutinee, lv, lbody, rv, rbody)
-        if lbody._fv is not None and rbody._fv is not None:
-            bodies = _union(_unbind(lbody._fv, (lv,)), _unbind(rbody._fv, (rv,)))
-            _with_union(node, scrutinee._fv, bodies)
-        return node
-    if kind is SplitOf:
-        scrutinee, binders, body = term.scrutinee, (term.fst_var, term.snd_var), term.body
-        if name not in binders and name in body._fv:
-            if not free_vars(replacement).isdisjoint(binders):
-                return substitute_many(term, {name: replacement})
-            body = _substitute(body, name, replacement)
-        if name in scrutinee._fv:
-            scrutinee = _substitute(scrutinee, name, replacement)
+        if lbody._fv is None or rbody._fv is None:
+            return node
+        bodies = _union(_unbind(lbody._fv, (lv,)), _unbind(rbody._fv, (rv,)))
+    else:
+        binders, body = _substitute_under((term.fst_var, term.snd_var), term.body, mapping)
         node = SplitOf(scrutinee, *binders, body)
-        if body._fv is not None:
-            _with_union(node, scrutinee._fv, _unbind(body._fv, binders))
-        return node
-    raise TypeError(f"not a term: {term!r}")
+        if body._fv is None:
+            return node
+        bodies = _unbind(body._fv, binders)
+    return _with_union(node, scrutinee._fv, bodies)
+
+
+def _substitute_under(
+    binders: tuple[str, ...], body: Term, mapping: Mapping[str, Term]
+) -> tuple[tuple[str, ...], Term]:
+    """The binders of one group and its body, with mapping substituted
+    under them.  Only the entries whose names are free in body and bound by
+    none of binders act there, and a binder that would capture a free name
+    of theirs is renamed first.  Entries that do not act are passed on
+    when no binder is a key or a free name of any replacement: they change
+    nothing below, and no binder needs a new name."""
+    names = body._fv
+    if names.isdisjoint(mapping):
+        return binders, body
+    if mapping.keys().isdisjoint(binders):
+        for replacement in mapping.values():
+            if not free_vars(replacement).isdisjoint(binders):
+                break
+        else:
+            return binders, _substitute(body, mapping)
+    mapping = {n: t for n, t in mapping.items() if n in names and n not in binders}
+    danger = set().union(*map(free_vars, mapping.values()))
+    renamed = list(binders)
+    for i, b in enumerate(binders):
+        if b in danger:
+            avoid = danger | free_vars(body) | set(mapping) | set(renamed)
+            renamed[i] = fresh = fresh_name(b, avoid)
+            body = substitute_many(body, {b: Var(fresh)})
+    return tuple(renamed), substitute_many(body, mapping)
 
 
 def _with_union(
@@ -524,70 +555,6 @@ def _with_union(
     if a is not None and b is not None:
         _set(node, "_fv", _union(a, b))
     return node
-
-
-def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution.
-
-    Simultaneity matters: splitting a pair binds two variables at once, and
-    substituting them one after the other would let the first replacement's
-    free variables collide with the second binder.  A subterm in which no
-    key of mapping is free comes back as the same object.
-    """
-    # Explicit per constructor, not read from _SHAPES, to keep no subterm
-    # tuple or scope list alive per level; see the module docstring.
-    if not mapping or free_vars(term).isdisjoint(mapping):
-        return term
-    if isinstance(term, Var):
-        return mapping[term.name]
-    if isinstance(term, Pair):
-        return Pair(substitute_many(term.fst, mapping), substitute_many(term.snd, mapping))
-    if isinstance(term, TagL):
-        return TagL(substitute_many(term.value, mapping))
-    if isinstance(term, TagR):
-        return TagR(substitute_many(term.value, mapping))
-    if isinstance(term, Apply):
-        return Apply(substitute_many(term.fn, mapping), substitute_many(term.arg, mapping))
-    if isinstance(term, Lambda):
-        (param,), body, live = _freshen((term.param,), term.body, mapping)
-        return Lambda(param, substitute_many(body, live), term.weight_fn)
-    if isinstance(term, CasesOf):
-        scrutinee = substitute_many(term.scrutinee, mapping)
-        (lv,), lbody, llive = _freshen((term.left_var,), term.left_body, mapping)
-        (rv,), rbody, rlive = _freshen((term.right_var,), term.right_body, mapping)
-        return CasesOf(
-            scrutinee, lv, substitute_many(lbody, llive), rv, substitute_many(rbody, rlive)
-        )
-    if isinstance(term, SplitOf):
-        scrutinee = substitute_many(term.scrutinee, mapping)
-        (fv, sv), body, live = _freshen((term.fst_var, term.snd_var), term.body, mapping)
-        return SplitOf(scrutinee, fv, sv, substitute_many(body, live))
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _freshen(
-    binders: tuple[str, ...], body: Term, mapping: Mapping[str, Term]
-) -> tuple[tuple[str, ...], Term, dict[str, Term]]:
-    """Rename binders that would capture free variables of the replacements.
-
-    Returns the binders, the body renamed to match, and the entries of
-    mapping whose names are free in the body: the only ones that can act
-    under the binders, and none of them named by a binder old or new.
-    """
-    body_names = free_vars(body)
-    live = {n: t for n, t in mapping.items() if n in body_names and n not in binders}
-    danger: set[str] = set()
-    for t in live.values():
-        danger |= free_vars(t)
-    renamed = list(binders)
-    current = body
-    for i, b in enumerate(binders):
-        if b in danger:
-            avoid = danger | free_vars(current) | set(live) | set(renamed)
-            nb = fresh_name(b, avoid)
-            current = substitute_many(current, {b: Var(nb)})
-            renamed[i] = nb
-    return tuple(renamed), current, live
 
 
 def alpha_equal(a: Term, b: Term) -> bool:

@@ -295,19 +295,21 @@ _SOME_TERMS, _SMALL_TERMS = st.one_of(terms(), redex_terms(12)), terms(max_leave
 
 
 @st.composite
-def _single_substitutions(draw):
-    """(term, name, replacement): name free in term when any name is, and
-    the replacement built over term's binder names, so that it would be
-    captured unless those binders are renamed."""
+def _substitutions(draw):
+    """(term, mapping): one to three names, the first free in term when any
+    name is, each mapped to a replacement that is often built over term's
+    binder names, so that it would be captured unless those binders are
+    renamed; with two names under a split both binders may need it."""
     term = draw(_SOME_TERMS)
     free = sorted(oracle_free_vars(term))
-    name = draw(st.sampled_from(free) if free else var_names)
+    first = draw(st.sampled_from(free) if free else var_names)
+    more = st.sampled_from(free) | var_names if free else var_names
+    names = [first] + draw(st.lists(more, max_size=2, unique=True))
     binders = sorted(_binder_names(term)) or ["x"]
     over_binders = st.lists(st.sampled_from(binders), min_size=1, max_size=3).map(
         lambda names: _nest_pairs([Var(n) for n in names])
     )
-    replacement = draw(st.one_of(over_binders, _SMALL_TERMS))
-    return term, name, replacement
+    return term, {name: draw(st.one_of(over_binders, _SMALL_TERMS)) for name in names}
 
 
 def _stored_sets_are_right(term):
@@ -315,22 +317,35 @@ def _stored_sets_are_right(term):
         assert node._fv is None or node._fv == oracle_free_vars(node)
 
 
-class TestSingleNameSubstitution:
-    """substitute walks on its own, not through substitute_many, and hands
-    free-name sets to the nodes it builds."""
+def _every_set_is_stored_and_right(term):
+    for node in _all_nodes(term):
+        assert node._fv is not None and node._fv == oracle_free_vars(node)
 
-    @given(_single_substitutions())
+
+class TestSingleNameSubstitution:
+    """substitute is substitute_many with one entry.  One walk does both,
+    renames binders exactly as the oracle does, and hands free-name sets
+    to the nodes it builds."""
+
+    @given(_substitutions())
     @settings(max_examples=500)
     def test_matches_the_oracle_bound_names_included(self, case) -> None:
-        term, name, replacement = case
-        assert substitute(term, name, replacement) == oracle_substitute(term, {name: replacement})
+        term, mapping = case
+        expected = oracle_substitute(term, mapping)
+        assert substitute_many(term, mapping) == expected
+        if len(mapping) == 1:
+            [(name, replacement)] = mapping.items()
+            assert substitute(term, name, replacement) == expected
 
-    @given(_single_substitutions())
+    @given(_substitutions())
     @settings(max_examples=300)
     def test_every_stored_set_is_right(self, case) -> None:
-        term, name, replacement = case
-        _stored_sets_are_right(substitute(term, name, replacement))
-        _stored_sets_are_right(substitute_many(term, {name: replacement, "z": replacement}))
+        term, mapping = case
+        _stored_sets_are_right(substitute_many(term, mapping))
+        # With the replacements' sets known, every node built gets its own.
+        for replacement in mapping.values():
+            free_vars(replacement)
+        _every_set_is_stored_and_right(substitute_many(term, mapping))
         try:
             normal, _ = normalize_counted(term, 200)
         except BudgetExceeded:
@@ -338,13 +353,34 @@ class TestSingleNameSubstitution:
         _stored_sets_are_right(normal)
 
     def test_hands_sets_to_rebuilt_nodes(self) -> None:
-        # Under a binder the replacement's set is known, so every node
-        # rebuilt above it gets one.
-        term = Pair(Lambda("y", Pair(Var("x"), Var("y"))), Atom("a"))
-        result = substitute(term, "x", Pair(Var("v"), Atom("b")))
-        assert result == Pair(Lambda("y", Pair(Pair(Var("v"), Atom("b")), Var("y"))), Atom("a"))
-        assert all(node._fv is not None for node in _all_nodes(result))
-        _stored_sets_are_right(result)
+        # Each substitution passes a binder, where the replacements' sets
+        # become known, so every node rebuilt gets one: one name, two names
+        # at once, and the two of a split contraction.
+        one_name = Pair(Lambda("y", Pair(Var("x"), Var("y"))), Atom("a"))
+        two_names = Lambda("y", Pair(Var("x"), Pair(Var("y"), Var("z"))))
+        split = SplitOf(
+            Pair(Atom("a"), Lambda("u", Var("u"))),
+            "x",
+            "y",
+            Lambda("w", Pair(Var("y"), TagR(Var("x")))),
+        )
+        cases = [
+            (
+                substitute(one_name, "x", Pair(Var("v"), Atom("b"))),
+                Pair(Lambda("y", Pair(Pair(Var("v"), Atom("b")), Var("y"))), Atom("a")),
+            ),
+            (
+                substitute_many(two_names, {"x": Pair(Var("v"), Atom("b")), "z": TagL(Var("w"))}),
+                Lambda("y", Pair(Pair(Var("v"), Atom("b")), Pair(Var("y"), TagL(Var("w"))))),
+            ),
+            (
+                normalize_counted(split)[0],
+                Lambda("w", Pair(Lambda("u", Var("u")), TagR(Atom("a")))),
+            ),
+        ]
+        for result, expected in cases:
+            assert result == expected
+            _every_set_is_stored_and_right(result)
 
 
 class TestAlphaEquality:
