@@ -37,7 +37,7 @@ from .core import (
     format_weight,
     neg,
 )
-from .evaluator import BudgetExceeded, def_equal, normalize, normalize_counted, reductions, step, trace
+from .evaluator import BudgetExceeded, normalize, normalize_counted, step, trace
 from .kernel import CheckEnv, CheckError, ErrorKind, check_proof, env_from_script
 from .parser import (
     ParseError,
@@ -48,7 +48,6 @@ from .parser import (
     parse_sequent,
     parse_term,
     parse_weight_expr,
-    render,
     render_claim,
     render_judgement,
     render_proof_tree,
@@ -132,7 +131,6 @@ __all__ = [
     "close_under_trust",
     "compare_chain_star",
     "compare_relations",
-    "def_equal",
     "denote",
     "env_from_script",
     "fixtures_path",
@@ -149,9 +147,7 @@ __all__ = [
     "parse_structured",
     "parse_term",
     "parse_weight_expr",
-    "reductions",
     "relation_properties",
-    "render",
     "render_claim",
     "render_judgement",
     "render_proof_tree",

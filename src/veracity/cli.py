@@ -361,17 +361,18 @@ def _trust_into(out: _Output, path: str, script: Script) -> None:
 
 
 _Part = Callable[[_Output, str, Script], None]
-_Result = tuple[int, list[str], Report]
 
 
-def _run(cfg: RunConfig, parts: tuple[_Part, ...], exprs=False, files_optional=False) -> _Result:
-    """Evaluate the -e expressions when exprs is set, then run each part on
-    every input script in turn.  Only eval, which has files_optional set,
-    may run on -e expressions alone."""
+def _run(cfg: RunConfig) -> tuple[int, list[str], Report]:
+    """Evaluate the -e expressions when the command reads -e, then run the
+    command's parts on every input script in turn.  Only eval may run on
+    -e expressions alone."""
+    _, parts, options = _COMMANDS[cfg.command]
+    files_optional = cfg.command == "eval"
     if files_optional and not cfg.exprs and not cfg.input_paths:
         raise _CliError(2, "veracity eval: give -e expressions or input files")
     out = _Output(cfg)
-    if exprs:
+    if "-e" in options:
         _within_stack("-e", _eval_exprs_into, out)
     if cfg.input_paths or not files_optional:
         for path, script in _load_scripts(cfg):
@@ -390,26 +391,6 @@ def _within_stack(where: str, part: Callable[..., None], *args) -> None:
         raise _CliError(2, f"{where}: nesting too deep") from None
 
 
-def run_check(cfg: RunConfig) -> _Result:
-    return _run(cfg, (_check_into,))
-
-
-def run_eval(cfg: RunConfig) -> _Result:
-    return _run(cfg, (_eval_scripts_into,), exprs=True, files_optional=True)
-
-
-def run_model(cfg: RunConfig) -> _Result:
-    return _run(cfg, (_model_into,))
-
-
-def run_trust(cfg: RunConfig) -> _Result:
-    return _run(cfg, (_trust_into,))
-
-
-def run_report(cfg: RunConfig) -> _Result:
-    return _run(cfg, (_check_into, _model_into, _trust_into), exprs=True)
-
-
 def _step_budget(text: str) -> int:
     try:
         budget = int(text)
@@ -420,19 +401,24 @@ def _step_budget(text: str) -> int:
     return budget
 
 
-# Each subcommand: its help text, its runner, and the options it reads.
-_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], _Result], frozenset[str]]] = {
-    "check": ("replay proofs through the kernel", run_check, frozenset({"-v"})),
-    "eval": ("normalize witness terms", run_eval, frozenset({"--step-budget", "-e", "-v"})),
+# Each subcommand: its help text, the parts it runs on each input script,
+# and the options it reads.
+_COMMANDS: dict[str, tuple[str, tuple[_Part, ...], frozenset[str]]] = {
+    "check": ("replay proofs through the kernel", (_check_into,), frozenset({"-v"})),
+    "eval": (
+        "normalize witness terms",
+        (_eval_scripts_into,),
+        frozenset({"--step-budget", "-e", "-v"}),
+    ),
     "model": (
         "answer membership queries and soundness checks",
-        run_model,
+        (_model_into,),
         frozenset({"--step-budget"}),
     ),
-    "trust": ("analyze trust relations", run_trust, frozenset()),
+    "trust": ("analyze trust relations", (_trust_into,), frozenset()),
     "report": (
         "full report: check, model, and trust",
-        run_report,
+        (_check_into, _model_into, _trust_into),
         frozenset({"--step-budget", "-e", "-v"}),
     ),
 }
@@ -504,7 +490,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _main(argv: Optional[list[str]]) -> int:
     cfg = _parse_args(argv)
     try:
-        code, lines, report = _COMMANDS[cfg.command][1](cfg)
+        code, lines, report = _run(cfg)
         if cfg.output_format == "structured":
             try:
                 text = to_structured(report)

@@ -382,7 +382,7 @@ def free_vars(term: Term) -> frozenset[str]:
     query is one slot read.  A first query visits only the nodes whose slot
     is still None, with an explicit stack instead of recursion.  A node's set
     is stored only after every child's, so a node with a set has sets all
-    the way down.
+    the way down.  A non-term at any depth is a TypeError.
     """
     try:
         cached = term._fv
@@ -394,7 +394,11 @@ def free_vars(term: Term) -> frozenset[str]:
             node = todo[-1]
             subterms_of, _, scopes_of = _SHAPES[type(node)]
             subs = subterms_of(node)
-            missing = [s for s in subs if s._fv is None]
+            try:
+                missing = [s for s in subs if s._fv is None]
+            except AttributeError:
+                # A child with no slot is no term: pushed, _SHAPES rejects it.
+                missing = [s for s in subs if getattr(s, "_fv", None) is None]
             if missing:
                 todo.extend(missing)
                 continue
@@ -451,8 +455,11 @@ def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
     added to it until the name is free neither in its body nor in any
     replacement that acts there, is none of their keys, and is no other
     binder of its group.  Each node built gets its free-name set from its
-    children, so later free_vars queries need not walk it again.
+    children, so later free_vars queries need not walk it again.  A
+    non-term, in term or among the replacements, is a TypeError.
     """
+    for replacement in mapping.values():
+        _SHAPES[type(replacement)]  # the lookup rejects a non-term
     if not mapping or free_vars(term).isdisjoint(mapping):
         return term
     return _substitute(term, mapping)

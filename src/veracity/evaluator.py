@@ -35,7 +35,7 @@ whole intermediate term is built only when trace or step asks for one.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     Apply,
@@ -46,7 +46,6 @@ from .core import (
     TagL,
     TagR,
     Term,
-    alpha_equal,
     substitute,
     substitute_many,
     subterms,
@@ -173,13 +172,6 @@ def step(term: Term) -> Optional[Term]:
     return walk.term() if walk.step() else None
 
 
-def reductions(term: Term) -> Iterator[Term]:
-    """Successive reducts of term, excluding term itself; may not terminate."""
-    walk = _Walk(term)
-    while walk.step():
-        yield walk.term()
-
-
 def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValueError(f"step budget must be at least 0, not {budget}")
@@ -209,8 +201,3 @@ def trace(term: Term, budget: int = DEFAULT_BUDGET) -> list[Term]:
     while walk.step(budget):
         sequence.append(walk.term())
     return sequence
-
-
-def def_equal(a: Term, b: Term, budget: int = DEFAULT_BUDGET) -> bool:
-    """Definitional equality: equal normal forms up to bound-variable names."""
-    return alpha_equal(normalize(a, budget), normalize(b, budget))

@@ -130,20 +130,18 @@ def _require_declared(claim: Claim, env: CheckEnv, path: Path) -> None:
 
 def _union_hypotheses(path: Path, *groups: tuple[Hypothesis, ...]) -> tuple[Hypothesis, ...]:
     merged: dict[str, Hypothesis] = {}
-    order: list[str] = []
     for group in groups:
         for h in group:
             prior = merged.get(h.var)
             if prior is None:
                 merged[h.var] = h
-                order.append(h.var)
             elif prior != h:
                 raise CheckError(
                     ErrorKind.SEQUENT_MISMATCH,
                     path,
                     f"hypothesis {h.var!r} occurs with conflicting statements",
                 )
-    return tuple(merged[v] for v in order)
+    return tuple(merged.values())
 
 
 def _discharge(

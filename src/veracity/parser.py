@@ -46,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union, get_args
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .core import (
     ARG,
@@ -1262,27 +1262,3 @@ def render_proof_tree(tree: ProofTree) -> str:
         text += f" stating ({render_sequent(tree.stated)})"
     return text
 
-
-def render(value: object) -> str:
-    """Render any surface value back to its concrete syntax."""
-    if isinstance(value, get_args(Claim)):
-        return render_claim(value)
-    if isinstance(value, get_args(Term)):
-        return render_term(value)
-    if isinstance(value, get_args(WeightExpr)):
-        return render_weight_expr(value)
-    if isinstance(value, Fraction):
-        return format_weight(value)
-    if isinstance(value, Judgement):
-        return render_judgement(value)
-    if isinstance(value, Hypothesis):
-        return render_hypothesis(value)
-    if isinstance(value, Sequent):
-        return render_sequent(value)
-    if isinstance(value, Claimhood):
-        return render_claimhood(value)
-    if isinstance(value, ProofTree):
-        return render_proof_tree(value)
-    if isinstance(value, (ConstantFamily, TagFamily)):
-        return render_family(value)
-    raise TypeError(f"no renderer for {value!r}")

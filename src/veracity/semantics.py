@@ -85,13 +85,12 @@ from .core import (
     Weight,
     alpha_equal,
     as_weight,
-    format_weight,
     substitute_many,
     subterms,
 )
 from .evaluator import DEFAULT_BUDGET, normalize
 from .kernel import CheckEnv, check_proof
-from .parser import ModelDecl, Script, render_claim, render_term
+from .parser import ModelDecl, Script, render_claim
 from .trust import best_trust_from, outgoing_edges
 
 DEFAULT_DEPTH_BOUND = 3
@@ -510,29 +509,3 @@ def soundness_check(
     grounded = Judgement(witness, conclusion.actor, conclusion.weight, conclusion.claim)
     return member(grounded, model, depth_bound)
 
-
-def render_witness(w: WeightedWitness) -> str:
-    """Readable form of a denotation element, always explicit about both
-    the actor and the weight."""
-    return f"{_render_semantic_term(w.term)}^{w.actor}@{format_weight(w.weight)}"
-
-
-def _render_semantic_term(term: SemanticTerm) -> str:
-    if isinstance(term, MapTable):
-        if not term.entries:
-            return "table{}"
-        inner = ", ".join(
-            f"{render_witness(key)} => {render_witness(value)}"
-            for key, value in term.entries
-        )
-        return f"table{{{inner}}}"
-    if _kinds_held(term)[0]:
-        if isinstance(term, Pair):
-            parts = f"{_render_semantic_term(term.fst)},{_render_semantic_term(term.snd)}"
-            return f"({parts})"
-        if isinstance(term, TagL):
-            return f"i({_render_semantic_term(term.value)})"
-        if isinstance(term, TagR):
-            return f"j({_render_semantic_term(term.value)})"
-        raise TypeError(f"cannot render {term!r}")
-    return render_term(term)

@@ -144,8 +144,7 @@ def best_trust_path(
 
 def best_trust(graph: TrustGraph, source: str, target: str) -> Optional[Weight]:
     """The maximum path product from source to target, if any path exists."""
-    found = best_trust_path(graph, source, target)
-    return None if found is None else found[1]
+    return best_trust_from(outgoing_edges(graph.relation.edges), source)[0].get(target)
 
 
 def path_weights(graph: TrustGraph, path: tuple[str, ...]) -> tuple[Weight, ...]:
@@ -191,13 +190,11 @@ def compare_relations(
 ) -> Optional[ChainStarComparison]:
     """Compare two relations end to end: the best chain path in one against
     the best star value in the other. None when either side is unreachable."""
-    chain_graph = TrustGraph.from_relation(chain)
-    found = best_trust_path(chain_graph, source, target)
+    found = best_trust_path(TrustGraph.from_relation(chain), source, target)
     star_value = best_trust(TrustGraph.from_relation(star), source, target)
     if found is None or star_value is None:
         return None
-    path, _ = found
-    return compare_chain_star(path_weights(chain_graph, path), star_value)
+    return compare_chain_star((found[1],), star_value)
 
 
 @dataclass(frozen=True)
@@ -434,8 +431,6 @@ def _least_path(
     searched, and the search reads and fills it; otherwise it backtracks.
     work holds what is left of the budget: each frame pushed below entry
     costs one, and walks only the edges inside the component."""
-    if bits is not None and (bits[entry], entry) in memo:
-        return memo[bits[entry], entry]
     on_path = {entry}
     left = work[0]
     # A frame is [actor, the edge into it as numerator and denominator, the

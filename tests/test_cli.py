@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import veracity
-from veracity.cli import RunConfig, main, run_check, run_model, run_trust
+from veracity.cli import main
 from veracity.core import Atom, Lambda, alpha_equal
 from veracity.evaluator import normalize
 from veracity.parser import parse_claim, parse_script, parse_term, render_term
@@ -643,20 +643,21 @@ class TestTrust:
 
 
 class TestStructured:
-    def cfg(self, command, *paths):
-        return RunConfig(command=command, input_paths=paths, output_format="structured")
+    def structured(self, capsys, command, *paths):
+        """The structured report of one run, checked to read back as written."""
+        _, out, _ = run(capsys, command, "--format", "structured", *paths)
+        report = parse_structured(out)
+        assert to_structured(report) == out
+        return report
 
-    def test_check_report_round_trips(self):
-        _, _, report = run_check(self.cfg("check", PENELOPE, ATTEMPT))
-        assert parse_structured(to_structured(report)) == report
+    def test_check_report_round_trips(self, capsys):
+        self.structured(capsys, "check", PENELOPE, ATTEMPT)
 
-    def test_model_report_round_trips(self):
-        _, _, report = run_model(self.cfg("model", TRUST_CHAIN))
-        assert parse_structured(to_structured(report)) == report
+    def test_model_report_round_trips(self, capsys):
+        self.structured(capsys, "model", TRUST_CHAIN)
 
-    def test_trust_report_round_trips(self):
-        _, _, report = run_trust(self.cfg("trust", STAR))
-        assert parse_structured(to_structured(report)) == report
+    def test_trust_report_round_trips(self, capsys):
+        self.structured(capsys, "trust", STAR)
 
     def test_structured_stdout_parses(self, capsys):
         code, out, _ = run(capsys, "report", "--format", "structured", TRUST_CHAIN)
@@ -670,9 +671,8 @@ class TestStructured:
             f"trust {TRUST_CHAIN} relation T",
         ]
 
-    def test_failed_check_section_carries_the_error(self):
-        _, _, report = run_check(self.cfg("check", ATTEMPT))
-        (section,) = report.sections
+    def test_failed_check_section_carries_the_error(self, capsys):
+        (section,) = self.structured(capsys, "check", ATTEMPT).sections
         fields = dict(section.fields)
         assert fields["status"] == "failed"
         assert fields["error-kind"] == "tagMismatch"
@@ -948,6 +948,16 @@ class TestColor:
     def test_never_stays_plain(self, capsys):
         _, out, _ = run(capsys, "check", PENELOPE)
         assert "\x1b[" not in out
+
+    @pytest.mark.parametrize("value", ["auto", "sepia"])
+    @pytest.mark.parametrize("tty", [True, False])
+    def test_auto_paints_a_terminal_only(self, capsys, monkeypatch, value, tty):
+        """auto paints when stdout is a terminal; a value that is none of
+        auto, always and never counts as auto."""
+        monkeypatch.setenv("VERACITY_COLOR", value)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+        _, out, _ = run(capsys, "check", PENELOPE)
+        assert ("\x1b[32mok\x1b[0m" in out) is tty
 
     def test_structured_mode_never_paints(self, capsys, monkeypatch):
         monkeypatch.setenv("VERACITY_COLOR", "always")

@@ -528,6 +528,31 @@ class TestShapeTable:
         assert len(scopes(term)) == len(subterms(term))
         assert any(scopes(term)) == (kind in core.BINDING_TERMS)
 
+    @pytest.mark.parametrize(
+        "term, kind",
+        [
+            (1, "int"),
+            (Pair(1, Var("x")), "int"),
+            (Lambda("y", TagL(Pair(Var("x"), "z"))), "str"),
+            (Apply(Var("x"), Atomic("A")), "Atomic"),
+        ],
+    )
+    def test_a_non_term_at_any_depth_is_a_type_error(self, term, kind) -> None:
+        message = f"not a term type: {kind}"
+        with pytest.raises(TypeError, match=message):
+            free_vars(term)
+        with pytest.raises(TypeError, match=message):
+            substitute(term, "x", Atom("a"))
+        with pytest.raises(TypeError, match=message):
+            substitute_many(term, {"x": Atom("a"), "y": Atom("b")})
+
+    @pytest.mark.parametrize("body", [Var("x"), Var("y")], ids=["free", "absent"])
+    def test_a_non_term_replacement_is_a_type_error(self, body) -> None:
+        with pytest.raises(TypeError, match="not a term type: int"):
+            substitute(body, "x", 1)
+        with pytest.raises(TypeError, match="not a term type: NoneType"):
+            substitute_many(body, {"y": Var("z"), "x": None})
+
 
 def _prime_binders(term):
     """Structurally rename every binder to a fresh primed name."""

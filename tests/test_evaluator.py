@@ -2,7 +2,6 @@
 the recursive reducer the zipper walk replaced, as a step-for-step oracle."""
 
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,10 +28,8 @@ from veracity.core import (
 from veracity.evaluator import (
     BudgetExceeded,
     contract,
-    def_equal,
     normalize,
     normalize_counted,
-    reductions,
     step,
     trace,
 )
@@ -143,17 +140,6 @@ class TestBudgets:
         assert trace(Atom("a"), 0) == [Atom("a")]
 
 
-class TestDefinitionalEquality:
-    def test_reduct_equals_redex(self):
-        assert def_equal(parse_term("(\\x.x) a"), Atom("a"))
-
-    def test_alpha_classes_collapse(self):
-        assert def_equal(parse_term("\\x.x"), parse_term("\\y.y"))
-
-    def test_distinct_normal_forms_differ(self):
-        assert not def_equal(Atom("a"), Atom("b"))
-
-
 class TestStepOracle:
     @given(terms())
     @settings(max_examples=400)
@@ -237,14 +223,14 @@ class TestAgainstRecursiveStep:
         steps = len(sequence) - 1
         assert step(term) == (sequence[1] if steps else None)
         if not normal:
-            assert list(islice(reductions(term), steps)) == sequence[1:]
+            for before, after in zip(sequence, sequence[1:]):
+                assert step(before) == after
             with pytest.raises(BudgetExceeded):
                 normalize_counted(term, ORACLE_LIMIT)
             with pytest.raises(BudgetExceeded):
                 trace(term, ORACLE_LIMIT)
             return
         assert trace(term) == sequence
-        assert list(reductions(term)) == sequence[1:]
         assert normalize_counted(term) == (sequence[-1], steps)
         assert normalize(term, budget=steps) == sequence[-1]
         for budget in range(steps):

@@ -24,7 +24,16 @@ from veracity.core import (
     Sequent,
     TagFamily,
 )
-from veracity.parser import ParseError, Script, render, tokenize
+from veracity.parser import (
+    ParseError,
+    Script,
+    render_claim,
+    render_judgement,
+    render_proof_tree,
+    render_sequent,
+    render_term,
+    tokenize,
+)
 
 import parseoracle as oracle
 from strategies import claims, terms, weight_exprs
@@ -149,13 +158,13 @@ def scripts(draw):
         edges = draw(st.lists(st.tuples(actors, actors), unique=True, max_size=2))
         lines.append(f"trust {name} {{ {' '.join(f'{s} -> {t} @ 0.5.' for s, t in edges)} }}")
     for k in range(draw(st.integers(0, 2))):
-        lines.append(f"proof D{k} {{ {render(draw(proof_trees))} }}")
+        lines.append(f"proof D{k} {{ {render_proof_tree(draw(proof_trees))} }}")
     if draw(st.booleans()):
         held = draw(st.lists(st.tuples(terms(3), actors), max_size=2))
-        entries = " ".join(f"{render(term)}^{actor}." for term, actor in held)
+        entries = " ".join(f"{render_term(term)}^{actor}." for term, actor in held)
         lines.append(f"model M {{ {draw(st.sampled_from(CLAIM_NAMES))} = {{ {entries} }}. }}")
         for judgement in draw(st.lists(judgements(3), max_size=2)):
-            lines.append(f"query {render(judgement)} in M.")
+            lines.append(f"query {render_judgement(judgement)} in M.")
     return "\n".join(lines) + "\n"
 
 
@@ -204,23 +213,23 @@ def with_mutations(texts):
 
 
 class TestAgainstTheOracle:
-    @given(with_mutations(claims(12).map(render)))
+    @given(with_mutations(claims(12).map(render_claim)))
     @settings(max_examples=400)
     def test_claims(self, text):
         assert_agrees("parse_claim", text)
 
-    @given(with_mutations(terms(12).map(render)))
+    @given(with_mutations(terms(12).map(render_term)))
     @settings(max_examples=400)
     def test_terms(self, text):
         assert_agrees("parse_term", text)
         assert_agrees("parse_term", text, var_names=("x", "y"))
 
-    @given(with_mutations(judgements(6).map(render)))
+    @given(with_mutations(judgements(6).map(render_judgement)))
     @settings(max_examples=200)
     def test_judgements(self, text):
         assert_agrees("parse_judgement", text)
 
-    @given(with_mutations(sequents.map(render)))
+    @given(with_mutations(sequents.map(render_sequent)))
     @settings(max_examples=200)
     def test_sequents(self, text):
         assert_agrees("parse_sequent", text)

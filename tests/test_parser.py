@@ -54,7 +54,6 @@ from veracity.parser import (
     parse_sequent,
     parse_term,
     parse_weight_expr,
-    render,
     render_claim,
     render_judgement,
     render_proof_tree,
@@ -1025,14 +1024,3 @@ class TestNestingTooDeep:
         finally:
             sys.setrecursionlimit(saved)
 
-
-class TestRenderFacade:
-    def test_dispatch(self):
-        assert render(A) == "A"
-        assert render(Atom("a")) == "a"
-        assert render(Fraction(1, 2)) == "0.5"
-        assert render(ARG) == "z"
-        assert render(Judgement(Atom("a"), "P", Fraction(1), A)) == "a^P : A"
-        assert render(Sequent((), Judgement(Atom("a"), "P", Fraction(1), A))) == "|- a^P : A"
-        with pytest.raises(TypeError):
-            render(object())

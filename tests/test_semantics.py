@@ -47,7 +47,6 @@ from veracity.semantics import (
     denote,
     member,
     model_from_script,
-    render_witness,
     soundness_check,
 )
 
@@ -685,15 +684,3 @@ class TestSoundness:
             assert isinstance(result, Sequent)
             assert soundness_check(tree, scenario.model, scenario.env)
 
-
-class TestRenderWitness:
-    def test_atom_form(self):
-        assert render_witness(ww(Atom("a"), "P", Fraction(1, 2))) == "a^P@0.5"
-
-    def test_table_form(self):
-        m = build_model({"A": {ww(Atom("a"), "P")}, "B": {ww(Atom("b"), "P")}}, ())
-        (table,) = denote(Implies(A, B), m)
-        assert render_witness(table) == "table{a^P@1.0 => b^P@1.0}^P@1.0"
-
-    def test_empty_table_form(self):
-        assert render_witness(ww(MapTable(()), "P")) == "table{}^P@1.0"
