@@ -6,8 +6,12 @@ files.  Script files (.vlp) declare claims, actors, trust relations, proofs,
 models, and the queries to run against them; `#` starts a line comment.
 
 The scanner runs one regex over the whole text and keeps two parallel
-lists: each lexeme's text, with Unicode operators in their ASCII spelling,
-and the offset at which it starts.  The parser's cursor reads those texts
+sequences: a list of each lexeme's text, with Unicode operators in their
+ASCII spelling, and an array("q") of the offset at which it starts.  Equal
+lexemes are one string, shared through a table that belongs to the scan
+and is freed with it, so a token costs 16 bytes, a list slot and an array
+slot, plus one string per distinct lexeme; a string and a boxed int of its
+own per token took 60 to 78 bytes.  The parser's cursor reads those texts
 directly.  No operator's text equals the text of an identifier, number or
 string, so the cursor tells an operator or a keyword by its text alone, and
 any other token's kind by its first character.  Line and column are worked
@@ -42,6 +46,7 @@ kernel._RULES.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,24 +160,26 @@ _SCAN = re.compile(
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _scan(text: str) -> tuple[list[str], list[int]]:
+def _scan(text: str) -> tuple[list[str], array]:
     """The lexemes of text, Unicode operators in their ASCII spelling, and
-    their start offsets; both end with the eof entry "" at len(text)."""
+    their start offsets; both end with the eof entry "" at len(text).
+    Equal lexemes are one string object."""
     texts: list[str] = []
-    starts: list[int] = []
+    starts = array("q")
+    share = {}.setdefault   # this scan's own table, dropped when it returns
     add_text, add_start = texts.append, starts.append
     for m in _SCAN(text):
         lexeme = m[1]
         if lexeme is None:
             break
-        add_text(lexeme)
+        add_text(share(lexeme, lexeme))
         add_start(m.start(1))
     if m[2] is not None:
         raise ParseError(f"unexpected character {m[2]!r}", *_locate(_line_starts(text), m.start(2)))
     texts.append("")
     starts.append(len(text))
     if not text.isascii():
-        texts = [_UNICODE_OPS.get(t, t) for t in texts]
+        texts = [share(t, t) for t in map(_UNICODE_OPS.get, texts, texts)]
     return texts, starts
 
 
@@ -568,7 +575,9 @@ class _Parser:
     # -- witness terms
 
     def term(self) -> Term:
-        if self.accept("\\"):
+        texts = self.texts
+        if texts[self.pos] == "\\":
+            self.pos += 1
             param = self.expect_ident("a parameter name")
             self.expect(".")
             body = self.scoped_term((param,))
@@ -576,7 +585,6 @@ class _Parser:
                 return Lambda(param, body, self.weight_expr())
             return Lambda(param, body)
         term = self.primary()
-        texts = self.texts
         while (found := texts[self.pos]) == "(" or found[:1] in _IDENT_START and found != "_|_":
             term = Apply(term, self.primary())
         return term
@@ -596,23 +604,34 @@ class _Parser:
         return body
 
     def primary(self) -> Term:
-        if self.accept("("):
-            first = self.term()
-            if self.accept(","):
-                second = self.term()
-                self.expect(")")
-                return Pair(first, second)
-            self.expect(")")
-            return first
+        texts = self.texts
         at = self.pos
-        name = self.texts[at]
-        if not _is_ident(name):
+        name = texts[at]
+        # "(", "," and ")" are compared here; expect reads one only when it
+        # is missing, for its error.
+        if name == "(":
+            self.pos = at + 1
+            first = self.term()
+            at = self.pos
+            if texts[at] == ",":
+                self.pos = at + 1
+                second = self.term()
+                if texts[self.pos] != ")":
+                    self.expect(")")
+                self.pos += 1
+                return Pair(first, second)
+            if texts[at] != ")":
+                self.expect(")")
+            self.pos = at + 1
+            return first
+        if name[:1] not in _IDENT_START or name == "_|_":
             raise ParseError(f"expected a term, found {_describe(name)}", *self.loc(at))
         self.pos = at + 1
+        follow = texts[at + 1]
         # Constructor names bind only to an immediately adjacent "(", so an
         # identifier i applied to a parenthesized argument (written "i (x)")
         # stays an application.
-        if name in _CONSTRUCTORS and self.at("(") and self.starts[at + 1] == self.starts[at] + len(name):
+        if follow == "(" and name in _CONSTRUCTORS and self.starts[at + 1] == self.starts[at] + len(name):
             self.pos += 1
             scrutinee = self.term()
             if name == "i" or name == "j":
@@ -638,7 +657,7 @@ class _Parser:
             body = self.scoped_term((fv, sv))
             self.expect(")")
             return SplitOf(scrutinee, fv, sv, body)
-        if self.at("{"):
+        if follow == "{":
             if name in self.bound:
                 raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
             return Atom(name, self.provenance())
@@ -680,9 +699,28 @@ class _Parser:
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
         """The [^actor] [@weight] ":" claim that ends a judgement or a
         hypothesis."""
-        actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
-        self.note("actor", actor)
-        weight = self.weight() if self.accept("@") else _ONE
+        texts, pos = self.texts, self.pos
+        # A declared actor and a declared claim name that no operator
+        # follows are read here; anything else goes through the calls.
+        if texts[pos] == "^" and self.declared.get(texts[pos + 1]) == "actor":
+            actor = texts[pos + 1]
+            pos += 2
+        else:
+            actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
+            self.note("actor", actor)
+            pos = self.pos
+        if texts[pos] == "@":
+            self.pos = pos + 1
+            weight = self.weight()
+            pos = self.pos
+        else:
+            weight = _ONE
+        if texts[pos] == ":":
+            leaf = self.claim_leaves.get(texts[pos + 1])
+            if leaf is not None and texts[pos + 2] not in _CLAIM_OPS:
+                self.pos = pos + 2
+                return actor, weight, leaf
+        self.pos = pos
         self.expect(":")
         return actor, weight, self.claim()
 
@@ -918,13 +956,27 @@ class _Parser:
         name = self.declare("relation")
         self.expect("{")
         edges: dict[tuple[str, str], TrustEdge] = {}
+        texts, declared, weights = self.texts, self.declared, self.weights
         while not self.accept("}"):
             at = self.pos
-            src = self.reference("actor")
-            self.expect("->")
-            dst = self.reference("actor")
-            weight = self.weight() if self.accept("@") else _ONE
-            self.expect(".")
+            # An edge between declared actors with a weight read before is
+            # read in one step; any other goes through the calls.
+            src = texts[at]
+            if (
+                declared.get(src) == "actor"
+                and texts[at + 1] == "->"
+                and declared.get(dst := texts[at + 2]) == "actor"
+                and texts[at + 3] == "@"
+                and (weight := weights.get(texts[at + 4])) is not None
+                and texts[at + 5] == "."
+            ):
+                self.pos = at + 6
+            else:
+                src = self.reference("actor")
+                self.expect("->")
+                dst = self.reference("actor")
+                weight = self.weight() if self.accept("@") else _ONE
+                self.expect(".")
             if (src, dst) in edges:
                 raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.loc(at))
             edges[src, dst] = TrustEdge(src, dst, weight)

@@ -10,7 +10,9 @@ is the assignment closed under the trust family. The model keeps its
 assignment as it is given and reads atomic weights through reach: the
 first lookup at an actor runs one max-product search from it
 (trust.best_trust_from), and the model caches the products and each
-(claim name, actor) answer. Composite claims denote pointwise:
+(claim name, actor) map of held terms it builds; an exact lookup of one
+term reads the products without building that map. Composite claims
+denote pointwise:
 
     falsity     the empty set
     X /\\ Y      same-actor pairs, weight the minimum of the components
@@ -149,7 +151,8 @@ class Model:
     query as build_model's model of the same assignment does, given the
     same actors. held(name, actor) reads what an actor holds for a claim
     through the actor's reach, its best trust products to every actor,
-    searched on first use. The model caches each reach and each answer.
+    searched on first use. The model caches each reach and each map held
+    builds; held_weight reads one term's weight without a map.
     atom_assignment is the closed view of the whole assignment, one weight
     per term and actor, computed on first read. build_model and
     model_from_script also collect the actor universe.
@@ -206,6 +209,21 @@ class Model:
                         terms[term] = weight
             self._held[key] = terms
         return terms
+
+    def held_weight(self, name: str, actor: str, term: SemanticTerm) -> Optional[Weight]:
+        """held(name, actor).get(term), read through the actor's reach
+        without building that map, so an exact query keeps no weight for
+        each term the actor holds; kept, those maps made a model's memory
+        follow how far up a trust chain the queried actors sit."""
+        best = None
+        given = self._given.get(name, {})
+        for holder, share in self.reach(actor).items():
+            weight = given.get(holder, {}).get(term)
+            if weight is not None:
+                weight *= share
+                if best is None or weight > best:
+                    best = weight
+        return best
 
     @cached_property
     def atom_assignment(self) -> Mapping[str, frozenset[WeightedWitness]]:
@@ -395,9 +413,9 @@ def _held(
     if isinstance(claim, Bottom):
         return None
     if isinstance(claim, Atomic):
-        terms = model.held(claim.name, actor)
         if exact:
-            return terms.get(term)
+            return model.held_weight(claim.name, actor, term)
+        terms = model.held(claim.name, actor)
         return max((w for t, w in terms.items() if alpha_equal(term, t)), default=None)
     if isinstance(claim, And):
         if not isinstance(term, Pair):

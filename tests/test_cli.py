@@ -1,5 +1,6 @@
 """CLI tests: exit codes, golden text output, structured round-trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -308,6 +309,29 @@ class TestTrustChainModel:
         done = run_subprocess("model", str(script))
         assert time.perf_counter() - start < 2
         assert (done.returncode, done.stdout, done.stderr) == (1, f"model {script}\n" + self.OUT, "")
+
+
+class TestNoCycles:
+    """A call leaves no reference cycles behind: the argument parser's are
+    freed before the scripts are read, so nothing a call allocated waits
+    for the cycle collector to run at some later point."""
+
+    @pytest.mark.parametrize("command", ["check", "model", "trust", "report"])
+    def test_a_call_leaves_no_garbage_cycles(self, capsys, command):
+        gc.collect()
+        code, out, _ = run(capsys, command, TRUST_CHAIN, "--format", "structured")
+        assert (code, gc.collect()) == (0, 0)
+        assert out
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_left_as_found(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run(capsys, "check", TRUST_CHAIN)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestModel:

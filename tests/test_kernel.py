@@ -63,7 +63,9 @@ from veracity.kernel import (
     env_from_script,
 )
 from veracity import kernel, parser
+from veracity.cli import main
 from veracity.parser import parse_script, render_sequent
+from veracity.report import parse_structured
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -734,3 +736,74 @@ class TestWeightLaws:
 class TestClaimhoodHelper:
     def test_claim_of_premise(self):
         assert check_claimhood(closed(Var("a"), "P", 1, And(A, B))) == Claimhood(And(A, B))
+
+
+# Each bad node is the second premise of an andIntro, so it sits at path 1,
+# on line 6 at column 3.
+def _second_premise(header: str, bad: str) -> str:
+    return f"{header}\nproof Bad {{\n  andIntro(\n  assume w : A,\n  {bad})\n}}\n"
+
+
+_RARE_ERRORS = {
+    "or-elim-not-a-disjunction": (
+        _second_premise("claim A, B.\nactor P.", "orElim(assume x : A, l.assume l : A, r.assume r : A, A)"),
+        ErrorKind.SEQUENT_MISMATCH,
+        "scrutinee concludes A, not a disjunction",
+    ),
+    "or-elim-right-branch-against-the-family": (
+        _second_premise(
+            "claim A, B.\nactor P.",
+            "orElim(orIntroL(assume x : A, B), l.assume l : A, r.assume r : B, A)",
+        ),
+        ErrorKind.TAG_MISMATCH,
+        "right branch concludes B, family expects A",
+    ),
+    "and-elim-not-a-conjunction": (
+        _second_premise("claim A, B.\nactor P.", "andElim(assume p : A, u.v.assume u : A, A)"),
+        ErrorKind.SEQUENT_MISMATCH,
+        "scrutinee concludes A, not a conjunction",
+    ),
+    "and-elim-branch-against-the-family": (
+        _second_premise(
+            "claim A, B.\nactor P.",
+            "andElim(assume p : A /\\ B, u.v.andIntro(assume u : A, assume v : B), A)",
+        ),
+        ErrorKind.SEQUENT_MISMATCH,
+        "branch concludes A /\\ B, family expects A",
+    ),
+    "imp-intro-hypothesis-of-another-actor": (
+        _second_premise("claim A, B.\nactor P, Q.", "impIntro(x, assume y^P : B under (x^Q : A))"),
+        ErrorKind.ACTOR_MISMATCH,
+        "hypothesis 'x' belongs to Q, conclusion to P",
+    ),
+    "claimhood-with-a-stated-sequent": (
+        _second_premise("claim A.\nactor P.", "claim(assume x : A) stating (x^P : A |- x^P : A)"),
+        ErrorKind.SEQUENT_MISMATCH,
+        "a claimhood statement has no sequent to state",
+    ),
+}
+
+
+class TestRareErrors:
+    """Kernel raises no other test reaches, each from a script: through
+    check_proof, and through the CLI's structured report with the bad
+    node's location."""
+
+    @pytest.mark.parametrize("name", sorted(_RARE_ERRORS))
+    def test_check_proof(self, name):
+        text, kind, detail = _RARE_ERRORS[name]
+        script = parse_script(text)
+        with pytest.raises(CheckError) as exc:
+            check_proof(script.proofs[0].tree, env_from_script(script))
+        assert (exc.value.kind, exc.value.path, exc.value.detail) == (kind, (1,), detail)
+
+    @pytest.mark.parametrize("name", sorted(_RARE_ERRORS))
+    def test_structured_report(self, name, tmp_path, capsys):
+        text, kind, detail = _RARE_ERRORS[name]
+        path = tmp_path / "bad.vlp"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "--format", "structured", str(path)]) == 1
+        (section,) = parse_structured(capsys.readouterr().out).sections
+        fields = dict(section.fields)
+        assert (fields["status"], fields["error-kind"], fields["error-path"]) == ("failed", kind.value, "1")
+        assert (fields["error-detail"], fields["line"], fields["col"]) == (detail, "6", "3")

@@ -3,6 +3,7 @@
 import random
 import sys
 import zlib
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,7 @@ from veracity.parser import (
     render_weight_expr,
     tokenize,
 )
+from veracity.parser import _kind, _scan
 
 from strategies import VAR_NAMES, claims, terms, weight_exprs
 from tokoracle import oracle_tokenize
@@ -193,6 +195,64 @@ class TestTokenizerOracle:
         variants = [text, text.rstrip("\n"), *_mutations(text, zlib.crc32(name.encode()), 150)]
         for k, variant in enumerate(variants):
             assert _tokens_or_error(tokenize, variant) == _tokens_or_error(oracle_tokenize, variant), k
+
+
+# Unicode and ASCII operators, CRLF line ends, comments holding operator
+# and string text, and string literals, three times over.
+_MIXED_TEXT = (
+    'claim A, B.  # A /\\ B -> A, "not a string" |- ⊥\r\n'
+    "actor P, Q.\r\n"
+    'query a{who="P -> Q", how="said"}^P : A ∧ B → A /\\ B in M.\r\n'
+    "query λx. x^Q @ 0.5 : ¬A ∨ B \\/ A -> A in M.  # ⊢ ∈ · ⊥\r\n"
+) * 3
+
+
+class TestSharedLexemes:
+    """The scan keeps one string per distinct lexeme, in a table of its
+    own, and its offsets in an array of machine integers."""
+
+    def test_equal_lexemes_are_one_object(self):
+        texts, _ = _scan(_MIXED_TEXT)
+        first: dict[str, str] = {}
+        for text in texts:
+            assert first.setdefault(text, text) is text, text
+        assert len(first) < len(texts) / 4
+
+    def test_starts_are_an_int64_array(self):
+        texts, starts = _scan(_MIXED_TEXT)
+        assert isinstance(starts, array) and starts.typecode == "q"
+        assert len(starts) == len(texts) and starts[-1] == len(_MIXED_TEXT)
+
+    def test_two_scans_share_no_table(self):
+        one, _ = _scan(_MIXED_TEXT)
+        two, _ = _scan(_MIXED_TEXT)
+        assert one == two
+        # Identifiers, strings and numbers are shared within a scan, never
+        # between two (one-character strings are the interpreter's own).
+        kept = [k for k, text in enumerate(one) if len(text) > 1 and _kind(text) != "op"]
+        assert kept and not any(one[k] is two[k] for k in kept)
+        claims = [text for text in one if text == "claim"]
+        assert len(claims) == 3 and claims[0] is claims[1] is claims[2]
+
+    def test_tokenize_shares_them_and_agrees_with_the_oracle(self):
+        tokens = tokenize(_MIXED_TEXT)
+        assert _tokens_or_error(tokenize, _MIXED_TEXT) == _tokens_or_error(oracle_tokenize, _MIXED_TEXT)
+        arrows = [t.text for t in tokens if t.text == "->"]
+        assert len(arrows) == 6 and all(a is arrows[0] for a in arrows)
+
+    def test_far_offsets_locate(self):
+        # 100,000 characters of tokens before each error.  The scan locates
+        # its own from the match; the parser reads the offset back from the
+        # array, past what two bytes hold.
+        head = "x /\\ y\r\n" * 12_500
+        assert len(head) == 100_000
+        with pytest.raises(ParseError) as exc:
+            tokenize(head + "A ∧ $")
+        assert (exc.value.message, exc.value.line, exc.value.col) == ("unexpected character '$'", 12_501, 5)
+        assert _tokens_or_error(oracle_tokenize, head + "A ∧ $") == ("error", "unexpected character '$'", 12_501, 5)
+        with pytest.raises(ParseError) as exc:
+            parse_claim("(" * 10 + "A" + " /\\ A" * 20_000 + "\n  ∧ )")
+        assert (exc.value.line, exc.value.col) == (2, 5)
 
 
 class TestErrorLocations:

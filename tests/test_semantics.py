@@ -614,6 +614,20 @@ class TestUnclosedModel:
             for name, entries in built.assignment.items():
                 assert model.atom_assignment[name] == oracle_close(entries, built.trust_family)
 
+    @given(ORACLE_MODELS)
+    def test_held_weight_reads_the_held_map(self, built):
+        """held_weight gives held(...).get(term), before and after held
+        has built the map, for held terms and a term no one holds."""
+        terms = {w.term for entries in built.assignment.values() for w in entries}
+        terms.add(Atom("nobody-holds-this"))
+        for model in (built, *self.variants(built)):
+            for name in built.assignment:
+                for actor in model.actors:
+                    first = {term: model.held_weight(name, actor, term) for term in terms}
+                    held = model.held(name, actor)
+                    assert first == {term: held.get(term) for term in terms}
+                    assert first == {term: model.held_weight(name, actor, term) for term in terms}
+
 
 class TestModelFromScript:
     def test_assignments_close_at_build_time(self):
