@@ -186,17 +186,18 @@ def _normalized(
     """term's normal form, its step count and, when traced, its reduction
     sequence.  When the step budget runs out, adds that outcome instead
     (the lead fields, then the budget; the text line exhausted(budget))
-    and returns None."""
+    and returns None.  The sequence is built only once the normal form is
+    known to be within the budget: a term that exhausts it may grow at
+    every step, and keeping each stage could take far more time and
+    memory than the steps."""
     budget = out.cfg.step_budget
     try:
-        if traced:
-            stages = trace(term, budget)
-            return stages[-1], len(stages) - 1, stages
-        return (*normalize_counted(term, budget), [])
+        normal, steps = normalize_counted(term, budget)
     except BudgetExceeded:
         fields = lead + [("status", "budget-exhausted"), ("budget", str(budget))]
         out.add(name, fields, exhausted(budget), failed=True)
         return None
+    return normal, steps, trace(term, budget) if traced else []
 
 
 def _eval_exprs_into(out: _Output) -> None:

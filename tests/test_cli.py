@@ -145,6 +145,27 @@ class TestEval:
         assert code == 0
         assert out == "  [0] cases(i(a), x.x, y.y)\n  [1] a\na (1 step)\n"
 
+    @pytest.mark.parametrize("form", ["text", "structured"])
+    def test_verbose_traces_only_what_normalizes_within_the_budget(self, capsys, monkeypatch, form):
+        """eval -v and report -v build no trace of a term that exhausts the
+        budget: it grows at every step, and eval -v printed the same report
+        as eval."""
+        import veracity.cli as cli
+
+        traced, real = [], cli.trace
+        monkeypatch.setattr(cli, "trace", lambda term, budget: traced.append(term) or real(term, budget))
+        grows = ["--format", form, "--step-budget", "4000", "-e", "(\\x.x x x) (\\x.x x x)"]
+        quiet = run(capsys, "eval", *grows)
+        assert quiet[0] == 1 and "budget" in quiet[1]
+        assert run(capsys, "eval", "-v", *grows) == quiet
+        code, out, _ = run(capsys, "report", TRUST_CHAIN, "-v", *grows)
+        assert code == 1 and "4000" in out
+        assert traced == []
+        for command in (["eval"], ["report", TRUST_CHAIN]):
+            code, out, _ = run(capsys, *command, "-v", "--format", form, "-e", "(\\x.(x, x)) a")
+            assert code == 0 and "(a,a)" in out
+        assert len(traced) == 2
+
     def test_file_mode_normalizes_conclusions(self, capsys):
         code, out, _ = run(capsys, "eval", TRUST_CHAIN)
         assert code == 0
@@ -850,15 +871,30 @@ _DEEP_DRIVER = """
 import contextlib, io, json, sys, traceback
 from veracity.cli import main
 for argv in json.load(sys.stdin):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception:
             code = None
             traceback.print_exc()
-    print(json.dumps([code, err.getvalue()]))
+    print(json.dumps([code, err.getvalue(), out.getvalue()]))
 """
+
+
+def _drive(runs, timeout=600):
+    """main(argv) for each argv of runs, in one fresh interpreter: a list
+    of [exit code, stderr, stdout]."""
+    src = str(Path(veracity.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_DRIVER],
+        input=json.dumps(runs), capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(results) == len(runs)
+    return results
 
 
 def _claim_script(claim):
@@ -901,16 +937,7 @@ class TestDeepInput:
                 if command in ("report", "eval"):
                     argv += [arg for expr in exprs for arg in ("-e", expr)]
                 runs.append(argv)
-        src = str(Path(veracity.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", _DEEP_DRIVER],
-            input=json.dumps(runs), capture_output=True, text=True, timeout=600,
-            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
-        )
-        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
-        results = [json.loads(line) for line in done.stdout.splitlines()]
-        assert len(results) == len(runs)
-        for argv, (code, err) in zip(runs, results):
+        for argv, (code, err, _) in zip(runs, _drive(runs)):
             where = (argv[0], Path(argv[1]).stem)
             assert code in (0, 1, 2), (where, err[-2000:])
             assert "Traceback" not in err, (where, err[-2000:])
@@ -934,17 +961,8 @@ class TestDeepEval:
             build = NESTINGS[name][1]
             for d in (depth - self.MAIN_FRAMES, depth - 4, depth, depth + 4, 2 * depth):
                 runs.append((name, d, build(d)))
-        src = str(Path(veracity.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", _DEEP_DRIVER],
-            input=json.dumps([["eval", "-e", text] for _, _, text in runs]),
-            capture_output=True, text=True, timeout=600,
-            env={**os.environ, "PYTHONPATH": src, "VERACITY_COLOR": "never"},
-        )
-        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
-        results = [json.loads(line) for line in done.stdout.splitlines()]
-        assert len(results) == len(runs)
-        for (name, depth, text), (code, err) in zip(runs, results):
+        results = _drive([["eval", "-e", text] for _, _, text in runs])
+        for (name, depth, text), (code, err, _) in zip(runs, results):
             if depth <= self.PARSER_DEPTHS[name] - self.MAIN_FRAMES:
                 assert (code, err) == (0, ""), (name, depth, err[-2000:])
             else:
@@ -955,6 +973,41 @@ class TestDeepEval:
                 if code == 2:
                     assert err.startswith("-e:1:"), (name, depth, err)
                     assert err.endswith(": nesting too deep\n"), (name, depth, err)
+
+    def test_redexes_in_and_under_deep_nests(self):
+        """One step whose substitution passes a 4,900-deep nest of pairs or
+        of tags, and one under 4,900 binders."""
+        d = 4900
+        pairs, tags = "(" * d + "x" + ",a)" * d, "i(" * d + "x" + ")" * d
+        binders = "".join(f"\\y{k}." for k in range(d))
+        cases = [
+            (f"(\\x.{pairs}) b", pairs.replace("x", "b")),
+            (f"(\\x.{tags}) b", tags.replace("x", "b")),
+            (f"{binders}(\\x.(x,y0)) y{d - 1}", f"{binders}(y{d - 1},y0)"),
+        ]
+        results = _drive([["eval", "-e", text] for text, _ in cases])
+        for (text, normal), result in zip(cases, results):
+            assert result == [0, "", f"{normal} (1 step)\n"], text[:40]
+
+    def test_the_longest_seq_chain(self):
+        """(\\x0...\\x{n-1}.(x0,(x1,...))) a0 ... a{n-1} near the longest the
+        parser takes at the CLI's limit (2,495 binders on CPython 3.11):
+        n steps, each with every binder after it still unfired, in its own
+        interpreter within 60 s."""
+        runs, normals = [], {}
+        for n in (2480, 2495, 2500):
+            params, atoms = [f"x{k}" for k in range(n)], [f"a{k}" for k in range(n)]
+            body, normal = params[-1], atoms[-1]
+            for p, a in zip(reversed(params[:-1]), reversed(atoms[:-1])):
+                body, normal = f"({p},{body})", f"({a},{normal})"
+            lambdas = "".join(f"\\{p}." for p in params)
+            runs.append(["eval", "-e", f"({lambdas}{body}) {' '.join(atoms)}"])
+            normals[n] = f"{normal} ({n} steps)\n"
+        for (n, normal), (code, err, out) in zip(normals.items(), _drive(runs, timeout=60)):
+            if n == 2480 or code != 2:
+                assert (code, err, out) == (0, "", normal), (n, err[-2000:])
+            else:
+                assert err.startswith("-e:1:") and err.endswith(": nesting too deep\n"), (n, err)
 
     def test_deep_normal_forms_render_in_full(self, capsys):
         for name in sorted(self.PARSER_DEPTHS):

@@ -4,12 +4,12 @@ the recursive reducer the zipper walk replaced, as a step-for-step oracle."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbterms import db_step, to_db
 from steporacle import oracle_trace
-from strategies import ATOM_NAMES, VAR_NAMES, redex_terms, terms
+from strategies import ATOM_NAMES, VAR_NAMES, _nest_pairs, _split_of, redex_terms, terms
 from veracity.core import (
     Apply,
     Atom,
@@ -27,6 +27,7 @@ from veracity.core import (
 )
 from veracity.evaluator import (
     BudgetExceeded,
+    _Pending,
     contract,
     normalize,
     normalize_counted,
@@ -209,6 +210,76 @@ class TestStepOracle:
         assert alpha_equal(parse_term(render_term(reduced), var_names=free), reduced)
 
 
+# Seq-chain binders share three names, so they shadow one another; the
+# outer lambdas' names include a primed one, so a renamed binder can need
+# a second prime.
+CHAIN_NAMES = ["x", "y", "z"]
+OUTER_NAMES = ["x", "x'", "y"]
+
+
+@st.composite
+def seq_chains(draw):
+    """(\\b1...\\bk.B) a1 ... am with k <= 6, where pending substitutions
+    stack: arguments that are closed (atoms, closed lambdas, tags and
+    pairs of atoms) or not (outer variables, pairs and lambdas over them),
+    a body that applies, cases and splits on the binders, and up to two
+    lambdas around it all.  A chain applied to all its arguments is
+    sometimes the scrutinee of a cases or split, with a tag or pair for
+    its body."""
+    outer = draw(st.lists(st.sampled_from(OUTER_NAMES), max_size=2))
+    binders = draw(st.lists(st.sampled_from(CHAIN_NAMES), min_size=1, max_size=6))
+    names = st.sampled_from(CHAIN_NAMES + outer)
+    binder = st.sampled_from(CHAIN_NAMES)
+    atom = st.sampled_from(["a", "b"]).map(Atom)
+    leaf = st.one_of(st.sampled_from(outer).map(Var), atom) if outer else atom
+    # An argument free in every outer name: with x and x' among them, a
+    # binder x it passes becomes x''.
+    every = _nest_pairs([Var(n) for n in outer] or [Atom("a")])
+    arg = st.one_of(
+        leaf,
+        st.just(every),
+        st.tuples(binder, leaf).map(lambda p: Lambda(p[0], Pair(p[1], Var(p[0])))),
+        st.tuples(binder, binder).map(lambda p: Lambda(p[0], Var(p[1]))),
+        leaf.map(TagL),
+        leaf.map(TagR),
+        st.tuples(leaf, leaf).map(lambda p: Pair(*p)),
+    )
+    var = names.map(Var)
+    body = st.recursive(
+        st.one_of(var, atom),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: Pair(*p)),
+            st.tuples(var, inner).map(lambda p: Apply(*p)),
+            st.tuples(binder, inner).map(lambda p: Lambda(*p)),
+            inner.map(TagL),
+            st.tuples(var, binder, inner, binder, inner).map(lambda p: CasesOf(*p)),
+            st.tuples(var, binder, binder, inner).map(_split_of),
+        ),
+        max_leaves=6,
+    )
+    wrap = draw(st.sampled_from(["none", "cases", "split"]))
+    if wrap == "cases":
+        term = draw(st.sampled_from([TagL, TagR]))(draw(body))
+        count = len(binders)
+    elif wrap == "split":
+        term = Pair(draw(body), draw(body))
+        count = len(binders)
+    else:
+        term = draw(body)
+        count = draw(st.integers(0, len(binders) + 2))
+    for name in reversed(binders):
+        term = Lambda(name, term)
+    for _ in range(count):
+        term = Apply(term, draw(arg))
+    if wrap == "cases":
+        term = CasesOf(term, draw(binder), Pair(draw(var), draw(var)), draw(binder), draw(var))
+    elif wrap == "split":
+        term = _split_of((term, draw(binder), draw(binder), Pair(draw(var), draw(var))))
+    for name in reversed(outer):
+        term = Lambda(name, term)
+    return term
+
+
 # Steps the recursive oracle takes before a term counts as divergent.
 ORACLE_LIMIT = 60
 
@@ -265,10 +336,82 @@ class TestAgainstRecursiveStep:
     def test_worked_terms(self, text):
         self.check(parse_term(text))
 
+    @given(seq_chains())
+    @example(parse_term("\\x.\\x'.(\\z.\\y.\\x.((y, z), x)) a (x, x') b"))
+    @settings(max_examples=200)
+    def test_seq_chains_that_shadow_and_capture(self, term):
+        # In the example, y := (x, x') meets z := a still pending and
+        # renames the binder x to x''.
+        self.check(term)
+
     def test_normal_form_comes_back_as_the_same_object(self):
         term = parse_term("\\x.(f x, cases(x, u.u, v.i(v)))")
         assert normalize_counted(term) == (term, 0)
         assert normalize(term) is term
+
+
+def _seq_chain(n):
+    """(\\x0...\\x{n-1}.(x0,(x1,...))) a0 ... a{n-1}: n steps to the pair of the atoms."""
+    params = [f"x{i}" for i in range(n)]
+    body = Var(params[-1])
+    for p in reversed(params[:-1]):
+        body = Pair(Var(p), body)
+    term = body
+    for p in reversed(params):
+        term = Lambda(p, term)
+    for i in range(n):
+        term = Apply(term, Atom(f"a{i}"))
+    return term
+
+
+class TestLinearWork:
+    """Reduction builds a number of nodes linear in the steps taken: on
+    seq chains, where substituting at every step rebuilt the lambdas left,
+    and on (\\x.x x x) (\\x.x x x), which grows without end.  Nodes are
+    counted, not timed, so the test reads no clock."""
+
+    NODES = (Atom, Var, Pair, TagL, TagR, Lambda, Apply, CasesOf, SplitOf, _Pending)
+
+    def built(self, monkeypatch, run):
+        count = 0
+
+        def counted(init):
+            def __init__(self, *args):
+                nonlocal count
+                count += 1
+                init(self, *args)
+
+            return __init__
+
+        with monkeypatch.context() as patch:
+            for kind in self.NODES:
+                patch.setattr(kind, "__init__", counted(kind.__init__))
+            run()
+        return count
+
+    def check_doublings(self, counts):
+        for smaller, larger in zip(counts, counts[1:]):
+            assert larger <= 2.5 * smaller, counts
+
+    def test_seq_chains(self, monkeypatch):
+        counts = []
+        for n in (128, 256, 512):
+            term = _seq_chain(n)
+            counts.append(self.built(monkeypatch, lambda: normalize_counted(term)))
+            normal, steps = normalize_counted(term)
+            # alpha_equal, not ==: the dataclass == recurses 512 levels deep.
+            assert steps == n
+            assert alpha_equal(normal, _nest_pairs([Atom(f"a{i}") for i in range(n)]))
+        self.check_doublings(counts)
+
+    def test_a_growing_divergent_term(self, monkeypatch):
+        w = Lambda("x", Apply(Apply(Var("x"), Var("x")), Var("x")))
+
+        def run(budget):
+            with pytest.raises(BudgetExceeded):
+                normalize_counted(Apply(w, w), budget)
+
+        self.check_doublings([self.built(monkeypatch, lambda: run(b)) for b in (1000, 2000, 4000)])
 
 
 def _atom_names(term):
