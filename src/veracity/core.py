@@ -21,8 +21,9 @@ fields in slots and has no __dict__, so it is smaller, tracemalloc counts
 less per node, and it takes no attribute beyond its fields.  A term also
 has one slot more, _fv, where free_vars keeps the term's free-name set;
 substitution hands each node it builds that set, made from its children's.
-TrustRelation keeps a dict for its edge index.  Every dataclass gets its
-__init__ from _store_fields_locally: the same parameters and the same
+TrustRelation keeps a dict for its edge index, built once: by its
+constructor, or by the parser as it reads the edges.  Every dataclass gets
+its __init__ from _store_fields_locally: the same parameters and the same
 stores through object.__setattr__, with that method held in a closure cell
 rather than looked up on object once per field, so building a node costs
 less.
@@ -680,6 +681,11 @@ class TrustEdge:
 
 @dataclass(frozen=True)
 class TrustRelation:
+    """A named set of weighted edges between actors, in the order given.
+    Its index maps each (source, target) to the edge's weight and is built
+    once: by the constructor, which refuses a duplicate edge with a
+    ValueError, or by whoever read the edges, through _from_index."""
+
     name: str
     edges: tuple[TrustEdge, ...] = ()
 
@@ -691,6 +697,17 @@ class TrustRelation:
                 raise ValueError(f"duplicate trust edge {e.source} -> {e.target} in {self.name}")
             index[key] = e.weight
         object.__setattr__(self, "_weights", index)
+
+    @classmethod
+    def _from_index(cls, name: str, weights: dict[tuple[str, str], Weight]) -> TrustRelation:
+        """The relation with an edge per entry of weights, in its order,
+        keeping weights itself as the index; a dict holds no duplicate to
+        refuse.  The parser reads each edge into weights as it checks it."""
+        relation = object.__new__(cls)
+        object.__setattr__(relation, "name", name)
+        object.__setattr__(relation, "edges", tuple(TrustEdge(s, t, w) for (s, t), w in weights.items()))
+        object.__setattr__(relation, "_weights", weights)
+        return relation
 
     def weight_between(self, source: str, target: str) -> Optional[Weight]:
         return self._weights.get((source, target))

@@ -22,6 +22,14 @@ feed and the rest) are unexpected characters, as any character no token
 starts with.  tokenize gives the same scan as Token tuples with their
 kinds and positions.
 
+The parser drops the tokens it has read at three release points: the start
+of each top-level declaration, each proof node and each trust edge, once
+they are over 1,024 and over an eighth of those it holds.  So a long
+script's tokens do not stay alive beside the values built from them.  This
+is safe because no token index is held across a release point; _Parser
+says where that matters.  A trust relation keeps, as its edge index, the
+dict the parser refused duplicate edges with.
+
 Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
 three binary operators and recurses only for the right side of "->", a
 parenthesis or a negation.  Input nested past the interpreter's stack is a
@@ -93,7 +101,6 @@ from .core import (
     TagR,
     Term,
     TrustArgs,
-    TrustEdge,
     TrustRelation,
     Var,
     Weight,
@@ -419,11 +426,30 @@ class _Leaves(dict):
         return leaf
 
 
+# A prefix of read tokens is dropped once it is longer than this, and than
+# an eighth of the tokens held.
+_RELEASE_AT = 1024
+
+
 class _Parser:
+    """A recursive-descent parser over one text's scan.
+
+    It drops the tokens it has read, in place, at three release points
+    only: the start of each top-level declaration, each proof node, and
+    each trust edge.  So no method may hold a token index across a call
+    that can reach a release point; one that does would read a different
+    token, or locate an error wrongly.  tree() and trust_relation() take
+    their indices after releasing, and the methods that keep one across a
+    call (model_entry across term(), the sound and compare declarations
+    across reference()) call nothing that reaches tree() or a trust edge.
+    """
+
     def __init__(self, text: str) -> None:
         self.text = text
-        # The lexemes, ending with the eof entry "", and the offset in text
-        # at which each starts; the cursor pos indexes both.
+        # The lexemes not yet released, ending with the eof entry "", and
+        # the offset in text at which each starts; the cursor pos indexes
+        # both.  release() drops the prefix before pos from both at once;
+        # an offset is absolute, so locations do not change.
         self.texts, self.starts = _scan(text)
         self.pos = 0
         # Where each line of text starts, found when a location is first
@@ -449,6 +475,16 @@ class _Parser:
         self.declared: dict[str, str] = {}
 
     # -- token plumbing
+
+    def release(self) -> None:
+        """Drop the tokens before the cursor once they are over _RELEASE_AT
+        and over an eighth of those held.  Each drop moves the tokens left,
+        and at least an eighth of them goes each time, so the moves cost
+        at most eight times the tokens: linear in the text."""
+        pos = self.pos
+        if pos > _RELEASE_AT and pos > len(self.texts) >> 3:
+            del self.texts[:pos], self.starts[:pos]
+            self.pos = 0
 
     def loc(self, at: int) -> tuple[int, int]:
         """The line and column of the token at index at."""
@@ -733,6 +769,7 @@ class _Parser:
     # -- proof trees
 
     def tree(self) -> ProofTree:
+        self.release()
         at = self.pos
         rule = _RULE_BY_NAME.get(self.texts[at])
         if rule is None:
@@ -896,6 +933,7 @@ class _Parser:
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
         while word := self.texts[self.pos]:   # "" is the eof entry
+            self.release()
             at = self.pos
             if not _is_ident(word):
                 raise ParseError(f"expected a declaration, found {word!r}", *self.loc(at))
@@ -955,9 +993,12 @@ class _Parser:
     def trust_relation(self) -> TrustRelation:
         name = self.declare("relation")
         self.expect("{")
-        edges: dict[tuple[str, str], TrustEdge] = {}
+        # Each edge's weight by (source, target): the duplicate check here,
+        # then the relation's index.
+        edges: dict[tuple[str, str], Weight] = {}
         texts, declared, weights = self.texts, self.declared, self.weights
         while not self.accept("}"):
+            self.release()
             at = self.pos
             # An edge between declared actors with a weight read before is
             # read in one step; any other goes through the calls.
@@ -979,8 +1020,8 @@ class _Parser:
                 self.expect(".")
             if (src, dst) in edges:
                 raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.loc(at))
-            edges[src, dst] = TrustEdge(src, dst, weight)
-        return TrustRelation(name, tuple(edges.values()))
+            edges[src, dst] = weight
+        return TrustRelation._from_index(name, edges)
 
     def model_decl(self) -> ModelDecl:
         loc = self.loc(self.pos)

@@ -336,3 +336,70 @@ class TestNameCheckOrder:
         text = "actor P.\nproof X { assume x^P : A }\nclaim A.\n"
         assert _outcome(parser.parse_script, text) == ("error", "claim 'A' is not declared", 2, 11)
         assert _outcome(oracle.parse_script, text) == ("error", "claim 'A' is not declared", 2, 11)
+
+
+def _releases(text):
+    """How many times parsing text drops the tokens read so far."""
+    dropped = []
+    release = parser._Parser.release
+
+    def counting(self):
+        held = len(self.texts)
+        release(self)
+        if len(self.texts) < held:
+            dropped.append(held - len(self.texts))
+
+    parser._Parser.release = counting
+    try:
+        _outcome(parser.parse_script, text)
+    finally:
+        parser._Parser.release = release
+    return len(dropped)
+
+
+# Forty actors, and the first 1,500 of the edges between two of them.
+_ACTORS = [f"a{k:02d}" for k in range(40)]
+_EDGES = [(s, t) for s in _ACTORS for t in _ACTORS if s != t][:1500]
+
+
+def _relation(edges, late=""):
+    """Claims A and B, the forty actors on line 2, and a relation T with an
+    edge a line from line 4, then late."""
+    lines = "".join(f"  {s} -> {t} @ 0.{(3 * k) % 9 + 1}.\n" for k, (s, t) in enumerate(edges))
+    return f"claim A, B.\nactor {', '.join(_ACTORS)}.\ntrust T {{\n{lines}{late}"
+
+
+class TestLateErrors:
+    """An error found after the parser has dropped many tokens is the
+    oracle's, with its message, line and column: no token index is held
+    across a point where tokens are dropped."""
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            (
+                _relation(_EDGES, "  a00 -> a01 @ 0.5.\n}\n"),
+                "duplicate trust edge a00 -> a01", 1504, 3,
+            ),
+            (
+                _relation(_EDGES, "}\nproof X {\n  andIntro(assume x^a00 : A, assume y^a00 : B)\n"
+                          "    stating (x^a00 : A, y^a00 : B |- (x, y)^a00 : A /\\ E)\n}\n"),
+                "claim 'E' is not declared", 1506, 3,
+            ),
+            (
+                _relation(_EDGES[:1200], "  a00 -> a01 @ 1.5.\n" + "  a00 -> a02.\n" * 50 + "}\n"),
+                "bad weight '1.5': weight 3/2 outside [0, 1]", 1204, 16,
+            ),
+            (
+                _relation(_EDGES, "}\nmodel M uses T {\n  A = {\n"
+                          + "".join(f"    w{k}^a{k % 40:02d}.\n" for k in range(800))
+                          + "    late.\n  }.\n}\n"),
+                "actor 'default' is not declared", 2307, 5,
+            ),
+        ],
+        ids=["duplicate-edge", "stated-claim", "bad-weight", "default-actor"],
+    )
+    def test_matches_the_oracle(self, text, message, line, col):
+        assert _releases(text) >= 3
+        assert _outcome(parser.parse_script, text) == ("error", message, line, col)
+        assert _outcome(oracle.parse_script, text) == ("error", message, line, col)

@@ -42,8 +42,10 @@ from veracity.core import (
     TagR,
     TrustArgs,
     TrustEdge,
+    TrustRelation,
     Var,
     alpha_equal,
+    format_weight,
     neg,
 )
 from veracity.parser import (
@@ -63,7 +65,7 @@ from veracity.parser import (
     render_weight_expr,
     tokenize,
 )
-from veracity.parser import _kind, _scan
+from veracity.parser import _Parser, _kind, _scan
 
 from strategies import VAR_NAMES, claims, terms, weight_exprs
 from tokoracle import oracle_tokenize
@@ -1084,3 +1086,68 @@ class TestNestingTooDeep:
         finally:
             sys.setrecursionlimit(saved)
 
+
+
+class TestTokenRelease:
+    """The parser drops the tokens it has read as it goes, so a long
+    script's tokens are not all held while its last values are built."""
+
+    THRESHOLD = 1024   # tokens read before the parser drops any
+
+    def test_the_last_proof_node_is_read_holding_few_tokens(self, monkeypatch):
+        text = "claim A, B.\nactor P.\n" + "".join(
+            f"proof D{k} {{ andIntro(andIntro(assume x : A, assume y^P : B), assume z : A) }}\n"
+            for k in range(800)
+        )
+        total = len(tokenize(text))
+        assert total > 20_000
+        held = []
+        tree = _Parser.tree
+
+        def recording(self):
+            held.append(len(self.texts))
+            return tree(self)
+
+        monkeypatch.setattr(_Parser, "tree", recording)
+        script = parse_script(text)
+        assert len(held) == 800 * 5 and len(script.proofs) == 800
+        assert held[-1] <= total // 8 + self.THRESHOLD
+
+
+_RELATION_ACTORS = [f"p{k}" for k in range(20)]
+_edge_weights = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(0)])
+
+
+@st.composite
+def relation_edges(draw):
+    pairs = st.tuples(st.sampled_from(_RELATION_ACTORS), st.sampled_from(_RELATION_ACTORS))
+    ends = draw(st.lists(pairs, unique=True, max_size=300))
+    return tuple(TrustEdge(s, t, draw(_edge_weights)) for s, t in ends)
+
+
+class TestParsedRelations:
+    """A relation read from a script is the one TrustRelation builds from
+    its edges, with the same index; the constructor still checks."""
+
+    @given(relation_edges())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_constructed_relation(self, edges):
+        lines = "".join(
+            f"  {e.source} -> {e.target} @ {format_weight(e.weight)}.\n" for e in edges
+        )
+        text = f"actor {', '.join(_RELATION_ACTORS)}.\ntrust T {{\n{lines}}}\n"
+        parsed = parse_script(text).relation("T")
+        built = TrustRelation("T", edges)
+        assert parsed == built and parsed.edges == edges
+        for s in [*_RELATION_ACTORS, "nobody"]:
+            for t in [*_RELATION_ACTORS, "nobody"]:
+                assert parsed.weight_between(s, t) == built.weight_between(s, t)
+        assert parsed.actors() == built.actors()
+
+    @given(relation_edges().filter(bool), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_the_constructor_refuses_a_duplicate(self, edges, data):
+        again = data.draw(st.sampled_from(edges))
+        at = data.draw(st.integers(0, len(edges)))
+        with pytest.raises(ValueError, match="duplicate trust edge"):
+            TrustRelation("T", (*edges[:at], TrustEdge(again.source, again.target, Fraction(1, 3)), *edges[at:]))
