@@ -22,11 +22,9 @@ less per node, and it takes no attribute beyond its fields.  A term also
 has one slot more, _fv, where free_vars keeps the term's free-name set;
 substitution hands each node it builds that set, made from its children's.
 TrustRelation keeps a dict for its edge index, built once: by its
-constructor, or by the parser as it reads the edges.  Every dataclass gets
-its __init__ from _store_fields_locally: the same parameters and the same
-stores through object.__setattr__, with that method held in a closure cell
-rather than looked up on object once per field, so building a node costs
-less.
+constructor, or by the parser as it reads the edges.  @dataclass writes
+every constructor here; a term's runs _FreeNames.__post_init__, which sets
+_fv to None, so reading the slot never meets an unset one.
 
 Weights are exact rationals throughout.  Floats are rejected at the door:
 a spelled-out decimal like "0.4096" converts exactly, a float does not.
@@ -35,7 +33,7 @@ a spelled-out decimal like "0.4096" converts exactly, a float does not.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -246,6 +244,9 @@ class _FreeNames:
     not a dataclass field, so ==, hash and repr never see it."""
 
     __slots__ = ("_fv",)
+
+    def __post_init__(self) -> None:
+        _set(self, "_fv", None)
 
     def __reduce__(self):
         # Copies and pickles rebuild through __init__, which clears _fv.
@@ -493,8 +494,7 @@ def _substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
         else:
             body = _substitute(body, mapping)
         node = Lambda(param, body, term.weight_fn)
-        if body._fv is not None:
-            _set(node, "_fv", _unbind(body._fv, (param,)))
+        _set(node, "_fv", _unbind(body._fv, (param,)))
         return node
     if kind is Pair:
         fst, snd = term.fst, term.snd
@@ -515,14 +515,10 @@ def _substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
         (lv,), lbody = _substitute_under((term.left_var,), term.left_body, mapping)
         (rv,), rbody = _substitute_under((term.right_var,), term.right_body, mapping)
         node = CasesOf(scrutinee, lv, lbody, rv, rbody)
-        if lbody._fv is None or rbody._fv is None:
-            return node
         bodies = _union(_unbind(lbody._fv, (lv,)), _unbind(rbody._fv, (rv,)))
     else:
         binders, body = _substitute_under((term.fst_var, term.snd_var), term.body, mapping)
         node = SplitOf(scrutinee, *binders, body)
-        if body._fv is None:
-            return node
         bodies = _unbind(body._fv, binders)
     return _with_union(node, scrutinee._fv, bodies)
 
@@ -799,44 +795,3 @@ class ProofTree:
     args: Optional[RuleArgs] = None
     stated: Optional[Sequent] = None
     loc: Optional[tuple[int, int]] = field(default=None, compare=False)
-
-
-# ---------------------------------------------------------------------------
-# Construction
-
-
-def _store_fields_locally(cls: type) -> None:
-    """Give a frozen dataclass an __init__ with the same parameters and
-    defaults that stores each field through object.__setattr__ held in a
-    closure cell, where the generated one looks the method up on object
-    once per field.  A term's __init__ also sets its _fv slot to None, so
-    reading the slot never meets an unset one."""
-    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fields(cls)):
-        raise TypeError(f"{cls.__name__}: only positional fields with plain defaults are supported")
-    names = [f.name for f in fields(cls)]
-    defaults = {f"_default_{f.name}": f.default for f in fields(cls) if f.default is not MISSING}
-    params = "".join(
-        f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
-    )
-    body = "".join(f"\n        _set(self, {n!r}, {n})" for n in names)
-    if issubclass(cls, _FreeNames):
-        body += "\n        _set(self, '_fv', None)"
-    if hasattr(cls, "__post_init__"):
-        body += "\n        self.__post_init__()"
-    source = (
-        f"def make(_set{''.join(', ' + d for d in defaults)}):\n"
-        f"    def __init__(self{params}):{body or ' pass'}\n"
-        f"    return __init__"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    init = namespace["make"](object.__setattr__, **defaults)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
-
-
-for _cls in list(globals().values()):
-    if isinstance(_cls, type) and is_dataclass(_cls) and _cls.__module__ == __name__:
-        _store_fields_locally(_cls)
-del _cls

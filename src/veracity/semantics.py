@@ -281,6 +281,8 @@ def model_from_script(script: Script, name: Optional[str] = None) -> Model:
         decl: ModelDecl = script.models[0]
     else:
         decl = script.model(name)
+        if decl is None:
+            raise ValueError(f"script declares no model {name}")
     family = tuple(script.relation(used) for used in decl.uses)
     assignments = {
         claim_name: [

@@ -646,9 +646,11 @@ _CORE_DATACLASSES = [
 
 
 class TestConstructors:
-    """Every core dataclass keeps the constructor dataclass gave it: the
-    same parameters and defaults, __post_init__ still run, and instances
-    no larger under tracemalloc."""
+    """Every core dataclass is built by the constructor @dataclass writes.
+    These tests guard against a hand-written __init__ that would change a
+    signature, a default or the instance size: the same parameters and
+    defaults, __post_init__ still run, and instances no larger under
+    tracemalloc."""
 
     @pytest.mark.parametrize("cls", _CORE_DATACLASSES, ids=lambda cls: cls.__name__)
     def test_parameters_and_defaults(self, cls):

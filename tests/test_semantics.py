@@ -436,6 +436,29 @@ class TestMemberWalk:
         short = MapTable(table.entries[1:])
         assert not member(Judgement(short, "P", Fraction(1), Implies(A, B)), model)
 
+    def test_tables_over_a_disjunction_and_over_falsity(self):
+        # Counting an antecedent's witnesses reaches Or and Bottom here.
+        # Each table denote gives, and the table with a key missing, its
+        # keys out of order or a key where falsity has none, at each actor.
+        model = build_model({
+            "A": {ww(Atom("a1"), "P"), ww(Atom("a2"), "P")},
+            "B": {ww(Atom("b"), "P")},
+            "C": {ww(Atom("c1"), "P"), ww(Atom("c2"), "P"), ww(Atom("c"), "Q")},
+        })
+        extra = ((ww(Atom("a1"), "P"), ww(Atom("a1"), "P")),)
+        for claim, count in ((Implies(Or(A, B), C), 2**3 + 1), (Implies(Bottom(), A), 2)):
+            tables = denote(claim, model)
+            held = {(w.term, w.actor) for w in tables}
+            assert len(held) == count
+            for given in tables:
+                entries = given.term.entries
+                perturbed = [MapTable(entries[1:]), MapTable(entries[::-1])] if entries else [MapTable(extra)]
+                for table in (given.term, *perturbed):
+                    for actor in ("P", "Q"):
+                        query = Judgement(table, actor, Fraction(1), claim)
+                        expected = (table, actor) in held
+                        assert member(query, model) == oracle_member(query, model) == expected
+
 
 # The differential test against the frozen enumerating member: small models
 # (cyclic, zero-weight and two-relation trust families), claims nesting
@@ -640,6 +663,11 @@ class TestModelFromScript:
     def test_sole_model_needs_no_name(self):
         script = fixture_script("trust-chain.vlp")
         assert model_from_script(script).actors == {"k", "l", "m"}
+
+    def test_an_undeclared_name_is_a_value_error(self):
+        script = parse_script("claim A. actor P. model M { A = { a. }. }")
+        with pytest.raises(ValueError, match="script declares no model N"):
+            model_from_script(script, "N")
 
 
 class TestSoundness:
