@@ -481,13 +481,15 @@ def _count(claim: Claim, actor: str, model: Model, cap: int) -> int:
     return 0
 
 
-def _relations_used(tree: ProofTree) -> frozenset[str]:
+def _relations_used(tree: ProofTree) -> set[str]:
     names: set[str] = set()
-    if isinstance(tree.args, TrustArgs):
-        names.add(tree.args.relation)
-    for premise in tree.premises:
-        names |= _relations_used(premise)
-    return frozenset(names)
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node.args, TrustArgs):
+            names.add(node.args.relation)
+        todo.extend(node.premises)
+    return names
 
 
 def soundness_check(

@@ -945,6 +945,25 @@ class TestDeepInput:
                 assert err.endswith("nesting too deep\n"), (where, err)
 
 
+class TestDeepProof:
+    """A 5,000-step trust chain with a model and a sound declaration, in a
+    fresh interpreter: replay keeps its own stack, so check and model both
+    succeed instead of stopping at "nesting too deep"."""
+
+    def test_check_and_model(self, tmp_path):
+        n = 5000
+        proof = "trust(T, P -> P, " * n + "assume x^P : A" + ")" * n
+        script = tmp_path / "deep-trust.vlp"
+        script.write_text(
+            f"claim A. actor P.\ntrust T {{ P -> P. }}\nproof D {{ {proof} }}\n"
+            "model M uses T { A = { x^P. }. }\nsound D in M.\n",
+            encoding="utf-8",
+        )
+        checked, modelled = _drive([["check", str(script)], ["model", str(script)]], timeout=120)
+        assert checked == [0, "", f"check {script}\n  proof D: ok\n    x^P : A |- x^P : A\n"]
+        assert modelled == [0, "", f"model {script}\n  sound D in M: sound\n"]
+
+
 class TestDeepEval:
     """eval -e on binders, pairs and tags nested up to the depth the parser
     reaches at the CLI's recursion limit of 10,000 (4,993, 4,995 and 4,993

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -15,17 +16,22 @@ from proofgen import random_proof, random_scenario
 from strategies import weights
 from veracity.core import (
     And,
+    AssumeArgs,
     Atom,
     Atomic,
     Bottom,
+    Claimhood,
     Implies,
     Judgement,
     Lambda,
     Or,
     Pair,
+    ProofTree,
+    Rule,
     Sequent,
     TagL,
     TagR,
+    TrustArgs,
     TrustEdge,
     TrustRelation,
     Var,
@@ -34,7 +40,7 @@ from veracity.core import (
     substitute,
     with_subterms,
 )
-from veracity.kernel import check_proof, env_from_script
+from veracity.kernel import CheckEnv, check_proof, env_from_script
 from veracity.parser import parse_script
 from veracity.semantics import (
     DepthExceeded,
@@ -711,11 +717,65 @@ class TestSoundness:
             soundness_check(script.proof("Chained").tree, bare, env)
         assert "trust relation" in str(exc.value)
 
+    def test_a_deep_trust_chain_at_the_default_recursion_limit(self):
+        """Replay and the soundness check walk the proof on their own
+        stacks: a 50,000-step trust chain checks and is sound at the
+        interpreter's default recursion limit."""
+        edges = (TrustEdge("P", "Q", Fraction(1)), TrustEdge("Q", "P", Fraction(1)))
+        relation = TrustRelation("T", edges)
+        env = CheckEnv(frozenset({"A"}), {"T": relation}, "P")
+        tree, actor = ProofTree(Rule.ASSUME, (), AssumeArgs("x", A, "P")), "P"
+        for _ in range(50_000):
+            source = "Q" if actor == "P" else "P"
+            tree = ProofTree(Rule.TRUST, (tree,), TrustArgs("T", source, actor))
+            actor = source
+        model = build_model({"A": {ww(Atom("x"), "P")}}, (relation,))
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            sequent = check_proof(tree, env)
+            sound = soundness_check(tree, model, env)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert sequent.conclusion == Judgement(Var("x"), "P", Fraction(1), A)
+        assert sound
+
     def test_claimhood_has_nothing_to_test(self):
         script = parse_script("claim A. proof X { claim(assume x : A) }")
         env = env_from_script(script)
         with pytest.raises(PreconditionError):
             soundness_check(script.proofs[0].tree, build_model({}, ()), env)
+
+    def test_random_proofs_draw_every_arrow_free_rule(self):
+        rng = random.Random(4258)
+        drawn = set()
+        for index in range(200):
+            todo = [random_proof(rng, random_scenario(rng), falsity=index % 2 == 1)]
+            while todo:
+                node = todo.pop()
+                drawn.add((node.rule, type(getattr(node.args, "family", None)).__name__))
+                todo.extend(node.premises)
+        arrow_free = set(Rule) - {Rule.CLAIM, Rule.IMP_INTRO, Rule.IMP_ELIM}
+        assert {rule for rule, _ in drawn} == arrow_free
+        assert {(Rule.OR_ELIM, "TagFamily"), (Rule.OR_ELIM, "ConstantFamily")} <= drawn
+
+    def test_random_refused_proofs_are_precondition_failures(self):
+        """A claim(...) root has no witness to test, and a bottomElim over an
+        assumed _|_ leaves a hypothesis that holds in no model: each random
+        proof of either kind checks, and soundness_check raises exactly
+        PreconditionError."""
+        rng = random.Random(6113)
+        for index in range(300):
+            scenario = random_scenario(rng)
+            if index % 2:
+                tree = ProofTree(Rule.CLAIM, (random_proof(rng, scenario),))
+                assert isinstance(check_proof(tree, scenario.env), Claimhood)
+            else:
+                tree = random_proof(rng, scenario, falsity=True)
+                assert isinstance(check_proof(tree, scenario.env), Sequent)
+            with pytest.raises(PreconditionError) as exc:
+                soundness_check(tree, scenario.model, scenario.env)
+            assert type(exc.value) is PreconditionError
 
     def test_random_fragment_proofs_are_sound(self):
         rng = random.Random(4257)
