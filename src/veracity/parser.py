@@ -19,16 +19,29 @@ out from an offset only where a location is kept or an error is raised.
 No token spans a newline: strings exclude "\\n" and comments stop at it.
 Only "\\n" ends a line; the other line breaks str.splitlines knows (form
 feed and the rest) are unexpected characters, as any character no token
-starts with.  tokenize gives the same scan as Token tuples with their
-kinds and positions.
+starts with.
+
+Trust edges, the bulk of a large script, mostly become no tokens.  After
+the head of a trust relation, "trust" NAME "{", the scanner matches the run
+of plain edges that follows, source -> target [@ weight] ".", one regex
+match per edge, records where the run ends and goes on scanning from there.
+The parser reads that run edge by edge from the text, with the checks the
+token path makes, in its order and at the same places.  Whatever the run
+does not cover (an edge written with "→", a malformed edge, and the rest
+of the body after either) is read as tokens, so the token path alone
+defines every error.  A run the parser meets as a term, as in
+"query trust x { a -> b. } in M.", is scanned again as tokens where it is
+met.  tokenize gives the whole scan, every edge's tokens included, as
+Token tuples with their kinds and positions.
 
 The parser drops the tokens it has read at three release points: the start
-of each top-level declaration, each proof node and each trust edge, once
-they are over 1,024 and over an eighth of those it holds.  So a long
-script's tokens do not stay alive beside the values built from them.  This
-is safe because no token index is held across a release point; _Parser
+of each top-level declaration, each proof node and each trust edge read as
+tokens, once they are over 1,024 and over an eighth of those it holds.  So
+a long script's tokens do not stay alive beside the values built from them.
+This is safe because no token index is held across a release point; _Parser
 says where that matters.  A trust relation keeps, as its edge index, the
-dict the parser refused duplicate edges with.
+dict the parser refused duplicate edges with, keyed by the parse's own
+actor-name strings.
 
 Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
 three binary operators and recurses only for the right side of "->", a
@@ -141,20 +154,28 @@ _UNICODE_OPS = {
     "·": "*",     # product
 }
 
-# One scan over the whole text.  Each match skips blanks, newlines and
-# comments, then takes a token (group 1), the end of the text, or a bad
-# character (group 2).  One of the three matches wherever the skip stops, so
-# finditer never steps over a character unseen and the skip is never
-# backtracked into; that is why the pattern needs no possessive quantifier
-# or atomic group, which Python 3.10's re lacks.
+# What the scan skips between two tokens: blanks, newlines and comments.  A
+# comment runs to the end of its line, so a pattern that has to go on past
+# a gap cannot backtrack into a comment and read a token out of it.
+_GAP = r"[\ \t\r\n]* (?: \#[^\n]* (?![^\n]) [\ \t\r\n]* )*"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
+
+# One scan over the whole text.  Each match skips a gap, then takes the head
+# of a trust relation, "trust" NAME "{" (groups 1 and 2), a token (group
+# 3), the end of the text, or a bad character (group 4).  One of the last
+# three matches wherever the skip stops, so finditer never steps over a
+# character unseen and the skip is never backtracked into; that is why the
+# pattern needs no possessive quantifier or atomic group, which Python
+# 3.10's re lacks.
 _SCAN = re.compile(
-    r"""
-    [\ \t\r\n]* (?: \#[^\n]* [\ \t\r\n]* )*
+    rf"""
+    {_GAP}
     (?:
-      ( \d+(?:\.\d+)?(?:/\d+)?
+      (trust) (?![A-Za-z0-9_']) {_GAP} ({_IDENT}) {_GAP} \{{
+    | ( \d+(?:\.\d+)?(?:/\d+)?
       | /\\ | \\/ | -> | => | \|- | _\|_
-      | [()\{\}\[\],.:;^@|=*~\\∧∨→¬⊥λ⊢∈·]
-      | [A-Za-z_][A-Za-z0-9_]*'*
+      | [()\{{\}}\[\],.:;^@|=*~\\∧∨→¬⊥λ⊢∈·]
+      | {_IDENT}
       | "(?:[^"\\\n]|\\["\\])*"
       )
     | \Z
@@ -164,25 +185,60 @@ _SCAN = re.compile(
     re.VERBOSE | re.DOTALL,
 ).finditer
 
+# A plain trust edge, source -> target [@ weight] ".", from one gap before
+# it to its ".": groups 1 and 2 are the actors, group 3 the weight.  The
+# weight is read by maximal munch, as the scan reads a number: the
+# lookahead takes it whole and the reference cannot give any of it back,
+# so "0.5" is never read as "0" and ".".
+_EDGE = re.compile(
+    rf"""
+    {_GAP} ({_IDENT}) {_GAP} -> {_GAP} ({_IDENT}) {_GAP}
+    (?: @ {_GAP} (?=(\d+(?:\.\d+)?(?:/\d+)?))\3 {_GAP} )?
+    \.
+    """,
+    re.VERBOSE,
+)
+
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _scan(text: str) -> tuple[list[str], array]:
-    """The lexemes of text, Unicode operators in their ASCII spelling, and
-    their start offsets; both end with the eof entry "" at len(text).
-    Equal lexemes are one string object."""
+def _scan(text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> tuple[list[str], array]:
+    """The lexemes of text from start, Unicode operators in their ASCII
+    spelling, and their start offsets; both end with the eof entry "" at
+    len(text).  Equal lexemes are one string object.
+
+    Given runs, the run of plain edges that follows a trust relation's head
+    becomes no tokens: the scan records it in runs, as the offset of the
+    head's "{" and the offset where the run ends, and goes on from there."""
     texts: list[str] = []
     starts = array("q")
     share = {}.setdefault   # this scan's own table, dropped when it returns
     add_text, add_start = texts.append, starts.append
-    for m in _SCAN(text):
-        lexeme = m[1]
-        if lexeme is None:
+    edge = _EDGE.match
+    while True:
+        for m in _SCAN(text, start):
+            lexeme = m[3]
+            if lexeme is None:
+                break
+            add_text(share(lexeme, lexeme))
+            add_start(m.start(3))
+        if m[1] is None:
             break
-        add_text(share(lexeme, lexeme))
-        add_start(m.start(1))
-    if m[2] is not None:
-        raise ParseError(f"unexpected character {m[2]!r}", *_locate(_line_starts(text), m.start(2)))
+        for group in (1, 2):
+            add_text(share(m[group], m[group]))
+            add_start(m.start(group))
+        start = m.end()
+        add_text("{")
+        add_start(start - 1)
+        if runs is not None:
+            end = start
+            while found := edge(text, end):
+                end = found.end()
+            if end > start:
+                runs[start - 1] = end
+                start = end
+    if m[4] is not None:
+        raise ParseError(f"unexpected character {m[4]!r}", *_locate(_line_starts(text), m.start(4)))
     texts.append("")
     starts.append(len(text))
     if not text.isascii():
@@ -230,7 +286,8 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of text, each with its kind and position, ending with an
-    eof token: a view of the scan the parser reads directly."""
+    eof token: the scan the parser reads, as Token tuples, but with the
+    tokens of the trust edges the parser reads straight from the text."""
     texts, starts = _scan(text)
     line_starts = _line_starts(text)
     return [Token(_kind(t), t, *_locate(line_starts, at)) for t, at in zip(texts, starts)]
@@ -436,9 +493,9 @@ class _Parser:
 
     It drops the tokens it has read, in place, at three release points
     only: the start of each top-level declaration, each proof node, and
-    each trust edge.  So no method may hold a token index across a call
-    that can reach a release point; one that does would read a different
-    token, or locate an error wrongly.  tree() and trust_relation() take
+    each trust edge read as tokens.  So no method may hold a token index
+    across a call that can reach a release point; one that does would read
+    a different token, or locate an error wrongly.  tree() and trust_relation() take
     their indices after releasing, and the methods that keep one across a
     call (model_entry across term(), the sound and compare declarations
     across reference()) call nothing that reaches tree() or a trust edge.
@@ -449,8 +506,11 @@ class _Parser:
         # The lexemes not yet released, ending with the eof entry "", and
         # the offset in text at which each starts; the cursor pos indexes
         # both.  release() drops the prefix before pos from both at once;
-        # an offset is absolute, so locations do not change.
-        self.texts, self.starts = _scan(text)
+        # an offset is absolute, so locations do not change.  runs holds
+        # the runs of plain trust edges the scan skipped, by the offset of
+        # the "{" before each.
+        self.runs: dict[int, int] = {}
+        self.texts, self.starts = _scan(text, self.runs)
         self.pos = 0
         # Where each line of text starts, found when a location is first
         # asked for: only proof nodes, declarations and errors keep one.
@@ -473,6 +533,9 @@ class _Parser:
         # with its kind, a key of _SCRIPT_NAMES.
         self.actors: list[str] = []
         self.declared: dict[str, str] = {}
+        # The script's actors keyed by themselves, so that an edge read
+        # from the text is keyed by the parse's own name strings.
+        self.actor_names: dict[str, str] = {}
 
     # -- token plumbing
 
@@ -488,9 +551,20 @@ class _Parser:
 
     def loc(self, at: int) -> tuple[int, int]:
         """The line and column of the token at index at."""
+        return self.locate(self.starts[at])
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """The line and column of an offset into the text."""
         if self.line_starts is None:
             self.line_starts = _line_starts(self.text)
-        return _locate(self.line_starts, self.starts[at])
+        return _locate(self.line_starts, offset)
+
+    def unskip(self) -> None:
+        """Scan the text again from the cursor on, skipping no run of edges,
+        for a reader other than trust_relation that meets one."""
+        self.runs.clear()
+        at = self.pos
+        self.texts[at:], self.starts[at:] = _scan(self.text, start=self.starts[at])
 
     # at, accept and expect take an operator or a keyword and compare texts
     # only: no operator's text is the text of an identifier, number, string
@@ -533,12 +607,18 @@ class _Parser:
         if value is None:
             if not text[:1].isdecimal():
                 raise ParseError(f"expected a weight, found {_describe(text)}", *self.loc(at))
-            try:
-                value = as_weight(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad weight {text!r}: {exc}", *self.loc(at)) from None
-            self.weights[text] = value
+            value = self.new_weight(text, self.starts[at])
         self.pos = at + 1
+        return value
+
+    def new_weight(self, text: str, offset: int) -> Weight:
+        """The weight a number not read before stands for, its text starting
+        at offset."""
+        try:
+            value = as_weight(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad weight {text!r}: {exc}", *self.locate(offset)) from None
+        self.weights[text] = value
         return value
 
     def weight_expr(self) -> WeightExpr:
@@ -700,6 +780,8 @@ class _Parser:
         return self.var_leaves[name] if name in self.bound else self.atom_leaves[name]
 
     def provenance(self) -> Provenance:
+        if self.starts[self.pos] in self.runs:
+            self.unskip()   # "trust x { a -> b. }" as a term
         self.expect("{")
         fields: dict[str, str] = {}
         while not self.accept("}"):
@@ -941,7 +1023,9 @@ class _Parser:
                 claims += self.comma_list(lambda: self.declare("claim"))
                 self.expect(".")
             elif self.accept("actor"):
-                self.actors += self.comma_list(lambda: self.declare("actor"))
+                named = self.comma_list(lambda: self.declare("actor"))
+                self.actors += named
+                self.actor_names.update(zip(named, named))
                 self.default_actor = _default_actor(self.actors)
                 self.expect(".")
             elif self.accept("trust"):
@@ -996,32 +1080,44 @@ class _Parser:
         # Each edge's weight by (source, target): the duplicate check here,
         # then the relation's index.
         edges: dict[tuple[str, str], Weight] = {}
-        texts, declared, weights = self.texts, self.declared, self.weights
+        brace = self.starts[self.pos - 1]
+        if brace in self.runs:
+            self.run_edges(edges, brace + 1, self.runs[brace])
         while not self.accept("}"):
             self.release()
             at = self.pos
-            # An edge between declared actors with a weight read before is
-            # read in one step; any other goes through the calls.
-            src = texts[at]
-            if (
-                declared.get(src) == "actor"
-                and texts[at + 1] == "->"
-                and declared.get(dst := texts[at + 2]) == "actor"
-                and texts[at + 3] == "@"
-                and (weight := weights.get(texts[at + 4])) is not None
-                and texts[at + 5] == "."
-            ):
-                self.pos = at + 6
-            else:
-                src = self.reference("actor")
-                self.expect("->")
-                dst = self.reference("actor")
-                weight = self.weight() if self.accept("@") else _ONE
-                self.expect(".")
+            src = self.reference("actor")
+            self.expect("->")
+            dst = self.reference("actor")
+            weight = self.weight() if self.accept("@") else _ONE
+            self.expect(".")
             if (src, dst) in edges:
                 raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.loc(at))
             edges[src, dst] = weight
         return TrustRelation._from_index(name, edges)
+
+    def run_edges(self, edges: dict[tuple[str, str], Weight], start: int, end: int) -> None:
+        """Read into edges the run of plain edges the scan skipped from start
+        to end, with the checks of the token path above in its order, each
+        error at the token it would be reported at there."""
+        # A script without actors judges as the default actor.
+        names = self.actor_names or {DEFAULT_ACTOR: DEFAULT_ACTOR}
+        weights = self.weights
+        for m in _EDGE.finditer(self.text, start, end):
+            src, dst, text = m.groups()
+            source, target = names.get(src), names.get(dst)
+            # names holds every declared actor, so these raise.
+            if source is None:
+                self.require("actor", src, self.locate(m.start(1)))
+            if target is None:
+                self.require("actor", dst, self.locate(m.start(2)))
+            if text is None:
+                weight = _ONE
+            elif (weight := weights.get(text)) is None:
+                weight = self.new_weight(text, m.start(3))
+            if (source, target) in edges:
+                raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.locate(m.start(1)))
+            edges[source, target] = weight
 
     def model_decl(self) -> ModelDecl:
         loc = self.loc(self.pos)

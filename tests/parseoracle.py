@@ -4,13 +4,17 @@ The recursive-descent parser of claims, witness terms, proof trees and
 scripts as it stood before precedence climbing, frozen: one method per
 claim precedence level, a separate application loop, a fresh leaf for
 every name, and a walk of every proof tree for undeclared names.  It reads
-the same scan as veracity.parser (tokenize is checked against tokoracle.py)
-and builds the same values.  It must not change: veracity.parser is
-checked against it value for value and error for error.
+every token of the text, trust edges included, from its own copy of the
+scanner as it stood before trust edges were read straight from the text
+(tokenize is checked against tokoracle.py), and builds the same values.  It
+must not change: veracity.parser is checked against it value for value and
+error for error.
 """
 
 from __future__ import annotations
 
+import re
+from array import array
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
@@ -72,10 +76,62 @@ from veracity.parser import (
     SoundDecl,
     _line_starts,
     _locate,
-    _scan,
 )
 
 _ONE = Fraction(1)
+
+_UNICODE_OPS = {
+    "∧": "/\\",
+    "∨": "\\/",
+    "→": "->",
+    "¬": "~",
+    "⊥": "_|_",
+    "λ": "\\",
+    "⊢": "|-",
+    "∈": ":",
+    "·": "*",
+}
+
+# Each match skips blanks, newlines and comments, then takes a token
+# (group 1), the end of the text, or a bad character (group 2).
+_SCAN = re.compile(
+    r"""
+    [\ \t\r\n]* (?: \#[^\n]* [\ \t\r\n]* )*
+    (?:
+      ( \d+(?:\.\d+)?(?:/\d+)?
+      | /\\ | \\/ | -> | => | \|- | _\|_
+      | [()\{\}\[\],.:;^@|=*~\\∧∨→¬⊥λ⊢∈·]
+      | [A-Za-z_][A-Za-z0-9_]*'*
+      | "(?:[^"\\\n]|\\["\\])*"
+      )
+    | \Z
+    | (.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+).finditer
+
+
+def _scan(text: str) -> tuple[list[str], array]:
+    """The lexemes of text, Unicode operators in their ASCII spelling, and
+    their start offsets; both end with the eof entry "" at len(text)."""
+    texts: list[str] = []
+    starts = array("q")
+    for m in _SCAN(text):
+        lexeme = m[1]
+        if lexeme is None:
+            break
+        texts.append(lexeme)
+        starts.append(m.start(1))
+    if m[2] is not None:
+        raise ParseError(f"unexpected character {m[2]!r}", *_locate(_line_starts(text), m.start(2)))
+    texts.append("")
+    starts.append(len(text))
+    if not text.isascii():
+        texts = [_UNICODE_OPS.get(t, t) for t in texts]
+    return texts, starts
+
+
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 

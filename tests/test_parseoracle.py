@@ -15,11 +15,14 @@ import veracity
 import veracity.parser as parser
 from veracity.core import (
     ARG,
+    Apply,
     AssumeArgs,
+    Atom,
     ConstantFamily,
     Hypothesis,
     Judgement,
     ProofTree,
+    Provenance,
     Rule,
     Sequent,
     TagFamily,
@@ -37,7 +40,8 @@ from veracity.parser import (
 
 import parseoracle as oracle
 from strategies import claims, terms, weight_exprs
-from test_parser import _mutations
+from test_parser import _mutations, _tokens_or_error
+from tokoracle import oracle_tokenize
 
 FIXTURES = veracity.fixtures_path()
 
@@ -338,6 +342,108 @@ class TestNameCheckOrder:
         assert _outcome(oracle.parse_script, text) == ("error", "claim 'A' is not declared", 2, 11)
 
 
+# -- trust relation bodies
+
+EDGE_ACTORS = ["a", "b'", "_", "c_1", "default"]
+# Good weights three times as often as each bad one.
+EDGE_WEIGHTS = ["0", "1", "1.0", "1/3", "0.5"] * 3 + ["0.5.5", "1.5"]
+# What may stand between two tokens: nothing, blanks, CRLF, and comments
+# that hold edge text.
+_GAPS = st.sampled_from(
+    ["", " ", "  ", "\t", "\n", "\r\n", " # a -> b @ 0.5.\n", "#}\r\n  ", "\t# {\n"]
+)
+
+
+@st.composite
+def relation_scripts(draw):
+    """A script of trust relations over EDGE_ACTORS, some or all of them
+    declared, and one undeclared actor, with edges in either arrow, with and
+    without weights, some repeated and some missing their ".", any gap
+    between two tokens, sometimes a form feed, and sometimes a term that
+    starts like a relation's head at the end."""
+    declared = draw(st.one_of(
+        st.just(EDGE_ACTORS), st.lists(st.sampled_from(EDGE_ACTORS), unique=True)
+    ))
+    names = st.sampled_from([*EDGE_ACTORS * 4, "nobody"])
+    words = [f"actor {', '.join(declared)}."] if declared else []
+    for relation in draw(st.lists(st.sampled_from(["T", "U", "trust"]), min_size=1, unique=True)):
+        edges = draw(st.lists(
+            st.tuples(names, st.sampled_from(["->", "->", "->", "→"]), names,
+                      st.one_of(st.none(), st.sampled_from(EDGE_WEIGHTS)),
+                      st.sampled_from([".", ".", ".", ""])),
+            max_size=8,
+        ))
+        if edges and draw(st.booleans()):
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+        words += ["trust", relation, "{"]
+        for src, arrow, dst, weight, end in edges:
+            words += [src, arrow, dst, *(("@", weight) if weight else ()), *((end,) if end else ())]
+        words.append("}")
+    if draw(st.booleans()):
+        words += ["query", "trust", "x", "{", "a", "->", "b", "@", "0.5", ".", "}", "in", "M", "."]
+    text = words[0]
+    for word in words[1:]:
+        gap = draw(_GAPS)
+        if not gap and (text[-1].isalnum() or text[-1] in "_'") and (word[0].isalnum() or word[0] == "_"):
+            gap = " "   # two names or numbers in a row would be one
+        text += gap + word
+    text += draw(st.sampled_from(["", "\n", "\r\n", " # end"]))
+    if draw(st.integers(0, 9)) == 0:
+        # A form feed is no blank: the scan stops at it.
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\f" + text[at:]
+    return text
+
+
+def _indexes(outcome):
+    """Each relation's index, in order, of a parsed script."""
+    if outcome[0] != "value":
+        return None
+    return [list(relation._weights.items()) for relation in outcome[1].relations]
+
+
+class TestRelationBodies:
+    """Trust relations, whose plain edges the parser reads straight from the
+    text, parse to the oracle's script, edge order, weights and index, or
+    fail with its error; and their text still tokenizes as the frozen
+    tokenizer does, every edge's tokens included."""
+
+    @given(with_mutations(relation_scripts()))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_oracles(self, text):
+        new, old = (_outcome(parse, text) for parse in PARSES["parse_script"])
+        assert new == old, text
+        assert _indexes(new) == _indexes(old), text
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text), text
+
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            # A relation's head as a term, with a run of edges after it:
+            # the term's provenance reads the run's tokens and fails there.
+            ("actor a, b.\nmodel M { }\nquery trust x { a -> b @ 0.5. } in M.\n",
+             3, 17, "unknown provenance field 'a'"),
+            ("claim A. actor a.\nmodel M { A = { trust x { a -> b. }^a. }. }\n",
+             2, 27, "unknown provenance field 'a'"),
+            ("claim A. actor who, b.\nmodel M { A = { trust x { who -> b. }^b. }. }\n",
+             2, 31, "expected '=', found '->'"),
+            ("actor a, b.\ntrust T { a -> b. }\nquery trust x { a -> b. } in M.\ntrust U { b -> a. }\n",
+             3, 17, "unknown provenance field 'a'"),
+        ],
+    )
+    def test_a_head_in_term_position(self, text, line, col, message):
+        assert _outcome(parser.parse_script, text) == ("error", message, line, col)
+        assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+    def test_a_head_with_a_provenance_is_a_term(self):
+        text = 'claim A. actor a.\nmodel M { A = { trust x{who="q"}^a. }. }\n'
+        assert_agrees("parse_script", text)
+        term = Apply(Atom("trust"), Atom("x", Provenance(who="q")))
+        assert parser.parse_term('trust x{who="q"}') == term
+        assert parser.parse_script(text).models[0].assignments[0][1][0].term == term
+        assert_agrees("parse_term", "f (trust x { a -> b @ 1. })")
+
+
 def _releases(text):
     """How many times parsing text drops the tokens read so far."""
     dropped = []
@@ -362,44 +468,67 @@ _ACTORS = [f"a{k:02d}" for k in range(40)]
 _EDGES = [(s, t) for s in _ACTORS for t in _ACTORS if s != t][:1500]
 
 
-def _relation(edges, late=""):
+def _relation(edges, arrow="->"):
     """Claims A and B, the forty actors on line 2, and a relation T with an
-    edge a line from line 4, then late."""
-    lines = "".join(f"  {s} -> {t} @ 0.{(3 * k) % 9 + 1}.\n" for k, (s, t) in enumerate(edges))
-    return f"claim A, B.\nactor {', '.join(_ACTORS)}.\ntrust T {{\n{lines}{late}"
+    edge a line from line 4, each written with arrow."""
+    lines = "".join(f"  {s} {arrow} {t} @ 0.{(3 * k) % 9 + 1}.\n" for k, (s, t) in enumerate(edges))
+    return f"claim A, B.\nactor {', '.join(_ACTORS)}.\ntrust T {{\n{lines}"
+
+
+def _run_end(text):
+    """Where the run of plain edges the scan skips in text ends, or 0."""
+    return max(parser._Parser(text).runs.values(), default=0)
+
+
+# Each case: the relation's edges, the text that follows them, and the
+# error that text gives.
+_LATE = pytest.mark.parametrize(
+    "edges, late, message, line, col",
+    [
+        (
+            _EDGES, "  a00 -> a01 @ 0.5.\n}\n",
+            "duplicate trust edge a00 -> a01", 1504, 3,
+        ),
+        (
+            _EDGES, "}\nproof X {\n  andIntro(assume x^a00 : A, assume y^a00 : B)\n"
+            "    stating (x^a00 : A, y^a00 : B |- (x, y)^a00 : A /\\ E)\n}\n",
+            "claim 'E' is not declared", 1506, 3,
+        ),
+        (
+            _EDGES[:1200], "  a00 -> a01 @ 1.5.\n" + "  a00 -> a02.\n" * 50 + "}\n",
+            "bad weight '1.5': weight 3/2 outside [0, 1]", 1204, 16,
+        ),
+        (
+            _EDGES, "}\nmodel M uses T {\n  A = {\n"
+            + "".join(f"    w{k}^a{k % 40:02d}.\n" for k in range(800))
+            + "    late.\n  }.\n}\n",
+            "actor 'default' is not declared", 2307, 5,
+        ),
+    ],
+    ids=["duplicate-edge", "stated-claim", "bad-weight", "default-actor"],
+)
 
 
 class TestLateErrors:
-    """An error found after the parser has dropped many tokens is the
-    oracle's, with its message, line and column: no token index is held
-    across a point where tokens are dropped."""
+    """An error found after the parser has read many edges is the oracle's,
+    with its message, line and column: no token index is held across a
+    point where tokens are dropped, and a run of edges read straight from
+    the text locates what follows it as the tokens do."""
 
-    @pytest.mark.parametrize(
-        "text, message, line, col",
-        [
-            (
-                _relation(_EDGES, "  a00 -> a01 @ 0.5.\n}\n"),
-                "duplicate trust edge a00 -> a01", 1504, 3,
-            ),
-            (
-                _relation(_EDGES, "}\nproof X {\n  andIntro(assume x^a00 : A, assume y^a00 : B)\n"
-                          "    stating (x^a00 : A, y^a00 : B |- (x, y)^a00 : A /\\ E)\n}\n"),
-                "claim 'E' is not declared", 1506, 3,
-            ),
-            (
-                _relation(_EDGES[:1200], "  a00 -> a01 @ 1.5.\n" + "  a00 -> a02.\n" * 50 + "}\n"),
-                "bad weight '1.5': weight 3/2 outside [0, 1]", 1204, 16,
-            ),
-            (
-                _relation(_EDGES, "}\nmodel M uses T {\n  A = {\n"
-                          + "".join(f"    w{k}^a{k % 40:02d}.\n" for k in range(800))
-                          + "    late.\n  }.\n}\n"),
-                "actor 'default' is not declared", 2307, 5,
-            ),
-        ],
-        ids=["duplicate-edge", "stated-claim", "bad-weight", "default-actor"],
-    )
-    def test_matches_the_oracle(self, text, message, line, col):
-        assert _releases(text) >= 3
+    @_LATE
+    def test_matches_the_oracle(self, edges, late, message, line, col):
+        # Edges written with "→" are no run: the parser reads them as
+        # tokens and drops them as it goes.
+        text = _relation(edges, "→") + late
+        assert _run_end(text) == 0 and _releases(text) >= 3
+        assert _outcome(parser.parse_script, text) == ("error", message, line, col)
+        assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+    @_LATE
+    def test_a_run_matches_the_oracle(self, edges, late, message, line, col):
+        # Edges written with "->" are one run, which becomes no tokens.
+        head = _relation(edges)
+        text = head + late
+        assert _run_end(text) >= len(head) - 1
         assert _outcome(parser.parse_script, text) == ("error", message, line, col)
         assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
