@@ -22,7 +22,9 @@ less per node, and it takes no attribute beyond its fields.  A term also
 has one slot more, _fv, where free_vars keeps the term's free-name set;
 substitution hands each node it builds that set, made from its children's.
 TrustRelation keeps a dict for its edge index, built once: by its
-constructor, or by the parser as it reads the edges.  @dataclass writes
+constructor, or by the parser as it reads the edges.  A relation the parser
+read builds its edges tuple from that index the first time anyone reads
+it, and keeps it beside the index.  @dataclass writes
 every constructor here; a term's runs _FreeNames.__post_init__, which sets
 _fv to None, so reading the slot never meets an unset one.
 
@@ -39,6 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Weight = Fraction
+_ONE = Fraction(1)   # weight 1, shared rather than rebuilt
 
 
 def as_weight(value: Union[int, str, Fraction]) -> Weight:
@@ -675,15 +678,36 @@ class TrustEdge:
         object.__setattr__(self, "weight", as_weight(self.weight))
 
 
+class _EdgesFromIndex:
+    """The edges field of a TrustRelation.  A non-data descriptor: the
+    constructor stores the edges it was given in the instance dict, which
+    shadows this; a relation built by _from_index has none there, and its
+    first read builds the tuple from the index and stores it the same way.
+    Read on the class, as @dataclass does, it gives the field's default."""
+
+    def __get__(
+        self, relation: Optional[TrustRelation], owner: Optional[type] = None
+    ) -> tuple[TrustEdge, ...]:
+        if relation is None:
+            return ()
+        edges = tuple(TrustEdge(s, t, w) for (s, t), w in relation._weights.items())
+        object.__setattr__(relation, "edges", edges)
+        return edges
+
+
 @dataclass(frozen=True)
 class TrustRelation:
     """A named set of weighted edges between actors, in the order given.
     Its index maps each (source, target) to the edge's weight and is built
     once: by the constructor, which refuses a duplicate edge with a
-    ValueError, or by whoever read the edges, through _from_index."""
+    ValueError, or by whoever read the edges, through _from_index.  A
+    relation from _from_index builds its edges from the index when they
+    are first read, so a caller that only asks weight_between, as the
+    kernel does, never builds them; equality, hashing, repr, copying and
+    pickling read them like any field."""
 
     name: str
-    edges: tuple[TrustEdge, ...] = ()
+    edges: tuple[TrustEdge, ...] = _EdgesFromIndex()
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, str], Weight] = {}
@@ -701,7 +725,6 @@ class TrustRelation:
         refuse.  The parser reads each edge into weights as it checks it."""
         relation = object.__new__(cls)
         object.__setattr__(relation, "name", name)
-        object.__setattr__(relation, "edges", tuple(TrustEdge(s, t, w) for (s, t), w in weights.items()))
         object.__setattr__(relation, "_weights", weights)
         return relation
 

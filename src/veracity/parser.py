@@ -70,11 +70,11 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .core import (
+    _ONE,
     ARG,
     BOTTOM,
     And,
@@ -128,7 +128,6 @@ from .core import (
 )
 
 DEFAULT_ACTOR = "default"
-_ONE = Fraction(1)   # the default weight, shared rather than rebuilt
 
 
 class ParseError(ValueError):

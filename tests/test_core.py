@@ -31,7 +31,7 @@ from strategies import (
     weight_exprs,
     weights,
 )
-from veracity import core
+from veracity import cli, core
 from veracity.core import (
     ARG,
     Apply,
@@ -66,6 +66,8 @@ from veracity.core import (
     with_subterms,
 )
 from veracity.evaluator import BudgetExceeded, normalize_counted
+from veracity.kernel import check_proof, env_from_script
+from veracity.parser import parse_script
 
 
 class TestWeights:
@@ -623,6 +625,88 @@ class TestTrustRelations:
         assert rel.weight_between("k", "l") == Fraction(1, 2)
         assert rel.weight_between("l", "k") is None
         assert rel.actors() == {"k", "l"}
+
+
+# A relation in arrows of both kinds: the parser reads the "->" edges
+# straight from the text and the "→" edge as tokens, into one index.
+RELATION_TEXT = """claim A. actor a, b, c.
+trust T {
+  a -> b @ 0.5.
+  b -> c.
+  a → c @ 1/3.
+}
+proof D { trust(T, a -> b, assume x^b : A) }
+"""
+
+BUILT = TrustRelation(
+    "T",
+    (
+        TrustEdge("a", "b", Fraction(1, 2)),
+        TrustEdge("b", "c", Fraction(1)),
+        TrustEdge("a", "c", Fraction(1, 3)),
+    ),
+)
+
+_READS = {
+    "edges": lambda r: r.edges,
+    "eq": lambda r: (r == BUILT, BUILT == r, r != BUILT),
+    "hash": hash,
+    "repr": repr,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "replace": dataclasses.replace,
+    "asdict": dataclasses.asdict,
+}
+
+
+class TestEdgesOnFirstRead:
+    """A relation the parser reads keeps its edge index alone until its
+    edges are first read; from then on, and to every reader, it is the
+    relation the constructor builds from the same edges."""
+
+    def parsed(self):
+        (relation,) = parse_script(RELATION_TEXT).relations
+        assert "edges" not in vars(relation)
+        return relation
+
+    def test_check_proof_builds_no_edges(self):
+        script = parse_script(RELATION_TEXT)
+        env = env_from_script(script)
+        assert check_proof(script.proofs[0].tree, env).conclusion.weight == Fraction(1, 2)
+        assert ["edges" in vars(r) for r in script.relations] == [False]
+
+    def test_veracity_check_builds_no_edges(self, tmp_path, monkeypatch, capsys):
+        scripts = []
+
+        def parse_and_keep(text):
+            scripts.append(parse_script(text))
+            return scripts[-1]
+
+        monkeypatch.setattr(cli, "parse_script", parse_and_keep)
+        path = tmp_path / "relation.vlp"
+        path.write_text(RELATION_TEXT, encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 0
+        assert "proof D: ok" in capsys.readouterr().out
+        assert ["edges" in vars(r) for s in scripts for r in s.relations] == [False]
+
+    @pytest.mark.parametrize("read", _READS.values(), ids=_READS.keys())
+    def test_a_parsed_relation_reads_as_built(self, read):
+        assert read(self.parsed()) == read(BUILT)
+
+    def test_edges_are_built_once(self):
+        relation = self.parsed()
+        assert relation.edges is relation.edges
+        assert vars(relation)["edges"] == BUILT.edges
+        assert relation.actors() == BUILT.actors()
+        assert relation.weight_between("a", "c") == Fraction(1, 3)
+
+    def test_copies_read_as_built(self):
+        for copied in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            made = copied(self.parsed())
+            assert type(made) is TrustRelation
+            assert made.edges == BUILT.edges
+            assert made.weight_between("a", "b") == Fraction(1, 2)
 
 
 def _dataclass_twin(cls, slots=False):

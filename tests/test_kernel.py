@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kerneloracle
 from strategies import decreasing_weight_exprs, weights
 from veracity.core import (
     ARG,
@@ -807,3 +808,49 @@ class TestRareErrors:
         fields = dict(section.fields)
         assert (fields["status"], fields["error-kind"], fields["error-path"]) == ("failed", kind.value, "1")
         assert (fields["error-detail"], fields["line"], fields["col"]) == (detail, "6", "3")
+
+
+# An undeclared atom in an assumed claim: atomic, inside a compound claim,
+# and inside a claim of the assume's context (its "under" list).  Each must
+# name the first missing name in sorted order, "Nope" before "Zed".
+_UNDECLARED = {
+    "atomic": ("Nope", AssumeArgs("x", Atomic("Nope"))),
+    "compound": ("Zed \\/ (Nope /\\ A)", AssumeArgs("x", Or(Atomic("Zed"), And(Atomic("Nope"), A)))),
+    "under": (
+        "A under (h : Zed \\/ (Nope /\\ A))",
+        AssumeArgs("x", A, None, (Hypothesis("h", "P", Fraction(1), Or(Atomic("Zed"), And(Atomic("Nope"), A))),)),
+    ),
+}
+
+
+class TestUndeclaredClaims:
+    """The kernel answers a declared atomic claim with one set probe and
+    any other claim by its atoms; an undeclared name is reported as the
+    frozen kernel reports it.  The parser refuses the same names first, so
+    the CLI reports them as a parse error."""
+
+    @pytest.mark.parametrize("name", sorted(_UNDECLARED))
+    def test_check_proof(self, name):
+        tree = ProofTree(Rule.ASSUME, (), _UNDECLARED[name][1])
+        with pytest.raises(CheckError) as exc:
+            check_proof(tree, ENV)
+        with pytest.raises(kerneloracle.CheckError) as frozen:
+            kerneloracle.check_proof(tree, ENV)
+        assert (exc.value.kind, exc.value.path, exc.value.detail) == (
+            ErrorKind.UNKNOWN_CLAIM, (), "claim 'Nope' is not declared"
+        )
+        assert (frozen.value.kind.value, frozen.value.path, frozen.value.detail) == (
+            "unknownClaim", (), "claim 'Nope' is not declared"
+        )
+
+    def test_declared_claims_pass(self):
+        env = CheckEnv(frozenset({"A", "Nope", "Zed"}), {}, "P")
+        for _, args in _UNDECLARED.values():
+            assert check_proof(ProofTree(Rule.ASSUME, (), args), env).conclusion.claim == args.claim
+
+    @pytest.mark.parametrize("name", sorted(_UNDECLARED))
+    def test_structured_report(self, name, tmp_path, capsys):
+        path = tmp_path / "undeclared.vlp"
+        path.write_text(f"claim A. actor P.\nproof D {{ assume x : {_UNDECLARED[name][0]} }}\n", encoding="utf-8")
+        assert main(["check", "--format", "structured", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"{path}:2:11: claim 'Nope' is not declared\n")

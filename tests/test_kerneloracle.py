@@ -1,12 +1,14 @@
 """The kernel against the frozen one in kerneloracle.py.  Every proof, as
 generated and broken at one random node, gives the oracle's sequent,
 hypothesis order included, or the oracle's error: the same kind, path,
-detail and message."""
+detail and message.  So does every proof whose nodes state their sequents
+with the hypotheses shuffled, one of them repeated or one conflicting."""
 
 import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,9 @@ from veracity.core import (
     TrustRelation,
     neg,
 )
-from veracity.kernel import CheckEnv, CheckError, ErrorKind, check_proof
+from veracity.cli import main
+from veracity.kernel import CheckEnv, CheckError, ErrorKind, check_proof, env_from_script
+from veracity.parser import parse_script, render_sequent
 
 import kerneloracle as oracle
 from proof_search import search_proof
@@ -277,3 +281,115 @@ def test_the_breaks_reach_every_error_kind():
 def test_every_search_hit_replays_as_the_oracle_replays():
     for tree in searched():
         assert_agrees(tree, SEARCH_ENV)
+
+
+# Stated sequents whose hypotheses are not listed in the kernel's order.
+# The kernel compares the two lists as tuples first and as sets only when
+# the tuples differ; the oracle always compares sets.  Every node states
+# what the oracle derives there with its hypotheses shuffled, and one node,
+# drawn at random, may also repeat one of them or list one that conflicts.
+
+RESTATINGS = ["shuffled", "repeated", "conflicting"]
+
+
+def _restated(rng, hypotheses, kind):
+    listed = list(hypotheses)
+    rng.shuffle(listed)
+    if listed and kind == "repeated":
+        listed.insert(rng.randint(0, len(listed)), rng.choice(listed))
+    elif listed and kind == "conflicting":
+        i = rng.randrange(len(listed))
+        h = listed[i]
+        other = rng.choice(
+            [replace(h, weight=h.weight / 2), replace(h, actor=h.actor + "'"), replace(h, claim=And(h.claim, A))]
+        )
+        if rng.random() < 0.5:
+            listed[i] = other
+        else:
+            listed.insert(rng.randint(0, len(listed)), other)
+    return tuple(listed)
+
+
+def _stating(rng, tree, env, kinds):
+    """tree with each node stating the oracle's sequent for it, restated as
+    kinds (a node's pre-order index to its kind) says, shuffled by default."""
+    index = count()
+
+    def state(node):
+        kind = kinds.get(next(index), "shuffled")
+        premises = tuple(state(p) for p in node.premises)
+        result = outcome(oracle.check_proof, node, env)
+        if result[0] == "result" and isinstance(result[1], Sequent):
+            sequent = result[1]
+            stated = Sequent(_restated(rng, sequent.hypotheses, kind), sequent.conclusion)
+            return replace(node, premises=premises, stated=stated)
+        return replace(node, premises=premises)
+
+    return state(tree)
+
+
+def _restate_one(seed):
+    """A proofgen draw stating its sequents; the kind of its one drawn
+    restating, and the kernel's outcome, checked to be the oracle's."""
+    rng = random.Random(seed)
+    scenario = random_scenario(rng)
+    tree = random_proof(rng, scenario, rng.randint(1, 4), rng.random() < 0.2)
+    kind = rng.choice(RESTATINGS)
+    stating = _stating(rng, tree, scenario.env, {rng.randrange(len(_nodes(tree))): kind})
+    assert_agrees(stating, scenario.env)
+    return kind, outcome(check_proof, stating, scenario.env)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restated_hypotheses_match_as_the_oracle_matches(seed):
+    _restate_one(seed)
+
+
+def test_restatings_reach_each_outcome():
+    """Over fixed seeds, shuffled and repeated lists check, even with two or
+    more hypotheses, and conflicting ones fail, some below the root."""
+    seen = [_restate_one(seed) for seed in range(300)]
+    for kind in ("shuffled", "repeated"):
+        results = [result for k, result in seen if k == kind]
+        assert all(result[0] == "result" for result in results)
+        assert any(len(result[1].hypotheses) > 1 for result in results)
+    conflicts = [result for k, result in seen if k == "conflicting" and result[0] == "error"]
+    assert {result[1] for result in conflicts} == {"sequentMismatch"}
+    assert any(result[2] for result in conflicts)
+
+
+STATED_SCRIPT = """claim A, B. actor P.
+proof Shuffled { andIntro(assume x : A, assume y : B) stating (y : B, x : A |- (x,y) : A /\\ B) }
+proof Repeated { andIntro(assume x : A, assume y : B) stating (y : B, x : A, y : B |- (x,y) : A /\\ B) }
+proof Conflicting {
+  orIntroL(andIntro(assume x : A, assume y : B) stating (y : B, x : A, y@0.5 : B |- (x,y) : A /\\ B), B)
+}
+"""
+CHECKED = "x^P : A, y^P : B |- (x,y)^P : A /\\ B"
+CONFLICT = f"checked {CHECKED}, stated y^P : B, x^P : A, y^P@0.5 : B |- (x,y)^P : A /\\ B"
+
+
+def test_pinned_restatings_in_the_library():
+    script = parse_script(STATED_SCRIPT)
+    env = env_from_script(script)
+    shuffled, repeated, conflicting = (proof.tree for proof in script.proofs)
+    for tree in (shuffled, repeated, conflicting):
+        assert outcome(check_proof, tree, env) == outcome(oracle.check_proof, tree, env)
+    assert render_sequent(check_proof(shuffled, env)) == CHECKED
+    assert render_sequent(check_proof(repeated, env)) == CHECKED
+    kind, path, detail = outcome(check_proof, conflicting, env)[1:4]
+    assert (kind, path, detail) == ("sequentMismatch", (0,), CONFLICT)
+
+
+def test_pinned_restatings_in_the_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VERACITY_COLOR", "never")
+    path = tmp_path / "stated.vlp"
+    path.write_text(STATED_SCRIPT, encoding="utf-8")
+    assert main(["check", "--format", "structured", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"[check {path} Shuffled]\nstatus=ok\nsequent={CHECKED}\n\n"
+        f"[check {path} Repeated]\nstatus=ok\nsequent={CHECKED}\n\n"
+        f"[check {path} Conflicting]\nstatus=failed\nerror-kind=sequentMismatch\nerror-path=0\n"
+        f"error-detail={CONFLICT}\nline=5\ncol=12\n"
+    )
