@@ -317,16 +317,17 @@ def _trust_into(out: _Output, path: str, script: Script) -> None:
                 decay_path, decay_weight = " -> ".join(actors), format_weight(weight)
             decay_fields = [("decay-path", decay_path), ("decay-weight", decay_weight)]
             decay_text = f"{decay_path} @ {decay_weight}" if decay_path else "none"
+        edges = len(relation.edge_weights())
         # Self-trust is implicit, so every relation is reflexive-complete.
         out.add(
             f"trust {path} relation {relation.name}",
             [
-                ("edges", str(len(relation.edges))),
+                ("edges", str(edges)),
                 ("reflexive-complete", "true"),
                 ("symmetric-pairs", " ".join(f"{a}<->{b}" for a, b in pairs)),
                 *decay_fields,
             ],
-            f"  relation {relation.name}: {_plural(len(relation.edges), 'edge')}",
+            f"  relation {relation.name}: {_plural(edges, 'edge')}",
             "    reflexive: complete (implicit self-trust)",
             f"    symmetric pairs: {', '.join(f'{a} <-> {b}' for a, b in pairs) or 'none'}",
             f"    decay: {decay_text}",

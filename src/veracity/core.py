@@ -22,9 +22,10 @@ less per node, and it takes no attribute beyond its fields.  A term also
 has one slot more, _fv, where free_vars keeps the term's free-name set;
 substitution hands each node it builds that set, made from its children's.
 TrustRelation keeps a dict for its edge index, built once: by its
-constructor, or by the parser as it reads the edges.  A relation the parser
-read builds its edges tuple from that index the first time anyone reads
-it, and keeps it beside the index.  @dataclass writes
+constructor, or by the parser as it reads the edges.  The package reads
+a relation only through that index (edge_weights, weight_between,
+actors), so a relation the parser read builds its edges tuple only when a
+caller reads it, and keeps it beside the index.  @dataclass writes
 every constructor here; a term's runs _FreeNames.__post_init__, which sets
 _fv to None, so reading the slot never meets an unset one.
 
@@ -34,11 +35,12 @@ a spelled-out decimal like "0.4096" converts exactly, a float does not.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import ItemsView, Iterable, Mapping, Optional, Sequence, Union
 
 Weight = Fraction
 _ONE = Fraction(1)   # weight 1, shared rather than rebuilt
@@ -53,33 +55,99 @@ def as_weight(value: Union[int, str, Fraction]) -> Weight:
     if type(value) is not Fraction:
         if isinstance(value, float):
             raise TypeError("weights must be exact: pass a Fraction or a string, not a float")
-        value = Fraction(value)
+        if isinstance(value, str) and _PIECE < len(value):
+            value = _long_fraction(value)
+        else:
+            value = Fraction(value)
     # A Fraction is normalized with a positive denominator, so the range
     # check is two int comparisons, and an exact Fraction is kept as it is.
     if 0 <= value.numerator <= value.denominator:
         return value
-    raise ValueError(f"weight {value} outside [0, 1]")
+    raise ValueError(f"weight {ratio_text(value)} outside [0, 1]")
 
 
 def format_weight(w: Weight) -> str:
-    """Render a weight exactly: as a decimal when one exists, else p/q."""
+    """Render a weight exactly: as a decimal when one exists, else p/q, as
+    ratio_text writes it.  Any number of digits renders, and as_weight
+    reads the text back."""
     if w.denominator == 1:
-        return f"{w.numerator}.0"
-    den = w.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+        return f"{_int_text(w.numerator)}.0"
+    den, twos = _strip(w.denominator, 2)
+    den, fives = _strip(den, 5)
     if den != 1:
-        return f"{w.numerator}/{w.denominator}"
+        return ratio_text(w)
     digits = max(twos, fives)
     scaled = w.numerator * 10**digits // w.denominator
-    text = str(scaled).rjust(digits, "0")
+    text = _int_text(scaled).rjust(digits, "0")
     whole, frac = text[:-digits] or "0", text[-digits:]
     return f"{whole}.{frac}"
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """n with every factor p divided out, and how many there were.  Each
+    pass divides by the largest p**(2**k) that goes into n, so a long
+    denominator takes a few divisions per digit's worth of bits, not one
+    per factor."""
+    count = 0
+    while n % p == 0:
+        power, times = p, 1
+        while n % (power * power) == 0:
+            power, times = power * power, times * 2
+        n //= power
+        count += times
+    return n, count
+
+
+def ratio_text(w: Fraction) -> str:
+    """str(w), "p/q" or "p", for a Fraction of any number of digits."""
+    if w.denominator == 1:
+        return _int_text(w.numerator)
+    return f"{_int_text(w.numerator)}/{_int_text(w.denominator)}"
+
+
+# CPython refuses to turn an int of more than sys.get_int_max_str_digits()
+# decimal digits into text or back (4,300 unless set; never under 640).  A
+# library must not change that process-wide limit, so a longer number is
+# converted in pieces of at most _PIECE digits, split with divmod by a
+# power of ten.
+_PIECE = 600
+_SHORT = 10**_PIECE
+_NUMBER = re.compile(r"(\d+)(?:\.(\d+)|/(\d+))?")
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int n of any length."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    # log10(2) < 0.30103, so n has at most about this many digits.
+    half = (n.bit_length() * 30103 // 100000 + 1) // 2
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length."""
+    if len(digits) <= _PIECE:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
+
+
+def _long_fraction(text: str) -> Fraction:
+    """Fraction(text) for a text too long for int() to read at once.  The
+    forms the grammar spells and format_weight writes, digits, digits.digits
+    and digits/digits, are read in pieces; any other text goes to Fraction."""
+    found = _NUMBER.fullmatch(text)
+    if found is None:
+        return Fraction(text)
+    whole, decimals, under = found.groups()
+    if under is not None:
+        return Fraction(_int_of(whole), _int_of(under))
+    if decimals is None:
+        return Fraction(_int_of(whole))
+    return Fraction(_int_of(whole + decimals), 10 ** len(decimals))
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +768,12 @@ class TrustRelation:
     """A named set of weighted edges between actors, in the order given.
     Its index maps each (source, target) to the edge's weight and is built
     once: by the constructor, which refuses a duplicate edge with a
-    ValueError, or by whoever read the edges, through _from_index.  A
-    relation from _from_index builds its edges from the index when they
-    are first read, so a caller that only asks weight_between, as the
-    kernel does, never builds them; equality, hashing, repr, copying and
-    pickling read them like any field."""
+    ValueError, or by whoever read the edges, through _from_index.  Every
+    reader in the package goes through the index: weight_between for one
+    edge, edge_weights for all of them in edge order, and actors.  A
+    relation from _from_index builds its edges from the index only when
+    they are first read, so no subcommand builds them; equality, hashing,
+    repr, copying and pickling read them like any field."""
 
     name: str
     edges: tuple[TrustEdge, ...] = _EdgesFromIndex()
@@ -731,11 +800,16 @@ class TrustRelation:
     def weight_between(self, source: str, target: str) -> Optional[Weight]:
         return self._weights.get((source, target))
 
+    def edge_weights(self) -> ItemsView[tuple[str, str], Weight]:
+        """Each edge as ((source, target), weight), in edge order, read from
+        the index without building a TrustEdge."""
+        return self._weights.items()
+
     def actors(self) -> frozenset[str]:
         out = set()
-        for e in self.edges:
-            out.add(e.source)
-            out.add(e.target)
+        for source, target in self._weights:
+            out.add(source)
+            out.add(target)
         return frozenset(out)
 
 

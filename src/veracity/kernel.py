@@ -84,6 +84,7 @@ from .core import (
     eval_weight_expr,
     family_at,
     family_claims,
+    ratio_text,
 )
 from .parser import DEFAULT_ACTOR, Script, render_claim, render_sequent, render_term
 
@@ -344,8 +345,8 @@ def check_implies_intro(premise: Sequent, var: str, weight_fn: WeightExpr) -> Se
     if j.weight != expected:
         raise CheckError(
             ErrorKind.WEIGHT_MISMATCH,
-            f"premise weight {j.weight} differs from the transformer's "
-            f"value {expected} at the hypothesis weight {hyp.weight}",
+            f"premise weight {ratio_text(j.weight)} differs from the transformer's "
+            f"value {ratio_text(expected)} at the hypothesis weight {ratio_text(hyp.weight)}",
         )
     witness = Lambda(var, j.witness, weight_fn)
     conclusion = Judgement(witness, j.actor, _ONE, Implies(hyp.claim, j.claim))

@@ -82,7 +82,6 @@ from .core import (
     TagR,
     Term,
     TrustArgs,
-    TrustEdge,
     TrustRelation,
     Weight,
     alpha_equal,
@@ -93,7 +92,7 @@ from .core import (
 from .evaluator import DEFAULT_BUDGET, normalize
 from .kernel import CheckEnv, check_proof
 from .parser import ModelDecl, Script, render_claim
-from .trust import best_trust_from, outgoing_edges
+from .trust import best_trust_from, outgoing
 
 DEFAULT_DEPTH_BOUND = 3
 
@@ -165,7 +164,9 @@ class Model:
     _given: dict[str, dict[str, dict[SemanticTerm, Weight]]] = field(
         init=False, compare=False, repr=False
     )
-    _outgoing: dict[str, list[TrustEdge]] = field(init=False, compare=False, repr=False)
+    _outgoing: dict[str, list[tuple[str, Weight]]] = field(
+        init=False, compare=False, repr=False
+    )
     _reach: dict[str, dict[str, Weight]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
@@ -181,9 +182,8 @@ class Model:
                 terms = by_holder.setdefault(w.actor, {})
                 if w.weight > terms.get(w.term, -1):
                     terms[w.term] = w.weight
-        edges = (edge for relation in self.trust_family for edge in relation.edges)
         object.__setattr__(self, "_given", given)
-        object.__setattr__(self, "_outgoing", outgoing_edges(edges))
+        object.__setattr__(self, "_outgoing", outgoing(self.trust_family))
 
     def reach(self, actor: str) -> Mapping[str, Weight]:
         """The best trust product from actor to every actor it reaches,
@@ -513,7 +513,8 @@ def soundness_check(
     by_name = {relation.name: relation for relation in model.trust_family}
     for name in sorted(_relations_used(tree)):
         relation = env.trust_relations.get(name)
-        if by_name.get(name) != relation:
+        carried = by_name.get(name)
+        if carried is not relation and carried != relation:
             raise PreconditionError(
                 f"the proof uses trust relation {name!r}, "
                 "which the model does not carry"

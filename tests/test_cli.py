@@ -6,16 +6,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import veracity
 from veracity.cli import main
-from veracity.core import Atom, Lambda, alpha_equal
+from veracity.core import Atom, Lambda, alpha_equal, as_weight, format_weight
 from veracity.evaluator import normalize
 from veracity.parser import parse_claim, parse_script, parse_term, render_term
 from veracity.report import parse_structured, to_structured
+from veracity.trust import chain_weight
 
 from test_parser import NESTINGS
 
@@ -962,6 +964,45 @@ class TestDeepProof:
         checked, modelled = _drive([["check", str(script)], ["model", str(script)]], timeout=120)
         assert checked == [0, "", f"check {script}\n  proof D: ok\n    x^P : A |- x^P : A\n"]
         assert modelled == [0, "", f"model {script}\n  sound D in M: sound\n"]
+
+
+class TestLongWeights:
+    """Weights of more digits than the interpreter turns into text at once
+    (4,300 by default) render in full and read back, in a fresh
+    interpreter whose limit nothing has changed."""
+
+    def test_a_long_trust_proof_checks(self, tmp_path):
+        n = 5000
+        proof = "trust(T, P -> P, " * n + "assume x^P : A" + ")" * n
+        script = tmp_path / "long-check.vlp"
+        script.write_text(
+            f"claim A. actor P.\ntrust T {{ P -> P @ 0.9. }}\nproof D {{ {proof} }}\n",
+            encoding="utf-8",
+        )
+        done = run_subprocess("check", str(script))
+        assert (done.returncode, done.stderr) == (0, "")
+        head, judged = done.stdout.splitlines()[1:]
+        assert head == "  proof D: ok"
+        prefix = "    x^P : A |- x^P@"
+        assert judged.startswith(prefix) and judged.endswith(" : A")
+        assert as_weight(judged[len(prefix):-len(" : A")]) == Fraction(9, 10) ** n
+
+    def test_a_long_chain_decays(self, tmp_path):
+        n = 12000
+        actors = [f"a{i}" for i in range(n + 1)]
+        weights = [Fraction(i % 5 + 5, 10) for i in range(n)]
+        edges = "".join(
+            f"  {a} -> {b} @ {format_weight(w)}.\n" for a, b, w in zip(actors, actors[1:], weights)
+        )
+        script = tmp_path / "long-trust.vlp"
+        script.write_text(f"actor {', '.join(actors)}.\ntrust T {{\n{edges}}}\n", encoding="utf-8")
+        done = run_subprocess("trust", "--format", "structured", str(script))
+        assert (done.returncode, done.stderr) == (0, "")
+        fields = dict(
+            line.split("=", 1) for line in done.stdout.splitlines() if line.startswith("decay-")
+        )
+        assert fields["decay-path"] == " -> ".join(actors)
+        assert as_weight(fields["decay-weight"]) == chain_weight(weights)
 
 
 class TestDeepEval:

@@ -56,6 +56,7 @@ from veracity.core import (
     atoms_of_claim,
     eval_weight_expr,
     format_weight,
+    ratio_text,
     free_vars,
     fresh_name,
     neg,
@@ -132,6 +133,66 @@ class TestWeights:
         else:
             with pytest.raises(ValueError):
                 as_weight(value)
+
+
+def _str_format_weight(w: Fraction) -> str:
+    """format_weight as it was written with str(), which is right wherever
+    str() converts at all."""
+    if w.denominator == 1:
+        return f"{w.numerator}.0"
+    den, twos, fives = w.denominator, 0, 0
+    while den % 2 == 0:
+        den, twos = den // 2, twos + 1
+    while den % 5 == 0:
+        den, fives = den // 5, fives + 1
+    if den != 1:
+        return f"{w.numerator}/{w.denominator}"
+    digits = max(twos, fives)
+    text = str(w.numerator * 10**digits // w.denominator).rjust(digits, "0")
+    return f"{text[:-digits] or '0'}.{text[-digits:]}"
+
+
+def _forbidden(*args):
+    raise AssertionError("the int/str conversion limit is process-wide; leave it as it is")
+
+
+class TestLongWeights:
+    """A weight of any number of digits renders and reads back, under the
+    interpreter's own limit on int/str conversions, which stays untouched."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 20_000),
+        st.sampled_from(["decimal", "ratio", "whole"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_format_and_read_back(self, digits, form, rng) -> None:
+        numerator = rng.randrange(10**digits)
+        w = {
+            "decimal": Fraction(numerator, 10**digits),
+            "ratio": Fraction(numerator, 3 * numerator + 1),
+            "whole": Fraction(numerator, numerator or 1),
+        }[form]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", _forbidden, raising=False)
+            text = format_weight(w)
+            assert as_weight(text) == w
+            assert as_weight(ratio_text(w)) == w
+        if digits < 4000:
+            assert text == _str_format_weight(w)
+            assert ratio_text(w) == str(w)
+
+    def test_a_long_decimal_parses(self) -> None:
+        digits = "0" + "123456789" * 1000
+        (relation,) = parse_script(f"actor P, Q. trust T {{ P -> Q @ 0.{digits}. }}").relations
+        want = Fraction(123456789 * (10**9000 - 1) // (10**9 - 1), 10**9001)
+        assert relation.weight_between("P", "Q") == want
+        assert format_weight(want) == f"0.{digits}"
+
+    def test_a_long_weight_outside_the_range_is_named(self) -> None:
+        with pytest.raises(ValueError) as exc:
+            as_weight("1" * 5000 + "/3")
+        assert str(exc.value) == f"weight {'1' * 5000}/3 outside [0, 1]"
 
 
 class TestWeightExprs:

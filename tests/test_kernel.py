@@ -45,6 +45,7 @@ from veracity.core import (
     Var,
     eval_weight_expr,
     neg,
+    as_weight,
 )
 from veracity.kernel import (
     CheckEnv,
@@ -445,6 +446,24 @@ class TestImpliesIntro:
         with pytest.raises(CheckError) as exc:
             check_implies_intro(premise, "x", ARG)
         assert exc.value.kind is ErrorKind.WEIGHT_MISMATCH
+        assert exc.value.detail == (
+            "premise weight 1/2 differs from the transformer's value 1 at the hypothesis weight 1"
+        )
+
+    def test_a_mismatch_between_long_weights_is_named_in_full(self):
+        """Weights past the interpreter's int/str limit (4,300 digits by
+        default) still render as p/q in the detail."""
+        long = Fraction(9, 10) ** 5000
+        premise = Sequent(
+            (Hypothesis("x", "P", long, A),),
+            Judgement(Var("x"), "P", long / 2, A),
+        )
+        with pytest.raises(CheckError) as exc:
+            check_implies_intro(premise, "x", ARG)
+        shown = exc.value.detail.split()
+        assert (as_weight(shown[2]), as_weight(shown[-1])) == (long / 2, long)
+        numerator, denominator = shown[-1].split("/")
+        assert (len(numerator), len(denominator)) == (4772, 5001)
 
 
 class TestImpliesElim:

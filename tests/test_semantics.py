@@ -717,6 +717,29 @@ class TestSoundness:
             soundness_check(script.proof("Chained").tree, bare, env)
         assert "trust relation" in str(exc.value)
 
+    @pytest.mark.parametrize("arrow", ["->", "→"])
+    def test_an_equal_relation_read_elsewhere_is_carried(self, arrow):
+        """The model may carry the proof's relation as another object: one
+        parsed from the same edges, in either arrow spelling, or built by
+        the constructor.  A relation with another weight is not carried."""
+        script = parse_script(
+            f"claim A. actor P, Q. trust T {{ P {arrow} Q @ 0.5. }}\n"
+            "proof D { trust(T, P -> Q, assume x^Q : A) }"
+        )
+        env = env_from_script(script)
+        tree = script.proofs[0].tree
+        holdings = {"A": {ww(Atom("x"), "Q")}}
+        for twin in (
+            parse_script("actor P, Q. trust T { P -> Q @ 1/2. }").relations[0],
+            TrustRelation("T", (TrustEdge("P", "Q", Fraction(1, 2)),)),
+        ):
+            assert twin is not env.trust_relations["T"]
+            assert soundness_check(tree, build_model(holdings, (twin,)), env)
+        other = TrustRelation("T", (TrustEdge("P", "Q", Fraction(1, 4)),))
+        with pytest.raises(PreconditionError) as exc:
+            soundness_check(tree, build_model(holdings, (other,)), env)
+        assert "trust relation 'T'" in str(exc.value)
+
     def test_a_deep_trust_chain_at_the_default_recursion_limit(self):
         """Replay and the soundness check walk the proof on their own
         stacks: a 50,000-step trust chain checks and is sound at the
