@@ -32,6 +32,7 @@ from .core import (
     TrustEdge,
     TrustRelation,
     Var,
+    WeightedWitness,
     alpha_equal,
     as_weight,
     format_weight,
@@ -59,7 +60,6 @@ from .semantics import (
     DepthExceeded,
     Model,
     PreconditionError,
-    WeightedWitness,
     build_model,
     close_under_trust,
     denote,

@@ -31,6 +31,10 @@ _fv to None, so reading the slot never meets an unset one.
 
 Weights are exact rationals throughout.  Floats are rejected at the door:
 a spelled-out decimal like "0.4096" converts exactly, a float does not.
+Weights turn into text and back through the standard library's decimal,
+which converts an int of any length; int() and str() refuse one of more
+than sys.get_int_max_str_digits() digits (4,300 unless set), a
+process-wide limit the package leaves as it is.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, fields
+from decimal import Context, Decimal, Inexact
 from enum import Enum
 from fractions import Fraction
 from typing import ItemsView, Iterable, Mapping, Optional, Sequence, Union
@@ -50,15 +55,20 @@ def as_weight(value: Union[int, str, Fraction]) -> Weight:
     """Convert to an exact weight in [0, 1].
 
     Accepts ints, Fractions, and numeric strings ("0.5", "1/3").  Floats are
-    refused because they would smuggle in binary rounding error.
+    refused because they would smuggle in binary rounding error.  A string
+    in the grammar's forms, d, d.d or d/d, is read through Decimal at any
+    length; any other goes to Fraction.
     """
     if type(value) is not Fraction:
         if isinstance(value, float):
             raise TypeError("weights must be exact: pass a Fraction or a string, not a float")
-        if isinstance(value, str) and _PIECE < len(value):
-            value = _long_fraction(value)
-        else:
+        found = _NUMBER.fullmatch(value) if isinstance(value, str) else None
+        if found is None:
             value = Fraction(value)
+        elif found[2] is None:
+            value = Fraction(Decimal(value))
+        else:
+            value = Fraction(int(Decimal(found[1])), int(Decimal(found[2])))
     # A Fraction is normalized with a positive denominator, so the range
     # check is two int comparisons, and an exact Fraction is kept as it is.
     if 0 <= value.numerator <= value.denominator:
@@ -67,87 +77,41 @@ def as_weight(value: Union[int, str, Fraction]) -> Weight:
 
 
 def format_weight(w: Weight) -> str:
-    """Render a weight exactly: as a decimal when one exists, else p/q, as
-    ratio_text writes it.  Any number of digits renders, and as_weight
-    reads the text back."""
-    if w.denominator == 1:
-        return f"{_int_text(w.numerator)}.0"
-    den, twos = _strip(w.denominator, 2)
-    den, fives = _strip(den, 5)
-    if den != 1:
+    """Render a weight exactly: as a decimal when one exists, found by an
+    exact Decimal division, else p/q, as ratio_text writes it.  Any number
+    of digits renders, and as_weight reads the text back."""
+    p, q = w.numerator, w.denominator
+    if q == 1:
+        return f"{_int_text(p)}.0"
+    # p/q terminates only when q = 2**a * 5**b, and then it is
+    # p * 2**(m-a) * 5**(m-b) / 10**m with m = max(a, b): at most
+    # digits(p) + m digits.  digits(p) <= (p.bit_length() + 3) // 3, as
+    # log10(2) < 1/3, and m < q.bit_length(), as q >= 2**a and q >= 5**b
+    # >= 2**b.  So this precision divides every terminating p/q exactly,
+    # and any other prime factor of q leaves a remainder: Inexact at every
+    # precision.  The f format keeps the digits positional, where str
+    # would turn to an exponent below 10**-6.
+    exact = Context(prec=(p.bit_length() + 3) // 3 + q.bit_length(), traps=[Inexact])
+    try:
+        return f"{exact.divide(p, q):f}"
+    except Inexact:
         return ratio_text(w)
-    digits = max(twos, fives)
-    scaled = w.numerator * 10**digits // w.denominator
-    text = _int_text(scaled).rjust(digits, "0")
-    whole, frac = text[:-digits] or "0", text[-digits:]
-    return f"{whole}.{frac}"
-
-
-def _strip(n: int, p: int) -> tuple[int, int]:
-    """n with every factor p divided out, and how many there were.  Each
-    pass divides by the largest p**(2**k) that goes into n, so a long
-    denominator takes a few divisions per digit's worth of bits, not one
-    per factor."""
-    count = 0
-    while n % p == 0:
-        power, times = p, 1
-        while n % (power * power) == 0:
-            power, times = power * power, times * 2
-        n //= power
-        count += times
-    return n, count
 
 
 def ratio_text(w: Fraction) -> str:
-    """str(w), "p/q" or "p", for a Fraction of any number of digits."""
+    """str(w), "p/q" or "p", for a Fraction of any number of digits, each
+    int written through Decimal."""
     if w.denominator == 1:
         return _int_text(w.numerator)
     return f"{_int_text(w.numerator)}/{_int_text(w.denominator)}"
 
 
-# CPython refuses to turn an int of more than sys.get_int_max_str_digits()
-# decimal digits into text or back (4,300 unless set; never under 640).  A
-# library must not change that process-wide limit, so a longer number is
-# converted in pieces of at most _PIECE digits, split with divmod by a
-# power of ten.
-_PIECE = 600
-_SHORT = 10**_PIECE
-_NUMBER = re.compile(r"(\d+)(?:\.(\d+)|/(\d+))?")
-
-
 def _int_text(n: int) -> str:
-    """str(n) for an int n of any length."""
-    if -_SHORT < n < _SHORT:
-        return str(n)
-    if n < 0:
-        return "-" + _int_text(-n)
-    # log10(2) < 0.30103, so n has at most about this many digits.
-    half = (n.bit_length() * 30103 // 100000 + 1) // 2
-    high, low = divmod(n, 10**half)
-    return _int_text(high) + _int_text(low).zfill(half)
+    """str(n) for an int n of any length (see the module docstring)."""
+    return str(Decimal(n))
 
 
-def _int_of(digits: str) -> int:
-    """int(digits) for a run of decimal digits of any length."""
-    if len(digits) <= _PIECE:
-        return int(digits)
-    half = len(digits) // 2
-    return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
-
-
-def _long_fraction(text: str) -> Fraction:
-    """Fraction(text) for a text too long for int() to read at once.  The
-    forms the grammar spells and format_weight writes, digits, digits.digits
-    and digits/digits, are read in pieces; any other text goes to Fraction."""
-    found = _NUMBER.fullmatch(text)
-    if found is None:
-        return Fraction(text)
-    whole, decimals, under = found.groups()
-    if under is not None:
-        return Fraction(_int_of(whole), _int_of(under))
-    if decimals is None:
-        return Fraction(_int_of(whole))
-    return Fraction(_int_of(whole + decimals), 10 ** len(decimals))
+_NUMBER = re.compile(r"(\d+)(?:\.\d+|/(\d+))?")
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +698,20 @@ class Hypothesis:
 class Sequent:
     hypotheses: tuple[Hypothesis, ...]
     conclusion: Judgement
+
+
+@dataclass(frozen=True, slots=True)
+class WeightedWitness:
+    """A witness term an actor holds at a weight: an entry of a model as
+    the parser reads it, and an element of a denotation, where an arrow's
+    elements hold a semantics.MapTable as their term."""
+
+    term: Term
+    actor: str
+    weight: Weight
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weight", as_weight(self.weight))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,12 +12,13 @@ redex anywhere.  Four contractions fire:
 The split substitution is simultaneous.  Lambda weight annotations ride
 along unchanged; they describe weight flow, not term flow.
 
-Every entry point runs one walk (_Walk), a zipper in the manner of Huet's
-"The Zipper" (JFP 1997): a cursor at a subterm and, for each ancestor,
-the frame (parent, its subterms so far, index of the one the cursor is
-in).  The walk visits nodes in pre-order and keeps one invariant: no node
-before the cursor in pre-order is a redex.  So the next redex is the first
-one at or after the cursor, which is the leftmost-outermost one.
+Every entry point (step, normalize, normalize_counted and trace) runs one
+walk (_Walk), a zipper in the manner of Huet's "The Zipper" (JFP 1997): a
+cursor at a subterm and, for each ancestor, the frame (parent, its
+subterms so far, index of the one the cursor is in).  The walk visits
+nodes in pre-order and keeps one invariant: no node before the cursor in
+pre-order is a redex.  So the next redex is the first one at or after the
+cursor, which is the leftmost-outermost one.
 
 The resume rule.  After a contraction at the cursor, the walk resumes at
 the contracted position, not at the root.  Subterms to the left of the
@@ -180,14 +181,6 @@ def _contract(node: Term):
     return _delay(_resolve(body, older, merged) if older else body, {param: arg}, False)
 
 
-def contract(term: Term) -> Optional[Term]:
-    """Fire the redex at the root, if the root is one."""
-    heads = _REDEX_HEADS.get(type(term))
-    if heads is None or type(subterms(term)[0]) not in heads:
-        return None
-    return _readback(_contract(term))
-
-
 # For each constructor with a head, the head constructors that make it a redex.
 _REDEX_HEADS = {Apply: (Lambda,), CasesOf: (TagL, TagR), SplitOf: (Pair,)}
 
@@ -270,13 +263,11 @@ class _Walk:
                 focus = with_subterms(frame[0], subs) if frame[3] else frame[0]
 
     def term(self) -> Term:
-        """The whole current term; the walk itself is left as it is."""
+        """The whole current term; the walk itself is left as it is.  After
+        a step the cursor's subterm is new, so every ancestor is rebuilt."""
         current = _readback(self.focus)
-        for node, subs, index, changed in reversed(self.path):
-            if changed or subs[index] is not current:
-                current = with_subterms(node, subs[:index] + [current] + subs[index + 1 :])
-            else:
-                current = node
+        for node, subs, index, _ in reversed(self.path):
+            current = with_subterms(node, subs[:index] + [current] + subs[index + 1 :])
         return current
 
 

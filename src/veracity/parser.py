@@ -118,6 +118,7 @@ from .core import (
     Var,
     Weight,
     WeightExpr,
+    WeightedWitness,
     as_weight,
     atoms_of_claim,
     family_claims,
@@ -313,17 +314,10 @@ class ProofDecl:
 
 
 @dataclass(frozen=True)
-class ModelEntry:
-    term: Term
-    actor: str
-    weight: Weight
-
-
-@dataclass(frozen=True)
 class ModelDecl:
     name: str
     uses: tuple[str, ...]
-    assignments: tuple[tuple[str, tuple[ModelEntry, ...]], ...]
+    assignments: tuple[tuple[str, tuple[WeightedWitness, ...]], ...]
     loc: tuple[int, int]
 
 
@@ -1123,7 +1117,7 @@ class _Parser:
         name = self.declare("model")
         uses = self.comma_list(lambda: self.reference("relation")) if self.accept("uses") else []
         self.expect("{")
-        assignments: dict[str, tuple[ModelEntry, ...]] = {}
+        assignments: dict[str, tuple[WeightedWitness, ...]] = {}
         while not self.accept("}"):
             at = self.pos
             claim = self.reference("claim")
@@ -1131,14 +1125,14 @@ class _Parser:
                 raise ParseError(f"claim {claim!r} assigned twice", *self.loc(at))
             self.expect("=")
             self.expect("{")
-            entries: list[ModelEntry] = []
+            entries: list[WeightedWitness] = []
             while not self.accept("}"):
                 entries.append(self.model_entry())
             self.expect(".")
             assignments[claim] = tuple(entries)
         return ModelDecl(name, tuple(uses), tuple(assignments.items()), loc)
 
-    def model_entry(self) -> ModelEntry:
+    def model_entry(self) -> WeightedWitness:
         """term [^actor] [@weight] ".", whose left-out actor is the default
         one, checked once the entry is read."""
         at = self.pos
@@ -1149,7 +1143,7 @@ class _Parser:
         if actor is None:
             actor = self.default_actor
             self.require("actor", actor, at)
-        return ModelEntry(term, actor, weight)
+        return WeightedWitness(term, actor, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ denotation, closed under the trust family, holds its witness at its actor
 with at least its weight. Witnesses compare up to renaming of bound
 variables, or by equality when the query holds a table.
 
+Both an entry of a model's assignment and an element of a denotation
+are a core.WeightedWitness, the record the parser reads a model's
+entries into; an arrow's elements hold a MapTable as their term.
+
 A membership query (member) never builds a denotation. It walks the
 claim once, steered by the query witness, and asks each part for the
 weight at which one actor holds one term:
@@ -84,8 +88,8 @@ from .core import (
     TrustArgs,
     TrustRelation,
     Weight,
+    WeightedWitness,
     alpha_equal,
-    as_weight,
     substitute_many,
     subterms,
 )
@@ -127,18 +131,6 @@ class MapTable:
 
 
 SemanticTerm = Union[Term, MapTable]
-
-
-@dataclass(frozen=True)
-class WeightedWitness:
-    """One element of a denotation: a witness term held by an actor."""
-
-    term: SemanticTerm
-    actor: str
-    weight: Weight
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", as_weight(self.weight))
 
 
 @dataclass(frozen=True)
@@ -284,14 +276,7 @@ def model_from_script(script: Script, name: Optional[str] = None) -> Model:
         if decl is None:
             raise ValueError(f"script declares no model {name}")
     family = tuple(script.relation(used) for used in decl.uses)
-    assignments = {
-        claim_name: [
-            WeightedWitness(entry.term, entry.actor, entry.weight)
-            for entry in entries
-        ]
-        for claim_name, entries in decl.assignments
-    }
-    return build_model(assignments, family)
+    return build_model(dict(decl.assignments), family)
 
 
 def _arrow_depth(claim: Claim) -> int:

@@ -60,6 +60,7 @@ from veracity.core import (
     Var,
     Weight,
     WeightExpr,
+    WeightedWitness,
     as_weight,
     atoms_of_claim,
     family_claims,
@@ -68,7 +69,6 @@ from veracity.parser import (
     DEFAULT_ACTOR,
     CompareDecl,
     ModelDecl,
-    ModelEntry,
     ParseError,
     ProofDecl,
     QueryDecl,
@@ -738,7 +738,7 @@ class _Parser:
         name = self.declare("model")
         uses = self.comma_list(lambda: self.reference("relation")) if self.accept("uses") else []
         self.expect("{")
-        assignments: dict[str, tuple[ModelEntry, ...]] = {}
+        assignments: dict[str, tuple[WeightedWitness, ...]] = {}
         while not self.accept("}"):
             at = self.pos
             claim = self.reference("claim")
@@ -746,14 +746,14 @@ class _Parser:
                 raise ParseError(f"claim {claim!r} assigned twice", *self.loc(at))
             self.expect("=")
             self.expect("{")
-            entries: list[ModelEntry] = []
+            entries: list[WeightedWitness] = []
             while not self.accept("}"):
                 entries.append(self.model_entry())
             self.expect(".")
             assignments[claim] = tuple(entries)
         return ModelDecl(name, tuple(uses), tuple(assignments.items()), loc)
 
-    def model_entry(self) -> ModelEntry:
+    def model_entry(self) -> WeightedWitness:
         """term [^actor] [@weight] ".", whose left-out actor is the default
         one, checked once the entry is read."""
         at = self.pos
@@ -764,7 +764,7 @@ class _Parser:
         if actor is None:
             actor = self.default_actor
             self.require_at("actor", actor, at)
-        return ModelEntry(term, actor, weight)
+        return WeightedWitness(term, actor, weight)
 
 
 def _run(text: str, parse, *, bound: Iterable[str] = ()):

@@ -11,15 +11,17 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import random
 import sys
 import tracemalloc
 import typing
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numberoracle
 from dbterms import to_db
 from steporacle import oracle_free_vars, oracle_substitute
 from strategies import (
@@ -193,6 +195,95 @@ class TestLongWeights:
         with pytest.raises(ValueError) as exc:
             as_weight("1" * 5000 + "/3")
         assert str(exc.value) == f"weight {'1' * 5000}/3 outside [0, 1]"
+
+
+# Short numbers, numbers about the old codec's 600-digit pieces, and
+# numbers past the interpreter's 4,300-digit limit.
+_DIGITS = st.one_of(st.integers(1, 40), st.integers(560, 700), st.integers(4_000, 20_000))
+_SEEDS = st.integers(0, 2**32)
+
+
+def _long_weight(digits: int, kind: str, seed: int) -> Fraction:
+    """A weight of about digits digits: over a power of ten, of 2, of 5, a
+    mix of the two, a non-terminating denominator, or below 10**-6."""
+    rng = random.Random(seed)
+    # 2**a has about 0.301 a digits and 5**b about 0.699 b.
+    den = {
+        "ten": lambda: 10**digits,
+        "two": lambda: 2 ** rng.randint(1, digits * 10 // 3),
+        "five": lambda: 5 ** rng.randint(1, digits * 10 // 7),
+        "mix": lambda: 2 ** rng.randint(0, digits * 5 // 3) * 5 ** rng.randint(0, digits * 5 // 7),
+        "other": lambda: rng.choice((3, 7, 12, 15)) * rng.randint(1, 10**digits),
+        "tiny": lambda: 10 ** (6 + digits),
+    }[kind]()
+    return Fraction(rng.randint(1, 9) if kind == "tiny" else rng.randint(0, den), den)
+
+
+def _weight_text(digits: int, alphabet: str, form: int, flaw: int, seed: int) -> str:
+    """A string of digits digits in one of the grammar's forms, d, d.d, d/d
+    or d/0, with flaw 0 as it is and any other flaw malformed."""
+    rng = random.Random(seed)
+    run = "".join(rng.choices(alphabet, k=digits))
+    cut = rng.randint(1, digits)
+    text = [run, f"{run[:cut]}.{run[cut:] or '0'}", f"{run[:cut]}/{run[cut:] or '1'}", f"{run}/0"][form]
+    return [
+        text, f" {text}", f"{text}x", f"{text}/7", f".{text}", f"{text}.",
+        f"-{text}", f"{text}e-3", f"{text[:1]}_{text[1:]}", f"{text}.5/3",
+    ][flaw]
+
+
+def _outcome(convert, value):
+    """What convert gives for value: ("value", result), or the exception's
+    type and message."""
+    try:
+        return "value", convert(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFrozenCodec:
+    """format_weight, ratio_text and as_weight give the same text, value or
+    exception type and message as numberoracle's codec, which converted
+    long numbers in pieces, at any length.  The interpreter's limit on
+    int/str conversions stays untouched."""
+
+    def assert_alike(self, w: Fraction) -> None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", _forbidden, raising=False)
+            text = format_weight(w)
+            assert text == numberoracle.format_weight(w)
+            assert ratio_text(w) == numberoracle.ratio_text(w)
+            for written in (text, ratio_text(w)):
+                assert _outcome(as_weight, written) == _outcome(numberoracle.as_weight, written)
+                assert as_weight(written) == w
+
+    @pytest.mark.parametrize(
+        "w",
+        [Fraction(0), Fraction(1), Fraction(1, 10**7), Fraction(3, 2**20_000), Fraction(1, 5**20_000)],
+        ids=["zero", "one", "ten-to-minus-7", "over-2**20000", "over-5**20000"],
+    )
+    def test_edge_weights_render_and_read_back_alike(self, w) -> None:
+        self.assert_alike(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_DIGITS, st.sampled_from(["ten", "two", "five", "mix", "other", "tiny"]), _SEEDS)
+    def test_weights_render_and_read_back_alike(self, digits, kind, seed) -> None:
+        self.assert_alike(_long_weight(digits, kind, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _DIGITS,
+        st.sampled_from(["0123456789", "٠١٢٣٤٥٦٧٨٩", "0123456789٣７"]),
+        st.integers(0, 3),
+        st.one_of(st.just(0), st.integers(0, 9)),
+        _SEEDS,
+    )
+    @example(5000, "1", 3, 0, 0)
+    def test_strings_read_alike(self, digits, alphabet, form, flaw, seed) -> None:
+        text = _weight_text(digits, alphabet, form, flaw, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", _forbidden, raising=False)
+            assert _outcome(as_weight, text) == _outcome(numberoracle.as_weight, text)
 
 
 class TestWeightExprs:

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbterms import db_step, to_db
-from steporacle import oracle_trace
+from steporacle import oracle_contract, oracle_trace
 from strategies import ATOM_NAMES, VAR_NAMES, _nest_pairs, _split_of, redex_terms, terms
 from veracity.core import (
     Apply,
@@ -28,7 +28,6 @@ from veracity.core import (
 from veracity.evaluator import (
     BudgetExceeded,
     _Pending,
-    contract,
     normalize,
     normalize_counted,
     step,
@@ -180,7 +179,7 @@ class TestStepOracle:
             assume(False)
 
         def redex_free(t):
-            if contract(t) is not None:
+            if oracle_contract(t) is not None:
                 return False
             children = {
                 Pair: lambda: [t.fst, t.snd],

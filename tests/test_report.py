@@ -49,6 +49,11 @@ class TestParseStructured:
         with pytest.raises(ValueError):
             parse_structured("[s]\nnot a field\n")
 
+    def test_empty_field_key_fails_with_its_line(self):
+        with pytest.raises(ValueError) as exc:
+            parse_structured("[a]\n=b\n")
+        assert str(exc.value) == "line 2: empty field key"
+
     def test_empty_input(self):
         assert parse_structured("") == Report(())
 
