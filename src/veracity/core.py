@@ -68,7 +68,11 @@ def as_weight(value: Union[int, str, Fraction]) -> Weight:
         elif found[2] is None:
             value = Fraction(Decimal(value))
         else:
-            value = Fraction(int(Decimal(found[1])), int(Decimal(found[2])))
+            numerator, denominator = int(Decimal(found[1])), int(Decimal(found[2]))
+            if not denominator:
+                # Fraction's own message writes the numerator with str().
+                raise ZeroDivisionError(f"Fraction({_int_text(numerator)}, 0)")
+            value = Fraction(numerator, denominator)
     # A Fraction is normalized with a positive denominator, so the range
     # check is two int comparisons, and an exact Fraction is kept as it is.
     if 0 <= value.numerator <= value.denominator:

@@ -7,15 +7,20 @@ models, and the queries to run against them; `#` starts a line comment.
 
 The scanner runs one regex over the whole text and keeps two parallel
 sequences: a list of each lexeme's text, with Unicode operators in their
-ASCII spelling, and an array("q") of the offset at which it starts.  Equal
-lexemes are one string, shared through a table that belongs to the scan
-and is freed with it, so a token costs 16 bytes, a list slot and an array
-slot, plus one string per distinct lexeme; a string and a boxed int of its
-own per token took 60 to 78 bytes.  The parser's cursor reads those texts
-directly.  No operator's text equals the text of an identifier, number or
-string, so the cursor tells an operator or a keyword by its text alone, and
-any other token's kind by its first character.  Line and column are worked
-out from an offset only where a location is kept or an error is raised.
+ASCII spelling, and an array of the offset at which it starts, of 4-byte
+unsigned ints ("I") for a text shorter than 2**32 characters and of 8-byte
+ones ("q") otherwise.  Equal lexemes are one string, shared through a table
+that belongs to the scan and is freed with it, so a token costs 12 bytes, a
+list slot and an array slot, plus one string per distinct lexeme; a string
+and a boxed int of its own per token took 60 to 78 bytes.  The parser's
+cursor reads those texts directly.  No operator's text equals the text of
+an identifier, number or string, so the cursor tells an operator or a
+keyword by its text alone, and any other token's kind by its first
+character.  Line and column are worked out from an offset only where a
+location is kept or an error is raised, by a locator that counts newlines
+onward from the offset it located last.  The parser asks for offsets in
+increasing order except on an error, so a parse counts each newline once
+and keeps no index of lines.
 No token spans a newline: strings exclude "\\n" and comments stop at it.
 Only "\\n" ends a line; the other line breaks str.splitlines knows (form
 feed and the rest) are unexpected characters, as any character no token
@@ -48,8 +53,18 @@ three binary operators and recurses only for the right side of "->", a
 parenthesis or a negation.  Input nested past the interpreter's stack is a
 ParseError "nesting too deep".  Each parse shares its leaves: one Atomic
 per declared claim name, one Var per bound name, one Atom per name written
-without provenance.  A script proof or query is walked for an undeclared
-name, to report the first in a fixed order, only if the parser noted one.
+without provenance.  A script parse also shares what a stated sequent or an
+under context reads: each hypothesis, judgement, claim, witness term and
+weight transformer read there is looked up in a table of the parse, by its
+class and the identities of its fields, so a sequent that restates the
+hypotheses, claim and witness of the one below holds that one's values,
+not copies of them (hash-consing, Filliatre & Conchon 2006).  The fields
+are already one object per value, lexemes, leaves, weights and values that
+came through the table, so the lookup needs no hash or walk of the value.
+Nothing is shared between two parses, or by parse_term and the other entry
+points, which build every value afresh.  A script proof or query is walked
+for an undeclared name, to report the first in a fixed order, only if the
+parser noted one.
 
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
@@ -68,9 +83,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .core import (
@@ -211,7 +224,7 @@ def _scan(text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> t
     becomes no tokens: the scan records it in runs, as the offset of the
     head's "{" and the offset where the run ends, and goes on from there."""
     texts: list[str] = []
-    starts = array("q")
+    starts = _offsets(len(text))
     share = {}.setdefault   # this scan's own table, dropped when it returns
     add_text, add_start = texts.append, starts.append
     edge = _EDGE.match
@@ -238,7 +251,7 @@ def _scan(text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> t
                 runs[start - 1] = end
                 start = end
     if m[4] is not None:
-        raise ParseError(f"unexpected character {m[4]!r}", *_locate(_line_starts(text), m.start(4)))
+        raise ParseError(f"unexpected character {m[4]!r}", *_Locator(text)(m.start(4)))
     texts.append("")
     starts.append(len(text))
     if not text.isascii():
@@ -261,16 +274,38 @@ def _kind(text: str) -> str:
     return "ident" if _is_ident(text) else "op"
 
 
-def _line_starts(text: str) -> list[int]:
-    """The offset at which each line of text after the first starts, and
-    len(text) + 1 last."""
-    return list(accumulate(map((1).__add__, map(len, text.split("\n")))))
+def _offsets(length: int) -> array:
+    """An empty array for offsets into a text of length characters: of
+    4-byte unsigned ints where every offset, length included, fits one."""
+    return array("I" if length < 2**32 else "q")
 
 
-def _locate(line_starts: list[int], offset: int) -> tuple[int, int]:
-    """The line and column, both from 1, of an offset into a text."""
-    line = bisect_right(line_starts, offset)
-    return line + 1, offset + 1 - (line_starts[line - 1] if line else 0)
+class _Locator:
+    """The line and column, both from 1, of offsets into one text.  Each
+    call counts the newlines from the offset it located last to the one
+    asked for, so offsets asked in increasing order cost one pass over the
+    text in all, and no per-line list or copy is kept.  An earlier offset,
+    which only an error asks for, counts again from the start."""
+
+    __slots__ = ("text", "offset", "line", "start")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        # The offset located last, its line, and where that line starts.
+        self.offset = self.start = 0
+        self.line = 1
+
+    def __call__(self, offset: int) -> tuple[int, int]:
+        last = self.offset
+        if offset < last:
+            last = self.start = 0
+            self.line = 1
+        newlines = self.text.count("\n", last, offset)
+        if newlines:
+            self.line += newlines
+            self.start = self.text.rfind("\n", last, offset) + 1
+        self.offset = offset
+        return self.line, offset + 1 - self.start
 
 
 def _describe(text: str) -> str:
@@ -289,8 +324,8 @@ def tokenize(text: str) -> list[Token]:
     eof token: the scan the parser reads, as Token tuples, but with the
     tokens of the trust edges the parser reads straight from the text."""
     texts, starts = _scan(text)
-    line_starts = _line_starts(text)
-    return [Token(_kind(t), t, *_locate(line_starts, at)) for t, at in zip(texts, starts)]
+    locate = _Locator(text)
+    return [Token(_kind(t), t, *locate(at)) for t, at in zip(texts, starts)]
 
 
 def _decode_string(raw: str) -> str:
@@ -505,9 +540,8 @@ class _Parser:
         self.runs: dict[int, int] = {}
         self.texts, self.starts = _scan(text, self.runs)
         self.pos = 0
-        # Where each line of text starts, found when a location is first
-        # asked for: only proof nodes, declarations and errors keep one.
-        self.line_starts: Optional[list[int]] = None
+        # Only proof nodes, declarations and errors ask for a location.
+        self.locate = _Locator(text)
         # Each weight literal converted so far, by its text.
         self.weights: dict[str, Weight] = {}
         # The names bound where the parser stands, each with the number of
@@ -517,6 +551,12 @@ class _Parser:
         self.var_leaves = _Leaves(Var)
         self.atom_leaves = _Leaves(Atom)
         self.claim_leaves: dict[str, Atomic] = {}
+        # A script's values read inside stated sequents and under contexts,
+        # each by its class and the identities of its fields (see make), and
+        # None in any other parse.  shared is that table while such a value
+        # is read, and None elsewhere.
+        self.table: Optional[dict[tuple, Any]] = None
+        self.shared: Optional[dict[tuple, Any]] = None
         # False once the proof or query being read names an undeclared name.
         self.all_declared = True
         # The actor of a judgement or hypothesis written without ^actor;
@@ -545,12 +585,6 @@ class _Parser:
     def loc(self, at: int) -> tuple[int, int]:
         """The line and column of the token at index at."""
         return self.locate(self.starts[at])
-
-    def locate(self, offset: int) -> tuple[int, int]:
-        """The line and column of an offset into the text."""
-        if self.line_starts is None:
-            self.line_starts = _line_starts(self.text)
-        return _locate(self.line_starts, offset)
 
     def unskip(self) -> None:
         """Scan the text again from the cursor on, skipping no run of edges,
@@ -591,6 +625,23 @@ class _Parser:
         if found:
             raise ParseError(f"unexpected {_describe(found)}", *self.loc(self.pos))
 
+    def make(self, cls: Callable[..., _T], *fields: Any) -> _T:
+        """cls(*fields), or, while values are shared, the value of the table
+        with the class cls and these very fields.  Each field is a shared
+        lexeme, leaf or weight, or a value that came through the table, so
+        an equal value read again finds the one read first with no hash or
+        walk of its own."""
+        table = self.shared
+        if table is None:
+            return cls(*fields)
+        key = (cls, *map(id, fields))
+        value = table.get(key)
+        if value is None:
+            # value keeps its fields, so no id in key is reused while
+            # the entry lives.
+            value = table[key] = cls(*fields)
+        return value
+
     # -- weights
 
     def weight(self) -> Weight:
@@ -617,12 +668,12 @@ class _Parser:
     def weight_expr(self) -> WeightExpr:
         expr = self.weight_factor()
         while self.accept("*"):
-            expr = Mul(expr, self.weight_factor())
+            expr = self.make(Mul, expr, self.weight_factor())
         return expr
 
     def weight_factor(self) -> WeightExpr:
         if self.texts[self.pos][:1].isdecimal():
-            return Const(self.weight())
+            return self.make(Const, self.weight())
         if self.accept("z"):
             return ARG
         if self.accept("min"):
@@ -631,7 +682,7 @@ class _Parser:
             self.expect(",")
             right = self.weight_expr()
             self.expect(")")
-            return Min(left, right)
+            return self.make(Min, left, right)
         if self.accept("("):
             expr = self.weight_expr()
             self.expect(")")
@@ -652,12 +703,12 @@ class _Parser:
             tightness = op[0] if op else 0
             while waiting and waiting[-1][1] >= tightness:
                 left, _, build = waiting.pop()
-                operand = build(left, operand)
+                operand = self.make(build, left, operand)
             if op is None:
                 return operand
             self.pos += 1
             if op[1] is Implies:
-                return Implies(operand, self.claim())
+                return self.make(Implies, operand, self.claim())
             waiting.append((operand, *op))
             operand = self.claim_unary()
 
@@ -669,7 +720,7 @@ class _Parser:
         if leaf is not None:
             return leaf
         if found == "~":
-            return Implies(self.claim_unary(), BOTTOM)
+            return self.make(Implies, self.claim_unary(), BOTTOM)
         if found == "(":
             inner = self.claim()
             self.expect(")")
@@ -691,11 +742,11 @@ class _Parser:
             self.expect(".")
             body = self.scoped_term((param,))
             if self.accept("@"):
-                return Lambda(param, body, self.weight_expr())
-            return Lambda(param, body)
+                return self.make(Lambda, param, body, self.weight_expr())
+            return self.make(Lambda, param, body)
         term = self.primary()
         while (found := texts[self.pos]) == "(" or found[:1] in _IDENT_START and found != "_|_":
-            term = Apply(term, self.primary())
+            term = self.make(Apply, term, self.primary())
         return term
 
     def scoped_term(self, names: tuple[str, ...]) -> Term:
@@ -728,7 +779,7 @@ class _Parser:
                 if texts[self.pos] != ")":
                     self.expect(")")
                 self.pos += 1
-                return Pair(first, second)
+                return self.make(Pair, first, second)
             if texts[at] != ")":
                 self.expect(")")
             self.pos = at + 1
@@ -745,7 +796,7 @@ class _Parser:
             scrutinee = self.term()
             if name == "i" or name == "j":
                 self.expect(")")
-                return TagL(scrutinee) if name == "i" else TagR(scrutinee)
+                return self.make(TagL if name == "i" else TagR, scrutinee)
             self.expect(",")
             if name == "cases":
                 lv = self.expect_ident("a binder")
@@ -756,7 +807,7 @@ class _Parser:
                 self.expect(".")
                 rbody = self.scoped_term((rv,))
                 self.expect(")")
-                return CasesOf(scrutinee, lv, lbody, rv, rbody)
+                return self.make(CasesOf, scrutinee, lv, lbody, rv, rbody)
             fv = self.expect_ident("a binder")
             self.expect(".")
             sv = self.expect_ident("a binder")
@@ -765,7 +816,7 @@ class _Parser:
             self.expect(".")
             body = self.scoped_term((fv, sv))
             self.expect(")")
-            return SplitOf(scrutinee, fv, sv, body)
+            return self.make(SplitOf, scrutinee, fv, sv, body)
         if follow == "{":
             if name in self.bound:
                 raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
@@ -801,11 +852,11 @@ class _Parser:
     def judgement(self, names: tuple[str, ...] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
         witness = self.scoped_term(names)
-        return Judgement(witness, *self.actor_weight_claim())
+        return self.make(Judgement, witness, *self.actor_weight_claim())
 
     def hypothesis(self) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable")
-        return Hypothesis(var, *self.actor_weight_claim())
+        return self.make(Hypothesis, var, *self.actor_weight_claim())
 
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
         """The [^actor] [@weight] ":" claim that ends a judgement or a
@@ -870,7 +921,11 @@ class _Parser:
         stated = None
         if self.accept("stating"):
             self.expect("(")
+            # Set and reset here, not through a helper, so that a stated
+            # sequent nests as deep as before it was shared.
+            self.shared = self.table
             stated = self.sequent()
+            self.shared = None
             self.expect(")")
         return ProofTree(rule, premises, args, stated, loc)
 
@@ -882,7 +937,9 @@ class _Parser:
         context: list[Hypothesis] = []
         if self.accept("under"):
             self.expect("(")
+            self.shared = self.table
             context = self.comma_list(self.hypothesis)
+            self.shared = None
             self.expect(")")
         return AssumeArgs(var, claim, actor, tuple(context))
 
@@ -1194,7 +1251,11 @@ def parse_sequent(text: str, *, default_actor: str = DEFAULT_ACTOR) -> Sequent:
 
 
 def parse_script(text: str) -> Script:
-    return _run(text, lambda p: p.script())
+    def parse(p: _Parser) -> Script:
+        p.table = {}
+        return p.script()
+
+    return _run(text, parse)
 
 
 # ---------------------------------------------------------------------------

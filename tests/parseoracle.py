@@ -6,7 +6,9 @@ claim precedence level, a separate application loop, a fresh leaf for
 every name, and a walk of every proof tree for undeclared names.  It reads
 every token of the text, trust edges included, from its own copy of the
 scanner as it stood before trust edges were read straight from the text
-(tokenize is checked against tokoracle.py), and builds the same values.  It
+(tokenize is checked against tokoracle.py), locates offsets through its own
+index of line starts and a bisection, as the parser did before it counted
+newlines instead, and builds the same values, none of them shared.  It
 must not change: veracity.parser is checked against it value for value and
 error for error.
 """
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from veracity.core import (
@@ -74,8 +78,6 @@ from veracity.parser import (
     QueryDecl,
     Script,
     SoundDecl,
-    _line_starts,
-    _locate,
 )
 
 _ONE = Fraction(1)
@@ -130,6 +132,18 @@ def _scan(text: str) -> tuple[list[str], array]:
     if not text.isascii():
         texts = [_UNICODE_OPS.get(t, t) for t in texts]
     return texts, starts
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of text after the first starts, and
+    len(text) + 1 last."""
+    return list(accumulate(map((1).__add__, map(len, text.split("\n")))))
+
+
+def _locate(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of an offset into a text."""
+    line = bisect_right(line_starts, offset)
+    return line + 1, offset + 1 - (line_starts[line - 1] if line else 0)
 
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")

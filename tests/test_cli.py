@@ -1005,6 +1005,16 @@ class TestLongWeights:
         assert as_weight(fields["decay-weight"]) == chain_weight(weights)
 
 
+    def test_a_long_zero_denominator_is_named(self, tmp_path):
+        # As "1/0" is: the message names the zero denominator, not the
+        # interpreter's limit on int/str conversions.
+        script = tmp_path / "long-zero.vlp"
+        script.write_text(f"actor P, Q.\ntrust T {{ P -> Q @ {'1' * 5000}/0. }}\n", encoding="utf-8")
+        done = run_subprocess("trust", str(script))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"{script}:2:20: bad weight '{'1' * 5000}/0': Fraction({'1' * 5000}, 0)\n"
+
+
 class TestDeepEval:
     """eval -e on binders, pairs and tags nested up to the depth the parser
     reaches at the CLI's recursion limit of 10,000 (4,993, 4,995 and 4,993

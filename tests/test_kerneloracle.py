@@ -40,11 +40,12 @@ from veracity.core import (
     TrustArgs,
     TrustEdge,
     TrustRelation,
+    format_weight,
     neg,
 )
 from veracity.cli import main
 from veracity.kernel import CheckEnv, CheckError, ErrorKind, check_proof, env_from_script
-from veracity.parser import parse_script, render_sequent
+from veracity.parser import parse_script, render_proof_tree, render_sequent
 
 import kerneloracle as oracle
 from proof_search import search_proof
@@ -357,6 +358,37 @@ def test_restatings_reach_each_outcome():
     conflicts = [result for k, result in seen if k == "conflicting" and result[0] == "error"]
     assert {result[1] for result in conflicts} == {"sequentMismatch"}
     assert any(result[2] for result in conflicts)
+
+
+def _script_of(scenario, tree):
+    """A script of tree as proof Drawn, over the scenario's names, with the
+    claim A and each actor's name with a prime, as a conflicting restating
+    may write them."""
+    claims = sorted({*scenario.claims, "A"})
+    actors = [*scenario.actors, *(f"{actor}'" for actor in scenario.actors)]
+    lines = [f"claim {', '.join(claims)}.", f"actor {', '.join(actors)}."]
+    for relation in scenario.env.trust_relations.values():
+        edges = " ".join(f"{e.source} -> {e.target} @ {format_weight(e.weight)}." for e in relation.edges)
+        lines.append(f"trust {relation.name} {{ {edges} }}")
+    lines.append(f"proof Drawn {{ {render_proof_tree(tree)} }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parsed_restatings_match_as_the_oracle_matches(seed):
+    """A proofgen draw stating its sequents at every node, one of them
+    drawn restated, written as a script and parsed, so that its stated
+    values are shared: it reads back as the tree it was written from, and
+    the kernel gives the oracle's sequent or error."""
+    rng = random.Random(seed)
+    scenario = random_scenario(rng)
+    tree = random_proof(rng, scenario, rng.randint(1, 4), rng.random() < 0.2)
+    kind = rng.choice(RESTATINGS)
+    stating = _stating(rng, tree, scenario.env, {rng.randrange(len(_nodes(tree))): kind})
+    parsed = parse_script(_script_of(scenario, stating)).proofs[0].tree
+    assert parsed == stating
+    assert_agrees(parsed, scenario.env)
 
 
 STATED_SCRIPT = """claim A, B. actor P.

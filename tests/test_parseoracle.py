@@ -3,6 +3,9 @@ equal value, with the same proof locations, or the same ParseError at the
 same line and column.  Only "nesting too deep" may differ, since the two
 spend the stack differently."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import zlib
 from fractions import Fraction
@@ -15,6 +18,7 @@ import veracity
 import veracity.parser as parser
 from veracity.core import (
     ARG,
+    BOTTOM,
     Apply,
     AssumeArgs,
     Atom,
@@ -532,3 +536,105 @@ class TestLateErrors:
         assert _run_end(text) >= len(head) - 1
         assert _outcome(parser.parse_script, text) == ("error", message, line, col)
         assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+
+class TestLocator:
+    """The parser's locator, which counts newlines from the offset it
+    located last, gives the line and column of the oracle's frozen index of
+    line starts, at every offset, asked in order or not."""
+
+    @given(
+        st.lists(st.sampled_from(["a", "bc", " ", "\n", "\r\n", "\r", "\f", "\t", "é", "λ", "→", "😀"]))
+        .map("".join),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle(self, text, rng):
+        want = oracle._line_starts(text)
+        offsets = list(range(len(text) + 1))
+        locate = parser._Locator(text)
+        assert [locate(at) for at in offsets] == [oracle._locate(want, at) for at in offsets]
+        rng.shuffle(offsets)
+        locate = parser._Locator(text)
+        assert [locate(at) for at in offsets] == [oracle._locate(want, at) for at in offsets]
+
+
+def _tower(height):
+    """A script whose proof is an impElim/impIntro tower of height levels,
+    each stating its sequent: level i states the hypotheses, claim and
+    witness of level i - 1 again, with one hypothesis, one conjunct and
+    one application more."""
+    node, claim, hyps, witness = "assume x0 : A", "A", ["x0^P : A"], "x0"
+    for i in range(1, height + 1):
+        extra = "ABCD"[i % 4]
+        claim += f" /\\ {extra}"
+        hyps.append(f"y{i}^P : {extra}")
+        witness = f"(\\h{i}.({witness},h{i})) y{i}"
+        node = (
+            f"impElim(impIntro(h{i}, andIntro({node}, assume h{i} : {extra})), assume y{i} : {extra})"
+            f" stating ({', '.join(hyps)} |- {witness}^P : {claim})"
+        )
+    return f"claim A, B, C, D.\nactor P.\nproof Tower {{\n{node}\n}}\n"
+
+
+def _nodes_of(value):
+    """Every dataclass value reachable from value, by id, but the shared
+    constants BOTTOM and ARG, which no parse builds."""
+    found, todo = {}, [value]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (tuple, list)):
+            todo.extend(node)
+        elif dataclasses.is_dataclass(node) and node is not BOTTOM and node is not ARG:
+            if id(node) not in found:
+                found[id(node)] = node
+                todo.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+    return found
+
+
+class TestSharedValues:
+    """A script parse shares the values it reads inside stated sequents and
+    under contexts: a value read again is the one read first.  To ==, hash,
+    repr, copying and pickling they are the oracle's unshared values, and
+    no value is shared between two parses, or in a term parsed alone."""
+
+    def test_each_level_restates_the_one_below(self):
+        levels = []
+        node = parser.parse_script(_tower(40)).proofs[0].tree
+        while node.stated is not None:
+            levels.append(node.stated)
+            node = node.premises[0].premises[0].premises[0]
+        assert len(levels) == 40
+        for above, below in zip(levels, levels[1:]):
+            hyps = below.hypotheses
+            assert len(above.hypotheses) == len(hyps) + 1
+            assert all(a is b for a, b in zip(above.hypotheses, hyps))
+            assert above.conclusion.claim.left is below.conclusion.claim
+            assert above.conclusion.witness.fn.body.fst is below.conclusion.witness
+
+    def test_under_contexts_share_their_hypotheses(self):
+        text = "claim A. actor P.\nproof D { andIntro(assume x : A under (y : A), assume z : A under (y : A)) }\n"
+        left, right = (p.args.context[0] for p in parser.parse_script(text).proofs[0].tree.premises)
+        assert left is right
+
+    def test_two_parses_share_nothing(self):
+        text = _tower(6)
+        one, two = parser.parse_script(text), parser.parse_script(text)
+        assert one == two
+        assert not _nodes_of(one).keys() & _nodes_of(two).keys()
+
+    def test_a_term_parsed_alone_shares_nothing(self):
+        text = "(\\x.((a b, c), (a b, c)) x, (\\x.((a b, c), (a b, c)) x))"
+        one, two = parser.parse_term(text), parser.parse_term(text)
+        assert not _nodes_of(one).keys() & _nodes_of(two).keys()
+        assert one.fst == one.snd and one.fst is not one.snd
+        inner = one.fst.body.fn
+        assert inner.fst == inner.snd and inner.fst is not inner.snd
+
+    @pytest.mark.parametrize("text", [_tower(12), *(f.read_text(encoding="utf-8") for f in FIXTURES.glob("*.vlp"))])
+    def test_alike_to_every_reader(self, text):
+        new, old = parser.parse_script(text), oracle.parse_script(text)
+        assert new == old
+        for shared, alone in zip(new.proofs, old.proofs):
+            for value in (shared, copy.copy(shared), copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+                assert value == alone and hash(value) == hash(alone) and repr(value) == repr(alone)

@@ -65,7 +65,7 @@ from veracity.parser import (
     render_weight_expr,
     tokenize,
 )
-from veracity.parser import _Parser, _kind, _scan
+from veracity.parser import _Locator, _Parser, _kind, _offsets, _scan
 
 from strategies import VAR_NAMES, claims, terms, weight_exprs
 from tokoracle import oracle_tokenize
@@ -211,7 +211,8 @@ _MIXED_TEXT = (
 
 class TestSharedLexemes:
     """The scan keeps one string per distinct lexeme, in a table of its
-    own, and its offsets in an array of machine integers."""
+    own, and its offsets in an array of 4-byte machine integers wherever
+    every offset fits one."""
 
     def test_equal_lexemes_are_one_object(self):
         texts, _ = _scan(_MIXED_TEXT)
@@ -220,10 +221,17 @@ class TestSharedLexemes:
             assert first.setdefault(text, text) is text, text
         assert len(first) < len(texts) / 4
 
-    def test_starts_are_an_int64_array(self):
+    def test_starts_are_a_4_byte_array(self):
         texts, starts = _scan(_MIXED_TEXT)
-        assert isinstance(starts, array) and starts.typecode == "q"
+        assert isinstance(starts, array) and starts.typecode == "I" and starts.itemsize == 4
         assert len(starts) == len(texts) and starts[-1] == len(_MIXED_TEXT)
+
+    def test_offsets_past_4_bytes_take_8(self):
+        # Chosen by the text's length alone, which the eof entry reaches.
+        assert _offsets(2**32 - 1).typecode == "I"
+        _offsets(2**32 - 1).append(2**32 - 1)
+        assert _offsets(2**32).typecode == "q"
+        _offsets(2**32).append(2**32)
 
     def test_two_scans_share_no_table(self):
         one, _ = _scan(_MIXED_TEXT)
@@ -282,13 +290,11 @@ class TestErrorLocations:
 
     def test_no_location_is_worked_out_where_none_is_kept(self, monkeypatch):
         # Names, edges, weights and model entries keep no location, so a
-        # script of them parses without finding a single line start.
-        import veracity.parser as parser
-
-        def refuse(text):
+        # script of them parses without locating a single offset.
+        def refuse(locator, offset):
             raise AssertionError("a location was worked out")
 
-        monkeypatch.setattr(parser, "_line_starts", refuse)
+        monkeypatch.setattr(_Locator, "__call__", refuse)
         edges = " ".join(f"a{k} -> a{k + 1} @ 0.5." for k in range(50))
         actors = ", ".join(f"a{k}" for k in range(51))
         parse_script(f"claim A.\nactor {actors}.\ntrust T {{ {edges} }}\n")
