@@ -14,11 +14,19 @@ along unchanged; they describe weight flow, not term flow.
 
 Every entry point (step, normalize, normalize_counted and trace) runs one
 walk (_Walk), a zipper in the manner of Huet's "The Zipper" (JFP 1997): a
-cursor at a subterm and, for each ancestor, the frame (parent, its
-subterms so far, index of the one the cursor is in).  The walk visits
+cursor at a subterm and the path to it from the root.  The walk visits
 nodes in pre-order and keeps one invariant: no node before the cursor in
 pre-order is a redex.  So the next redex is the first one at or after the
 cursor, which is the leftmost-outermost one.
+
+The path is three parallel stacks with one entry per ancestor: the
+ancestor, the index of its subterm that holds the cursor, and None until
+a subterm of it changes, then the list of its subterms as reduced so
+far.  An ancestor whose subterms are unchanged costs three list slots, 24
+bytes, so the path of a deep term is small beside the term: normalizing a
+TagL tower over one redex takes 48 bytes a level, the rebuilt tag
+included.  The subterm after the cursor's is read from the ancestor, or
+from its list once it has one.
 
 The resume rule.  After a contraction at the cursor, the walk resumes at
 the contracted position, not at the root.  Subterms to the left of the
@@ -61,6 +69,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
+    _SHAPES,
+    _ShapeTable,
     Apply,
     Atom,
     CasesOf,
@@ -181,6 +191,10 @@ def _contract(node: Term):
     return _delay(_resolve(body, older, merged) if older else body, {param: arg}, False)
 
 
+# Each constructor's subterms function, which the walk calls without the
+# call through subterms(); any other type raises the TypeError it does.
+_SUBTERMS = _ShapeTable({kind: shape.subterms for kind, shape in _SHAPES.items()})
+
 # For each constructor with a head, the head constructors that make it a redex.
 _REDEX_HEADS = {Apply: (Lambda,), CasesOf: (TagL, TagR), SplitOf: (Pair,)}
 
@@ -197,18 +211,23 @@ class _Walk:
     """A leftmost-outermost reduction in progress.
 
     focus is the subterm at the cursor; after a step it may be a pending
-    reduct, or a redex with one as its head.  path holds one frame per
-    ancestor, root first: [node, subterms, index, changed], where subterms
-    is a list of the node's subterms as reduced so far, index points at the
-    one that holds the cursor, and changed says whether any entry differs
-    from the node's own.  No frame holds a pending node.
+    reduct, or a redex with one as its head.  The path to it is three
+    parallel stacks with one entry per ancestor, root first: nodes, the
+    ancestor itself; indices, the position among its subterms of the one
+    that holds the cursor; and changes, None while every subterm before
+    that one is the ancestor's own, else a list of its subterms as reduced
+    so far.  So an ancestor costs three list slots, 24 bytes, until the
+    walk climbs out of a subterm of it that changed.  No stack holds a
+    pending node.
     """
 
-    __slots__ = ("focus", "path", "steps")
+    __slots__ = ("focus", "nodes", "indices", "changes", "steps")
 
     def __init__(self, term: Term) -> None:
         self.focus = term
-        self.path: list[list] = []
+        self.nodes: list[Term] = []
+        self.indices: list[int] = []
+        self.changes: list[Optional[list[Term]]] = []
         self.steps = 0
 
     def step(self, budget: Optional[int] = None) -> bool:
@@ -221,10 +240,15 @@ class _Walk:
             raise BudgetExceeded(budget)
         self.steps += 1
         reduced = _contract(self.focus)
-        path = self.path
-        if path and path[-1][2] == 0 and _redex_with_head(path[-1][0], reduced):
+        nodes = self.nodes
+        if nodes and self.indices[-1] == 0 and _redex_with_head(nodes[-1], reduced):
             # The reduct is the head of its parent and makes it a redex.
-            node, subs = path.pop()[:2]
+            # The cursor is in the parent's first subterm, so no subterm of
+            # it has changed.
+            node = nodes.pop()
+            self.indices.pop()
+            self.changes.pop()
+            subs = list(subterms(node))
             subs[0] = reduced
             reduced = with_subterms(node, subs)
         self.focus = reduced
@@ -232,42 +256,52 @@ class _Walk:
 
     def _seek(self) -> bool:
         """Move the cursor to the first redex at or after it in pre-order."""
-        focus, path = self.focus, self.path
+        focus, nodes, indices, changes = self.focus, self.nodes, self.indices, self.changes
         if type(focus) is _Pending:
             focus = _readback(focus)
         while True:
-            subs = subterms(focus)
+            subs = _SUBTERMS[type(focus)](focus)
             if subs:
                 if _redex_with_head(focus, subs[0]):
                     self.focus = focus
                     return True
-                path.append([focus, list(subs), 0, False])
+                nodes.append(focus)
+                indices.append(0)
+                changes.append(None)
                 focus = subs[0]
                 continue
             # A leaf: climb to the next subterm not visited yet.
             while True:
-                if not path:
+                if not nodes:
                     self.focus = focus
                     return False
-                frame = path[-1]
-                subs, index = frame[1], frame[2]
+                node = nodes[-1]
+                index = indices[-1]
+                done = changes[-1]
+                subs = _SUBTERMS[type(node)](node) if done is None else done
                 if subs[index] is not focus:
-                    subs[index] = focus
-                    frame[3] = True
+                    if done is None:
+                        subs = done = changes[-1] = list(subs)
+                    done[index] = focus
                 index += 1
                 if index < len(subs):
-                    frame[2] = index
+                    indices[-1] = index
                     focus = subs[index]
                     break
-                path.pop()
-                focus = with_subterms(frame[0], subs) if frame[3] else frame[0]
+                # The last subterm: rebuild the node if any of them changed.
+                nodes.pop()
+                indices.pop()
+                changes.pop()
+                focus = node if done is None else with_subterms(node, done)
 
     def term(self) -> Term:
         """The whole current term; the walk itself is left as it is.  After
         a step the cursor's subterm is new, so every ancestor is rebuilt."""
         current = _readback(self.focus)
-        for node, subs, index, _ in reversed(self.path):
-            current = with_subterms(node, subs[:index] + [current] + subs[index + 1 :])
+        for node, index, done in zip(reversed(self.nodes), reversed(self.indices), reversed(self.changes)):
+            subs = list(subterms(node) if done is None else done)
+            subs[index] = current
+            current = with_subterms(node, subs)
         return current
 
 

@@ -39,14 +39,17 @@ defines every error.  A run the parser meets as a term, as in
 met.  tokenize gives the whole scan, every edge's tokens included, as
 Token tuples with their kinds and positions.
 
-The parser drops the tokens it has read at three release points: the start
-of each top-level declaration, each proof node and each trust edge read as
-tokens, once they are over 1,024 and over an eighth of those it holds.  So
-a long script's tokens do not stay alive beside the values built from them.
-This is safe because no token index is held across a release point; _Parser
-says where that matters.  A trust relation keeps, as its edge index, the
-dict the parser refused duplicate edges with, keyed by the parse's own
-actor-name strings.
+The parser drops the tokens it has read at four release points: the start
+of each top-level declaration, each proof node, each trust edge read as
+tokens and each witness term, once they are over 1,024 and over an eighth
+of those it holds.  So a long script's or term's tokens do not stay alive
+beside the values built from them; parse_term, as "eval -e" reads a term,
+holds little more than the term it returns.  This is safe because no
+token index is held across a release point; a method that must locate a
+token read before a term, after it, keeps the token's offset in the text
+instead, and _Parser says which.  A trust relation keeps, as its edge
+index, the dict the parser refused duplicate edges with, keyed by the
+parse's own actor-name strings.
 
 Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
 three binary operators and recurses only for the right side of "->", a
@@ -55,14 +58,16 @@ ParseError "nesting too deep".  Each parse shares its leaves: one Atomic
 per declared claim name, one Var per bound name, one Atom per name written
 without provenance.  A script parse also shares what a stated sequent or an
 under context reads: each hypothesis, judgement, claim, witness term and
-weight transformer read there is looked up in a table of the parse, by its
-class and the identities of its fields, so a sequent that restates the
-hypotheses, claim and witness of the one below holds that one's values,
-not copies of them (hash-consing, Filliatre & Conchon 2006).  The fields
-are already one object per value, lexemes, leaves, weights and values that
-came through the table, so the lookup needs no hash or walk of the value.
-Nothing is shared between two parses, or by parse_term and the other entry
-points, which build every value afresh.  A script proof or query is walked
+weight transformer read there is looked up in a table of the proof being
+read, by its class and the identities of its fields, so a sequent that
+restates the hypotheses, claim and witness of the one below holds that
+one's values, not copies of them (hash-consing, Filliatre & Conchon 2006).
+The fields are already one object per value, lexemes, leaves, weights and
+values that came through the table, so the lookup needs no hash or walk of
+the value.  An entry costs about 200 bytes, so the table starts afresh at
+each proof and goes with the proof's end.  Nothing is shared between two
+proofs or two parses, or by parse_term and the other entry points, which
+build every value afresh.  A script proof or query is walked
 for an undeclared name, to report the first in a fixed order, only if the
 parser noted one.
 
@@ -519,14 +524,18 @@ _RELEASE_AT = 1024
 class _Parser:
     """A recursive-descent parser over one text's scan.
 
-    It drops the tokens it has read, in place, at three release points
-    only: the start of each top-level declaration, each proof node, and
-    each trust edge read as tokens.  So no method may hold a token index
-    across a call that can reach a release point; one that does would read
-    a different token, or locate an error wrongly.  tree() and trust_relation() take
-    their indices after releasing, and the methods that keep one across a
-    call (model_entry across term(), the sound and compare declarations
-    across reference()) call nothing that reaches tree() or a trust edge.
+    It drops the tokens it has read, in place, at four release points
+    only: the start of each top-level declaration, each proof node, each
+    trust edge read as tokens, and each term().  So no method may hold a
+    token index across a call that can reach a release point; one that
+    does would read a different token, or locate an error wrongly.  tree()
+    and trust_relation() take their indices after releasing.  The two
+    methods that locate a token read before a term() call, after it, keep
+    its offset in the text and locate that only on an error: primary, for
+    "split binders must be distinct" at the split, and model_entry, for an
+    undeclared default actor at the entry.  The methods that keep an index
+    across a call (the sound and compare declarations across reference())
+    call nothing that reaches a release point.
     """
 
     def __init__(self, text: str) -> None:
@@ -551,10 +560,10 @@ class _Parser:
         self.var_leaves = _Leaves(Var)
         self.atom_leaves = _Leaves(Atom)
         self.claim_leaves: dict[str, Atomic] = {}
-        # A script's values read inside stated sequents and under contexts,
-        # each by its class and the identities of its fields (see make), and
-        # None in any other parse.  shared is that table while such a value
-        # is read, and None elsewhere.
+        # The values of the script proof being read, read inside stated
+        # sequents and under contexts, each by its class and the identities
+        # of its fields (see make), and None outside a script proof.  shared
+        # is that table while such a value is read, and None elsewhere.
         self.table: Optional[dict[tuple, Any]] = None
         self.shared: Optional[dict[tuple, Any]] = None
         # False once the proof or query being read names an undeclared name.
@@ -736,6 +745,10 @@ class _Parser:
 
     def term(self) -> Term:
         texts = self.texts
+        # A release point, tested here before the call: most terms are
+        # read with nothing to drop.
+        if self.pos > _RELEASE_AT and self.pos > len(texts) >> 3:
+            self.release()
         if texts[self.pos] == "\\":
             self.pos += 1
             param = self.expect_ident("a parameter name")
@@ -792,6 +805,9 @@ class _Parser:
         # identifier i applied to a parenthesized argument (written "i (x)")
         # stays an application.
         if follow == "(" and name in _CONSTRUCTORS and self.starts[at + 1] == self.starts[at] + len(name):
+            # An offset for the split error: term() may drop the tokens
+            # before it, which moves every token index.
+            start = self.starts[at]
             self.pos += 1
             scrutinee = self.term()
             if name == "i" or name == "j":
@@ -812,7 +828,7 @@ class _Parser:
             self.expect(".")
             sv = self.expect_ident("a binder")
             if fv == sv:
-                raise ParseError("split binders must be distinct", *self.loc(at))
+                raise ParseError("split binders must be distinct", *self.locate(start))
             self.expect(".")
             body = self.scoped_term((fv, sv))
             self.expect(")")
@@ -992,9 +1008,9 @@ class _Parser:
 
     def reference(self, kind: str) -> str:
         """A name declared as the kind."""
-        at = self.pos
+        start = self.starts[self.pos]
         name = self.expect_ident(_SCRIPT_NAMES[kind][2])
-        self.require(kind, name, at)
+        self.require(kind, name, start)
         return name
 
     def is_declared(self, kind: str, name: str) -> bool:
@@ -1010,11 +1026,10 @@ class _Parser:
         return name
 
     def require(self, kind: str, name: str, where: Union[int, tuple[int, int]]) -> None:
-        """A ParseError at where, a location or the index of a token whose
-        location is worked out only then, unless name is declared as the
-        kind."""
+        """A ParseError at where, a location or the offset in the text of a
+        token, located only then, unless name is declared as the kind."""
         if not self.is_declared(kind, name):
-            loc = self.loc(where) if isinstance(where, int) else where
+            loc = self.locate(where) if isinstance(where, int) else where
             raise ParseError(f"{_SCRIPT_NAMES[kind][0]} {name!r} is not declared", *loc)
 
     def require_claim(self, claim: Claim, loc: tuple[int, int]) -> None:
@@ -1085,7 +1100,9 @@ class _Parser:
                 name = self.declare("proof")
                 self.expect("{")
                 self.all_declared = True
+                self.table = {}
                 tree = self.tree()
+                self.table = None
                 self.expect("}")
                 if not self.all_declared:
                     self.require_tree(tree)
@@ -1158,9 +1175,9 @@ class _Parser:
             source, target = names.get(src), names.get(dst)
             # names holds every declared actor, so these raise.
             if source is None:
-                self.require("actor", src, self.locate(m.start(1)))
+                self.require("actor", src, m.start(1))
             if target is None:
-                self.require("actor", dst, self.locate(m.start(2)))
+                self.require("actor", dst, m.start(2))
             if text is None:
                 weight = _ONE
             elif (weight := weights.get(text)) is None:
@@ -1192,14 +1209,16 @@ class _Parser:
     def model_entry(self) -> WeightedWitness:
         """term [^actor] [@weight] ".", whose left-out actor is the default
         one, checked once the entry is read."""
-        at = self.pos
+        # An offset for the actor error: term() may drop the tokens before
+        # it, which moves every token index.
+        start = self.starts[self.pos]
         term = self.term()
         actor = self.reference("actor") if self.accept("^") else None
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(".")
         if actor is None:
             actor = self.default_actor
-            self.require("actor", actor, at)
+            self.require("actor", actor, start)
         return WeightedWitness(term, actor, weight)
 
 
@@ -1251,11 +1270,7 @@ def parse_sequent(text: str, *, default_actor: str = DEFAULT_ACTOR) -> Sequent:
 
 
 def parse_script(text: str) -> Script:
-    def parse(p: _Parser) -> Script:
-        p.table = {}
-        return p.script()
-
-    return _run(text, parse)
+    return _run(text, lambda p: p.script())
 
 
 # ---------------------------------------------------------------------------

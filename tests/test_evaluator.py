@@ -1,6 +1,9 @@
 """Evaluator tests: frozen reduction chains, a nameless-form step oracle, and
 the recursive reducer the zipper walk replaced, as a step-for-step oracle."""
 
+import sys
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from veracity.core import (
 from veracity.evaluator import (
     BudgetExceeded,
     _Pending,
+    _Walk,
     normalize,
     normalize_counted,
     step,
@@ -421,3 +425,162 @@ def _atom_names(term):
             names.add(node.name)
         todo += subterms(node)
     return names
+
+
+@contextmanager
+def _stack_for(depth):
+    """Room on the interpreter stack for a recursion depth levels deep:
+    the oracle, core's substitution and the dataclass == all recurse."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 4 * depth + 1000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _identity(term):
+    return Apply(Lambda("y", Var("y")), term)
+
+
+# The unary layers a tower is built of, each wrapping the term inside it.
+# A layer also reads x, u, v and the atoms a and b, so that the terms
+# inside stay free in them.  "id" and "cases-id" are redexes whose reduct
+# is the term inside, and "scrutinee" is one when the term inside is, or
+# becomes, a tag.  So a step fires at many levels, outermost first, and
+# changes a subterm of every layer above it.
+_LAYERS = {
+    "lambda": lambda t: Lambda("x", t),
+    "i": TagL,
+    "j": TagR,
+    "cases-left": lambda t: CasesOf(Var("x"), "u", t, "v", Var("v")),
+    "cases-right": lambda t: CasesOf(Atom("a"), "u", Var("u"), "v", t),
+    "scrutinee": lambda t: CasesOf(t, "u", Var("u"), "v", Atom("b")),
+    "id": _identity,
+    "cases-id": lambda t: CasesOf(_identity(TagL(t)), "u", Var("u"), "v", Var("v")),
+}
+
+
+def _tower(pattern, height, bottom):
+    """height layers over bottom, the pattern's layers repeated, innermost first."""
+    term = bottom
+    for level in range(height):
+        term = _LAYERS[pattern[level % len(pattern)]](term)
+    return term
+
+
+@st.composite
+def towers(draw):
+    pattern = draw(st.lists(st.sampled_from(sorted(_LAYERS)), min_size=1, max_size=5))
+    bottom = draw(st.one_of(terms(6), redex_terms(8)))
+    return _tower(pattern, draw(st.integers(1, 250)), bottom)
+
+
+class TestCompactPath:
+    """The walk keeps its path as three stacks of one entry per ancestor
+    (see _Walk).  On deep unary towers with redexes at many levels, and on
+    the strategies' terms, step, trace stage by stage, normalize_counted
+    and normalize give the recursive reducer's terms and step counts, and
+    a budget stops the walk after exactly that many steps."""
+
+    @staticmethod
+    def stages(term, limit):
+        """The terms one walk passes through, up to limit steps, and whether
+        it stopped at a normal form; its stacks are checked after each step."""
+        walk = _Walk(term)
+        stages = [term]
+        while len(stages) <= limit:
+            if not walk.step():
+                return stages, True
+            assert len(walk.nodes) == len(walk.indices) == len(walk.changes)
+            for node, index, done in zip(walk.nodes, walk.indices, walk.changes):
+                assert type(node) is not _Pending
+                assert 0 <= index < len(subterms(node))
+                assert done is None or (len(done) == len(subterms(node)) and 0 < index)
+            stages.append(walk.term())
+            # term() leaves the walk as it is.
+            assert walk.term() == stages[-1]
+        return stages, False
+
+    def check(self, term):
+        sequence, normal = oracle_trace(term, ORACLE_LIMIT)
+        steps = len(sequence) - 1
+        assert self.stages(term, ORACLE_LIMIT) == (sequence, normal)
+        for before, after in zip(sequence, sequence[1:]):
+            assert step(before) == after
+        if normal:
+            assert step(sequence[-1]) is None
+            assert trace(term) == sequence
+            assert normalize_counted(term) == (sequence[-1], steps)
+            assert normalize(term, budget=steps) == sequence[-1]
+        # Budgets too small by one step or more; a term the oracle gives up
+        # on also stops at its limit.
+        budgets = {b for b in (0, 1, steps // 2, steps - 1) if 0 <= b < steps}
+        if not normal:
+            budgets.add(steps)
+        for budget in sorted(budgets):
+            walk = _Walk(term)
+            with pytest.raises(BudgetExceeded):
+                while walk.step(budget):
+                    pass
+            assert walk.steps == budget and walk.term() == sequence[budget]
+            with pytest.raises(BudgetExceeded) as exc:
+                normalize_counted(term, budget)
+            assert exc.value.budget == budget
+            with pytest.raises(BudgetExceeded):
+                trace(term, budget)
+            with pytest.raises(BudgetExceeded):
+                normalize(term, budget)
+
+    @given(towers())
+    @settings(max_examples=60, deadline=None)
+    def test_towers(self, term):
+        self.check(term)
+
+    @given(st.one_of(terms(), redex_terms()))
+    @settings(max_examples=200, deadline=None)
+    def test_strategy_terms(self, term):
+        self.check(term)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [["lambda"], ["i"], ["j"], ["cases-left"], ["cases-right"], ["scrutinee", "i"],
+         ["lambda"] * 49 + ["id"], ["i", "cases-right", "j", "cases-id"], sorted(_LAYERS)],
+        ids="-".join,
+    )
+    def test_deep_towers(self, pattern):
+        # Each over a redex and a pair the walk must climb out of.
+        height = 2000
+        bottom = Pair(_identity(Atom("c")), Pair(Atom("d"), _identity(Var("x"))))
+        with _stack_for(height):
+            self.check(_tower(pattern, height, bottom))
+
+
+class TestPathMemory:
+    """The walk's path holds three list slots per ancestor, so normalizing a
+    tower costs a few words per level beyond the nodes it rebuilds: 48
+    bytes a level on a TagL tower, the rebuilt tag included."""
+
+    @staticmethod
+    def normalize_peak(height):
+        term = _identity(Atom("a"))
+        for _ in range(height):
+            term = TagL(term)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            normal = normalize(term)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        expected = Atom("a")
+        for _ in range(height):
+            expected = TagL(expected)
+        assert normal == expected
+        return peak
+
+    def test_a_tag_tower_costs_few_bytes_per_level(self):
+        with _stack_for(4000):
+            self.normalize_peak(10)   # once untraced, so lazy caches are not counted
+            per_level = (self.normalize_peak(4000) - self.normalize_peak(2000)) / 2000
+        assert per_level <= 56, per_level

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veracity
+import veracity.cli
 import veracity.parser as parser
 from veracity.core import (
     ARG,
@@ -22,6 +23,7 @@ from veracity.core import (
     Apply,
     AssumeArgs,
     Atom,
+    Atomic,
     ConstantFamily,
     Hypothesis,
     Judgement,
@@ -30,6 +32,7 @@ from veracity.core import (
     Rule,
     Sequent,
     TagFamily,
+    Var,
 )
 from veracity.parser import (
     ParseError,
@@ -448,7 +451,7 @@ class TestRelationBodies:
         assert_agrees("parse_term", "f (trust x { a -> b @ 1. })")
 
 
-def _releases(text):
+def _releases(text, parse=parser.parse_script):
     """How many times parsing text drops the tokens read so far."""
     dropped = []
     release = parser._Parser.release
@@ -461,7 +464,7 @@ def _releases(text):
 
     parser._Parser.release = counting
     try:
-        _outcome(parser.parse_script, text)
+        _outcome(parse, text)
     finally:
         parser._Parser.release = release
     return len(dropped)
@@ -536,6 +539,38 @@ class TestLateErrors:
         assert _run_end(text) >= len(head) - 1
         assert _outcome(parser.parse_script, text) == ("error", message, line, col)
         assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+
+# One term of about 1,500 tokens on 301 lines: f applied to 300 pairs,
+# whose parts term() reads one at a time, dropping tokens as it goes.
+_LONG_TERM = "f" + "".join(f"\n  (a{k}, b)" for k in range(300))
+
+
+class TestLateErrorsInATerm:
+    """term() is a release point too, so an error at a token read before
+    more than 1,024 tokens of one term is the oracle's, with its message,
+    line and column: a split and a model entry keep the text offset of
+    their first token across the term they read, not its token index."""
+
+    SPLIT = f"h\n  (c split({_LONG_TERM}, x.x.x))"
+    ENTRY = f"claim A.\nactor P, Q.\nmodel M {{\n  A = {{\n    x^P.\n    {_LONG_TERM}.\n  }}.\n}}\n"
+
+    def test_split_binders(self):
+        want = ("error", "split binders must be distinct", 2, 6)
+        assert _releases(self.SPLIT, parser.parse_term) >= 1
+        assert _outcome(parser.parse_term, self.SPLIT) == want
+        assert _outcome(oracle.parse_term, self.SPLIT) == want
+
+    def test_split_binders_through_eval(self, capsys):
+        assert veracity.cli.main(["eval", "-e", self.SPLIT]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "-e:2:6: split binders must be distinct\n")
+
+    def test_an_entry_without_an_actor(self):
+        want = ("error", "actor 'default' is not declared", 6, 5)
+        assert _releases(self.ENTRY) >= 1
+        assert _outcome(parser.parse_script, self.ENTRY) == want
+        assert _outcome(oracle.parse_script, self.ENTRY) == want
 
 
 class TestLocator:
@@ -638,3 +673,33 @@ class TestSharedValues:
         for shared, alone in zip(new.proofs, old.proofs):
             for value in (shared, copy.copy(shared), copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
                 assert value == alone and hash(value) == hash(alone) and repr(value) == repr(alone)
+
+
+def _declared_values(value):
+    """The values a parse builds through its sharing table, by id: every
+    value of _nodes_of but the leaves, which the whole parse shares."""
+    return {k: v for k, v in _nodes_of(value).items() if not isinstance(v, (Atomic, Atom, Var))}
+
+
+class TestSharingPerProof:
+    """A script parse starts a sharing table at each proof and drops it at
+    the proof's end: a value restated within one proof is the one read
+    first, and two proofs that state equal values hold their own."""
+
+    def test_stated_sequents(self):
+        tower = _tower(8)
+        text = tower + "proof Again" + tower.split("proof Tower", 1)[1]
+        one, two = (decl.tree for decl in parser.parse_script(text).proofs)
+        assert one == two
+        for tree in (one, two):
+            above, below = tree.stated, tree.premises[0].premises[0].premises[0].stated
+            assert all(a is b for a, b in zip(above.hypotheses, below.hypotheses))
+        assert not _declared_values(one).keys() & _declared_values(two).keys()
+
+    def test_under_contexts(self):
+        proof = "andIntro(assume x : A under (y : A), assume z : A under (y : A))"
+        text = f"claim A. actor P.\nproof D {{ {proof} }}\nproof E {{ {proof} }}\n"
+        (left, right), (again, _) = (
+            [p.args.context[0] for p in decl.tree.premises] for decl in parser.parse_script(text).proofs
+        )
+        assert left is right and left == again and left is not again

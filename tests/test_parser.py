@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 import zlib
 from array import array
 from fractions import Fraction
@@ -1118,6 +1119,23 @@ class TestTokenRelease:
         script = parse_script(text)
         assert len(held) == 800 * 5 and len(script.proofs) == 800
         assert held[-1] <= total // 8 + self.THRESHOLD
+
+    def test_a_long_term_peaks_near_its_value(self):
+        # f applied to 10,000 pairs: term() reads each part of a pair and
+        # drops the tokens read before it, so the peak is little more than
+        # the term built, where the whole token stream beside it took 600 KB.
+        text = "f" + " (a, b)" * 10_000
+        assert len(tokenize(text)) - 1 == 50_001
+        parse_term("f (a, b)")   # once untraced, so lazy caches are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            term = parse_term(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(term, Apply) and held - base > 1_000_000
+        assert peak - held <= 64 * 1024, (peak - held, held - base)
 
 
 _RELATION_ACTORS = [f"p{k}" for k in range(20)]
