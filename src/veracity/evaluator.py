@@ -70,7 +70,6 @@ from typing import Optional
 
 from .core import (
     _SHAPES,
-    _ShapeTable,
     Apply,
     Atom,
     CasesOf,
@@ -192,8 +191,10 @@ def _contract(node: Term):
 
 
 # Each constructor's subterms function, which the walk calls without the
-# call through subterms(); any other type raises the TypeError it does.
-_SUBTERMS = _ShapeTable({kind: shape.subterms for kind, shape in _SHAPES.items()})
+# call through subterms().  It is a plain dict, since CPython specializes a
+# subscript of a dict but not of a subclass; step() turns the KeyError of
+# any other type into the TypeError subterms() raises.
+_SUBTERMS = {kind: shape.subterms for kind, shape in _SHAPES.items()}
 
 # For each constructor with a head, the head constructors that make it a redex.
 _REDEX_HEADS = {Apply: (Lambda,), CasesOf: (TagL, TagR), SplitOf: (Pair,)}
@@ -234,7 +235,12 @@ class _Walk:
         """Fire the next redex; False, with focus the whole normal form,
         when there is none.  Raises BudgetExceeded rather than fire one
         more than budget steps in all."""
-        if not self._seek():
+        try:
+            found = self._seek()
+        except KeyError as exc:
+            # Only a non-term's type misses _SUBTERMS in the walk.
+            raise TypeError(f"not a term type: {exc.args[0].__name__}") from None
+        if not found:
             return False
         if budget is not None and self.steps >= budget:
             raise BudgetExceeded(budget)

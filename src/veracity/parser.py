@@ -5,15 +5,17 @@ weight transformers, judgements, sequents, proof trees, and whole script
 files.  Script files (.vlp) declare claims, actors, trust relations, proofs,
 models, and the queries to run against them; `#` starts a line comment.
 
-The scanner runs one regex over the whole text and keeps two parallel
-sequences: a list of each lexeme's text, with Unicode operators in their
-ASCII spelling, and an array of the offset at which it starts, of 4-byte
-unsigned ints ("I") for a text shorter than 2**32 characters and of 8-byte
-ones ("q") otherwise.  Equal lexemes are one string, shared through a table
-that belongs to the scan and is freed with it, so a token costs 12 bytes, a
-list slot and an array slot, plus one string per distinct lexeme; a string
-and a boxed int of its own per token took 60 to 78 bytes.  The parser's
-cursor reads those texts directly.  No operator's text equals the text of
+The scanner runs one regex over the text, a chunk of tokens at a time as
+the parser reads them (the input buffer of Aho, Lam, Sethi & Ullman,
+Compilers, 2nd ed., 3.2), and keeps two parallel sequences: a list of each
+lexeme's text, with Unicode operators in their ASCII spelling, and an array
+of the offset at which it starts, of 4-byte unsigned ints ("I") for a text
+shorter than 2**32 characters and of 8-byte ones ("q") otherwise.  Equal
+lexemes are one string, shared through a table that belongs to the parse
+and is freed with it, so a token costs 12 bytes, a list slot and an array
+slot, plus one string per distinct lexeme; a string and a boxed int of its
+own per token took 60 to 78 bytes.  The parser's cursor reads those texts
+directly.  No operator's text equals the text of
 an identifier, number or string, so the cursor tells an operator or a
 keyword by its text alone, and any other token's kind by its first
 character.  Line and column are worked out from an offset only where a
@@ -39,15 +41,19 @@ defines every error.  A run the parser meets as a term, as in
 met.  tokenize gives the whole scan, every edge's tokens included, as
 Token tuples with their kinds and positions.
 
-The parser drops the tokens it has read at four release points: the start
-of each top-level declaration, each proof node, each trust edge read as
-tokens and each witness term, once they are over 1,024 and over an eighth
-of those it holds.  So a long script's or term's tokens do not stay alive
-beside the values built from them; parse_term, as "eval -e" reads a term,
-holds little more than the term it returns.  This is safe because no
-token index is held across a release point; a method that must locate a
-token read before a term, after it, keeps the token's offset in the text
-instead, and _Parser says which.  A trust relation keeps, as its edge
+The parser holds a window of the scan, not the whole of it: it scans on
+whenever its cursor comes near the window's end, and drops the tokens it
+has read at four release points: the start of each top-level declaration,
+each proof node, each trust edge read as tokens and each witness term,
+once they are over 256 and over an eighth of those it holds.  So a long
+script's or term's tokens are never all alive, and not beside the values
+built from them; parse_script and parse_term hold little more than the
+values they return.  A bad character is an error wherever it is, ahead of
+any other: one the scan has not reached when the parser fails is looked
+for then.  Dropping tokens is safe because no token index is held across
+a release point; a method that must locate a token read before a term,
+after it, keeps the token's offset in the text instead, and _Parser says
+which.  A trust relation keeps, as its edge
 index, the dict the parser refused duplicate edges with, keyed by the
 parse's own actor-name strings.
 
@@ -64,7 +70,7 @@ restates the hypotheses, claim and witness of the one below holds that
 one's values, not copies of them (hash-consing, Filliatre & Conchon 2006).
 The fields are already one object per value, lexemes, leaves, weights and
 values that came through the table, so the lookup needs no hash or walk of
-the value.  An entry costs about 200 bytes, so the table starts afresh at
+the value.  An entry costs about 150 bytes, so the table starts afresh at
 each proof and goes with the proof's end.  Nothing is shared between two
 proofs or two parses, or by parse_term and the other entry points, which
 build every value afresh.  A script proof or query is walked
@@ -89,7 +95,9 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
+from itertools import islice
+from struct import Struct
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .core import (
     _ONE,
@@ -228,40 +236,144 @@ def _scan(text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> t
     Given runs, the run of plain edges that follows a trust relation's head
     becomes no tokens: the scan records it in runs, as the offset of the
     head's "{" and the offset where the run ends, and goes on from there."""
-    texts: list[str] = []
-    starts = _offsets(len(text))
-    share = {}.setdefault   # this scan's own table, dropped when it returns
-    add_text, add_start = texts.append, starts.append
-    edge = _EDGE.match
-    while True:
-        for m in _SCAN(text, start):
-            lexeme = m[3]
-            if lexeme is None:
+    scan = _Scan(text, runs, start)
+    # Each token takes a character at least, the eof entry none.
+    scan.refill(len(text) - start + 1)
+    return scan.texts, scan.starts
+
+
+def _unexpected(text: str, m: re.Match) -> ParseError:
+    """The error of the bad character a match of _SCAN stopped at."""
+    return ParseError(f"unexpected character {m[4]!r}", *_Locator(text)(m.start(4)))
+
+
+# A refill scans this many tokens past the lookahead.
+_WINDOW = 256
+
+# How many tokens past the cursor a refill check makes sure of.  It must be
+# at least the most the parser reads between two checks, nine: a compare
+# declaration's "." is nine past its "compare".
+_LOOKAHEAD = 16
+
+# A prefix of read tokens is dropped once it is longer than this, and than
+# an eighth of the tokens held.
+_RELEASE_AT = 256
+
+# The same for a parse of the whole scan, which _run makes only to find
+# where the stack runs out: 1,024, as parses dropped tokens before they
+# read windows, so that it runs out where they did.
+_WHOLE_RELEASE_AT = 1024
+
+
+class _Scan:
+    """The scan of one text from an offset on, held as a window: the lexemes
+    and offsets scanned and not yet released, which the cursor pos indexes.
+
+    refill() extends the window from the scan's own finditer, so the tokens
+    of a long text are scanned as the cursor comes near them, not all before
+    the first is read.  release() drops the prefix before the cursor; an
+    offset is absolute, so locations do not change.  Neither moves a token
+    from its place but the prefix release() drops."""
+
+    def __init__(self, text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> None:
+        self.text = text
+        # The runs of plain trust edges the scan skipped, by the offset of
+        # the "{" before each; skip_runs, whether it skips them.
+        self.runs: dict[int, int] = {} if runs is None else runs
+        self.skip_runs = runs is not None
+        # The lexemes of the window, ending with the eof entry "" once the
+        # scan has reached it, and the offset in text at which each starts.
+        self.texts: list[str] = []
+        self.starts = _offsets(len(text))
+        self.pos = 0
+        # The table equal lexemes are shared through, one for the scan.
+        self.share = {}.setdefault
+        # The matches of _SCAN not read yet, None once the eof entry is in
+        # the window, and the offset they go on from, as of the last chunk.
+        self.matches: Optional[Iterator[re.Match]] = _SCAN(text, start)
+        self.resume = start
+        # The cursor at which the window next needs more tokens.
+        self.refill_at = 0
+        self.release_at = _RELEASE_AT
+
+    def refill(self, want: Optional[int] = None) -> None:
+        """Scan on until the window holds want tokens, by default the
+        _LOOKAHEAD after the cursor and _WINDOW more, or ends with the eof
+        entry.  A bad character is a ParseError here, where it is met."""
+        texts, starts, text, share = self.texts, self.starts, self.text, self.share
+        if want is None:
+            want = self.pos + _LOOKAHEAD + _WINDOW
+        runs = self.runs if self.skip_runs else None
+        add_text, add_start = texts.append, starts.append
+        first = len(texts)
+        while self.matches is not None and (count := want - len(texts)) > 0:
+            for m in islice(self.matches, count):
+                lexeme = m[3]
+                if lexeme is None:
+                    break
+                add_text(share(lexeme, lexeme))
+                add_start(m.start(3))
+            else:
+                self.resume = m.end()
+                continue
+            if m[1] is None:
+                if m[4] is not None:
+                    raise _unexpected(text, m)
+                add_text("")
+                add_start(len(text))
+                self.matches = None
                 break
-            add_text(share(lexeme, lexeme))
-            add_start(m.start(3))
-        if m[1] is None:
-            break
-        for group in (1, 2):
-            add_text(share(m[group], m[group]))
-            add_start(m.start(group))
-        start = m.end()
-        add_text("{")
-        add_start(start - 1)
-        if runs is not None:
-            end = start
-            while found := edge(text, end):
-                end = found.end()
-            if end > start:
-                runs[start - 1] = end
-                start = end
-    if m[4] is not None:
-        raise ParseError(f"unexpected character {m[4]!r}", *_Locator(text)(m.start(4)))
-    texts.append("")
-    starts.append(len(text))
-    if not text.isascii():
-        texts = [share(t, t) for t in map(_UNICODE_OPS.get, texts, texts)]
-    return texts, starts
+            # The head of a trust relation: "trust", its name and "{".
+            for group in (1, 2):
+                add_text(share(m[group], m[group]))
+                add_start(m.start(group))
+            start = self.resume = m.end()
+            add_text("{")
+            add_start(start - 1)
+            if runs is not None:
+                end = start
+                while found := _EDGE.match(text, end):
+                    end = found.end()
+                if end > start:
+                    runs[start - 1] = self.resume = end
+                    self.matches = _SCAN(text, end)
+        if not text.isascii():
+            texts[first:] = [share(t, t) for t in map(_UNICODE_OPS.get, texts[first:], texts[first:])]
+        # No cursor passes the eof entry, so once it is in the window no
+        # check asks for more.  A bound that stays a small int keeps the
+        # checks' comparison the one CPython specializes.
+        self.refill_at = len(texts) - (0 if self.matches is None else _LOOKAHEAD)
+
+    def release(self) -> None:
+        """Drop the tokens before the cursor once they are over release_at
+        and over an eighth of those held.  Each drop moves the tokens left,
+        and at least an eighth of them goes each time, so the moves cost
+        at most eight times the tokens: linear in the text."""
+        pos = self.pos
+        if pos > self.release_at and pos > len(self.texts) >> 3:
+            del self.texts[:pos], self.starts[:pos]
+            self.refill_at -= pos
+            self.pos = 0
+
+    def unskip(self) -> None:
+        """Scan the text again from the cursor on, skipping no run of edges,
+        for a reader other than trust_relation that meets one."""
+        self.runs.clear()
+        self.skip_runs = False
+        at = self.pos
+        self.resume = self.starts[at]
+        del self.texts[at:], self.starts[at:]
+        self.matches = _SCAN(self.text, self.resume)
+        self.refill()
+
+    def unexpected(self) -> Optional[ParseError]:
+        """The error of the first bad character in the part of the text the
+        scan has not read, if there is one."""
+        if self.matches is not None:
+            for m in _SCAN(self.text, self.resume):
+                if m[4] is not None:
+                    return _unexpected(self.text, m)
+        return None
 
 
 def _is_ident(text: str) -> bool:
@@ -326,8 +438,9 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of text, each with its kind and position, ending with an
-    eof token: the scan the parser reads, as Token tuples, but with the
-    tokens of the trust edges the parser reads straight from the text."""
+    eof token: the whole scan at once, as Token tuples, where the parser
+    reads it a window at a time, and with the tokens of the trust edges the
+    parser reads straight from the text."""
     texts, starts = _scan(text)
     locate = _Locator(text)
     return [Token(_kind(t), t, *locate(at)) for t, at in zip(texts, starts)]
@@ -494,6 +607,11 @@ _CLAIM_OPS = {"->": (1, Implies), "\\/": (2, Or), "/\\": (3, And)}
 
 _T = TypeVar("_T")
 
+# For n fields, the pack of the ids of a class and its n fields into one
+# bytes object, a key of a proof's sharing table: 8 bytes an id, where a
+# tuple of boxed ids took 40.
+_PACK_IDS = tuple(Struct(f"{n + 1}Q").pack for n in range(7))
+
 
 # Each rule's arguments in order, as (kind, whether "," comes before it).
 _ARG_LAYOUT: dict[Rule, tuple[tuple[str, bool], ...]] = {
@@ -516,17 +634,30 @@ class _Leaves(dict):
         return leaf
 
 
-# A prefix of read tokens is dropped once it is longer than this, and than
-# an eighth of the tokens held.
-_RELEASE_AT = 1024
+class _Parser(_Scan):
+    """A recursive-descent parser over one text's scan, read through the
+    window of _Scan.
 
+    Refill: a refill check, "if self.pos >= self.refill_at: self.refill()",
+    scans on when the window holds fewer than _LOOKAHEAD tokens after the
+    cursor, so after a check the parser may read the _LOOKAHEAD tokens past
+    the cursor, and no more, before the next check.  Checks sit wherever
+    the parser could otherwise read more than nine: at each release point,
+    each claim operand, weight factor, primary of a term, comma_list item,
+    model assignment and entry and provenance field, and after each call
+    that can end with a closer a nested construct reads, before the closer
+    or whatever follows it.  The longest stretch between two checks is a
+    compare declaration's, nine tokens past the cursor.  A refill call
+    takes a frame of the stack, so a check sits just before or just after
+    a call the parse makes anyway, at the same cursor; where a refill
+    still runs the stack out, _run finds the place a parse of the whole
+    scan, which refills nothing, runs it out.
 
-class _Parser:
-    """A recursive-descent parser over one text's scan.
-
-    It drops the tokens it has read, in place, at four release points
-    only: the start of each top-level declaration, each proof node, each
-    trust edge read as tokens, and each term().  So no method may hold a
+    Release: it drops the tokens it has read, in place, at four release
+    points only: the start of each top-level declaration, each proof node,
+    each trust edge read as tokens, and each term().  A refill only
+    appends, and unskip() rescans only from the cursor on, so these are
+    the only places that move a token index.  So no method may hold a
     token index across a call that can reach a release point; one that
     does would read a different token, or locate an error wrongly.  tree()
     and trust_relation() take their indices after releasing.  The two
@@ -538,17 +669,13 @@ class _Parser:
     call nothing that reaches a release point.
     """
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        # The lexemes not yet released, ending with the eof entry "", and
-        # the offset in text at which each starts; the cursor pos indexes
-        # both.  release() drops the prefix before pos from both at once;
-        # an offset is absolute, so locations do not change.  runs holds
-        # the runs of plain trust edges the scan skipped, by the offset of
-        # the "{" before each.
-        self.runs: dict[int, int] = {}
-        self.texts, self.starts = _scan(text, self.runs)
-        self.pos = 0
+    def __init__(self, text: str, whole: bool = False) -> None:
+        super().__init__(text, {})
+        if whole:
+            self.release_at = _WHOLE_RELEASE_AT
+            self.refill(len(text) + 1)
+        else:
+            self.refill()
         # Only proof nodes, declarations and errors ask for a location.
         self.locate = _Locator(text)
         # Each weight literal converted so far, by its text.
@@ -581,26 +708,9 @@ class _Parser:
 
     # -- token plumbing
 
-    def release(self) -> None:
-        """Drop the tokens before the cursor once they are over _RELEASE_AT
-        and over an eighth of those held.  Each drop moves the tokens left,
-        and at least an eighth of them goes each time, so the moves cost
-        at most eight times the tokens: linear in the text."""
-        pos = self.pos
-        if pos > _RELEASE_AT and pos > len(self.texts) >> 3:
-            del self.texts[:pos], self.starts[:pos]
-            self.pos = 0
-
     def loc(self, at: int) -> tuple[int, int]:
         """The line and column of the token at index at."""
         return self.locate(self.starts[at])
-
-    def unskip(self) -> None:
-        """Scan the text again from the cursor on, skipping no run of edges,
-        for a reader other than trust_relation that meets one."""
-        self.runs.clear()
-        at = self.pos
-        self.texts[at:], self.starts[at:] = _scan(self.text, start=self.starts[at])
 
     # at, accept and expect take an operator or a keyword and compare texts
     # only: no operator's text is the text of an identifier, number, string
@@ -643,7 +753,7 @@ class _Parser:
         table = self.shared
         if table is None:
             return cls(*fields)
-        key = (cls, *map(id, fields))
+        key = _PACK_IDS[len(fields)](id(cls), *map(id, fields))
         value = table.get(key)
         if value is None:
             # value keeps its fields, so no id in key is reused while
@@ -681,6 +791,8 @@ class _Parser:
         return expr
 
     def weight_factor(self) -> WeightExpr:
+        if self.pos >= self.refill_at:
+            self.refill()
         if self.texts[self.pos][:1].isdecimal():
             return self.make(Const, self.weight())
         if self.accept("z"):
@@ -690,10 +802,14 @@ class _Parser:
             left = self.weight_expr()
             self.expect(",")
             right = self.weight_expr()
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
             return self.make(Min, left, right)
         if self.accept("("):
             expr = self.weight_expr()
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
             return expr
         found = self.texts[self.pos]
@@ -706,6 +822,8 @@ class _Parser:
         # that binds no tighter; ->, the loosest, takes the rest as its
         # right side.
         waiting: list[tuple[Claim, int, type]] = []
+        if self.pos >= self.refill_at:
+            self.refill()
         operand = self.claim_unary()
         while True:
             op = _CLAIM_OPS.get(self.texts[self.pos])
@@ -719,6 +837,8 @@ class _Parser:
             if op[1] is Implies:
                 return self.make(Implies, operand, self.claim())
             waiting.append((operand, *op))
+            if self.pos >= self.refill_at:
+                self.refill()
             operand = self.claim_unary()
 
     def claim_unary(self) -> Claim:
@@ -729,9 +849,13 @@ class _Parser:
         if leaf is not None:
             return leaf
         if found == "~":
+            if self.pos >= self.refill_at:
+                self.refill()
             return self.make(Implies, self.claim_unary(), BOTTOM)
         if found == "(":
             inner = self.claim()
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
             return inner
         if found == "_|_":
@@ -747,7 +871,7 @@ class _Parser:
         texts = self.texts
         # A release point, tested here before the call: most terms are
         # read with nothing to drop.
-        if self.pos > _RELEASE_AT and self.pos > len(texts) >> 3:
+        if self.pos > self.release_at and self.pos > len(texts) >> 3:
             self.release()
         if texts[self.pos] == "\\":
             self.pos += 1
@@ -757,16 +881,24 @@ class _Parser:
             if self.accept("@"):
                 return self.make(Lambda, param, body, self.weight_expr())
             return self.make(Lambda, param, body)
+        if self.pos >= self.refill_at:
+            self.refill()
         term = self.primary()
-        while (found := texts[self.pos]) == "(" or found[:1] in _IDENT_START and found != "_|_":
+        while True:
+            if self.pos >= self.refill_at:
+                self.refill()
+            found = texts[self.pos]
+            if found != "(" and (found[:1] not in _IDENT_START or found == "_|_"):
+                return term
             term = self.make(Apply, term, self.primary())
-        return term
 
     def scoped_term(self, names: tuple[str, ...]) -> Term:
         """A term in which names are bound."""
         bound = self.bound
         for name in names:
             bound[name] = bound.get(name, 0) + 1
+        if self.pos >= self.refill_at:
+            self.refill()
         body = self.term()
         for name in names:
             left = bound[name] - 1
@@ -845,6 +977,8 @@ class _Parser:
         self.expect("{")
         fields: dict[str, str] = {}
         while not self.accept("}"):
+            if self.pos >= self.refill_at:
+                self.refill()
             at = self.pos
             key = self.expect_ident("a provenance field")
             if key not in ("who", "where", "when", "how"):
@@ -868,10 +1002,14 @@ class _Parser:
     def judgement(self, names: tuple[str, ...] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
         witness = self.scoped_term(names)
+        if self.pos >= self.refill_at:
+            self.refill()
         return self.make(Judgement, witness, *self.actor_weight_claim())
 
     def hypothesis(self) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable")
+        if self.pos >= self.refill_at:
+            self.refill()
         return self.make(Hypothesis, var, *self.actor_weight_claim())
 
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
@@ -890,6 +1028,8 @@ class _Parser:
         if texts[pos] == "@":
             self.pos = pos + 1
             weight = self.weight()
+            if self.pos >= self.refill_at:
+                self.refill()
             pos = self.pos
         else:
             weight = _ONE
@@ -912,6 +1052,8 @@ class _Parser:
 
     def tree(self) -> ProofTree:
         self.release()
+        if self.pos >= self.refill_at:
+            self.refill()
         at = self.pos
         rule = _RULE_BY_NAME.get(self.texts[at])
         if rule is None:
@@ -932,6 +1074,8 @@ class _Parser:
                     subtrees.append(self.tree())
                 else:
                     values.append(self.rule_arg(kind))
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
             premises, args = tuple(subtrees), _RULE_SYNTAX[rule][1](*values)
         stated = None
@@ -942,6 +1086,8 @@ class _Parser:
             self.shared = self.table
             stated = self.sequent()
             self.shared = None
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
         return ProofTree(rule, premises, args, stated, loc)
 
@@ -956,6 +1102,8 @@ class _Parser:
             self.shared = self.table
             context = self.comma_list(self.hypothesis)
             self.shared = None
+            if self.pos >= self.refill_at:
+                self.refill()
             self.expect(")")
         return AssumeArgs(var, claim, actor, tuple(context))
 
@@ -990,8 +1138,12 @@ class _Parser:
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
         """One item or more, separated by ","."""
+        if self.pos >= self.refill_at:
+            self.refill()
         items = [item()]
         while self.accept(","):
+            if self.pos >= self.refill_at:
+                self.refill()
             items.append(item())
         return items
 
@@ -1079,9 +1231,14 @@ class _Parser:
         queries: list[QueryDecl] = []
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
-        while word := self.texts[self.pos]:   # "" is the eof entry
+        while True:
             self.release()
+            if self.pos >= self.refill_at:
+                self.refill()
             at = self.pos
+            word = self.texts[at]
+            if not word:   # the eof entry
+                break
             if not _is_ident(word):
                 raise ParseError(f"expected a declaration, found {word!r}", *self.loc(at))
             if self.accept("claim"):
@@ -1152,6 +1309,8 @@ class _Parser:
             self.run_edges(edges, brace + 1, self.runs[brace])
         while not self.accept("}"):
             self.release()
+            if self.pos >= self.refill_at:
+                self.refill()
             at = self.pos
             src = self.reference("actor")
             self.expect("->")
@@ -1193,6 +1352,8 @@ class _Parser:
         self.expect("{")
         assignments: dict[str, tuple[WeightedWitness, ...]] = {}
         while not self.accept("}"):
+            if self.pos >= self.refill_at:
+                self.refill()
             at = self.pos
             claim = self.reference("claim")
             if claim in assignments:
@@ -1201,6 +1362,8 @@ class _Parser:
             self.expect("{")
             entries: list[WeightedWitness] = []
             while not self.accept("}"):
+                if self.pos >= self.refill_at:
+                    self.refill()
                 entries.append(self.model_entry())
             self.expect(".")
             assignments[claim] = tuple(entries)
@@ -1213,6 +1376,8 @@ class _Parser:
         # it, which moves every token index.
         start = self.starts[self.pos]
         term = self.term()
+        if self.pos >= self.refill_at:
+            self.refill()
         actor = self.reference("actor") if self.accept("^") else None
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(".")
@@ -1227,13 +1392,22 @@ class _Parser:
 
 
 def _run(text: str, parse):
-    p = _Parser(text)
-    try:
-        value = parse(p)
-    except RecursionError:
-        raise ParseError("nesting too deep", *p.loc(p.pos)) from None
-    p.expect_eof()
-    return value
+    # A refill takes stack that a parse of the whole scan does not, so where
+    # the stack runs out is found by a second parse, over the whole scan and
+    # at the same depth as the first.
+    for whole in (False, True):
+        p = _Parser(text, whole)
+        try:
+            value = parse(p)
+            p.expect_eof()
+            return value
+        except ParseError as exc:
+            # A bad character anywhere is the error, before any the parser
+            # finds ahead of it.
+            raise p.unexpected() or exc from None
+        except RecursionError:
+            if whole:
+                raise ParseError("nesting too deep", *p.loc(p.pos)) from None
 
 
 def parse_claim(text: str) -> Claim:

@@ -144,6 +144,25 @@ class TestBudgets:
         assert trace(Atom("a"), 0) == [Atom("a")]
 
 
+class TestNonTerms:
+    """A non-term anywhere the walk reaches is the TypeError subterms()
+    raises, naming its type, from every entry point."""
+
+    @pytest.mark.parametrize(
+        "term, kind",
+        [
+            (1, "int"),
+            (Pair(1, Var("x")), "int"),
+            (Apply(Var("x"), Pair(Var("q"), None)), "NoneType"),
+            (Apply(Var("x"), TagL("z")), "str"),
+        ],
+    )
+    @pytest.mark.parametrize("run", [normalize_counted, normalize, trace, step])
+    def test_a_type_error_names_the_type(self, run, term, kind):
+        with pytest.raises(TypeError, match=f"^not a term type: {kind}$"):
+            run(term)
+
+
 class TestStepOracle:
     @given(terms())
     @settings(max_examples=400)

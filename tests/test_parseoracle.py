@@ -3,6 +3,7 @@ equal value, with the same proof locations, or the same ParseError at the
 same line and column.  Only "nesting too deep" may differ, since the two
 spend the stack differently."""
 
+import contextlib
 import copy
 import dataclasses
 import pickle
@@ -47,7 +48,7 @@ from veracity.parser import (
 
 import parseoracle as oracle
 from strategies import claims, terms, weight_exprs
-from test_parser import _mutations, _tokens_or_error
+from test_parser import _mutations, _tokens_or_error, _tower
 from tokoracle import oracle_tokenize
 
 FIXTURES = veracity.fixtures_path()
@@ -55,7 +56,7 @@ FIXTURES = veracity.fixtures_path()
 # Each entry point, beside the oracle's.
 PARSES = {
     name: (getattr(parser, name), getattr(oracle, name))
-    for name in ("parse_claim", "parse_term", "parse_judgement", "parse_sequent", "parse_script")
+    for name in ("parse_claim", "parse_term", "parse_weight_expr", "parse_judgement", "parse_sequent", "parse_script")
 }
 
 
@@ -484,7 +485,9 @@ def _relation(edges, arrow="->"):
 
 def _run_end(text):
     """Where the run of plain edges the scan skips in text ends, or 0."""
-    return max(parser._Parser(text).runs.values(), default=0)
+    runs = {}
+    parser._scan(text, runs)
+    return max(runs.values(), default=0)
 
 
 # Each case: the relation's edges, the text that follows them, and the
@@ -573,6 +576,179 @@ class TestLateErrorsInATerm:
         assert _outcome(oracle.parse_script, self.ENTRY) == want
 
 
+@contextlib.contextmanager
+def _smallest_window():
+    """The parser's window at its smallest legal size: a refill scans one
+    token past the lookahead, and the lookahead is nine, the most tokens
+    the parser reads between two refill checks, a compare declaration's.
+    A read that no check covers is then an IndexError."""
+    saved = parser._WINDOW, parser._LOOKAHEAD
+    parser._WINDOW, parser._LOOKAHEAD = 1, 9
+    try:
+        yield
+    finally:
+        parser._WINDOW, parser._LOOKAHEAD = saved
+
+
+class TestSmallestWindow:
+    """With the window at its smallest legal size, every input still parses
+    to the oracle's value, or fails with its error at its line and column."""
+
+    @given(with_mutations(claims(12).map(render_claim)))
+    @settings(max_examples=150)
+    def test_claims(self, text):
+        with _smallest_window():
+            assert_agrees("parse_claim", text)
+
+    @given(with_mutations(terms(12).map(render_term)))
+    @settings(max_examples=150)
+    def test_terms(self, text):
+        with _smallest_window():
+            assert_agrees("parse_term", text)
+
+    @given(with_mutations(judgements(6).map(render_judgement)))
+    @settings(max_examples=100)
+    def test_judgements(self, text):
+        with _smallest_window():
+            assert_agrees("parse_judgement", text)
+
+    @given(with_mutations(sequents.map(render_sequent)))
+    @settings(max_examples=100)
+    def test_sequents(self, text):
+        with _smallest_window():
+            assert_agrees("parse_sequent", text)
+
+    @given(with_mutations(scripts()))
+    @settings(max_examples=200, deadline=None)
+    def test_scripts(self, text):
+        with _smallest_window():
+            assert_agrees("parse_script", text)
+
+    @given(with_mutations(relation_scripts()))
+    @settings(max_examples=200, deadline=None)
+    def test_relations(self, text):
+        with _smallest_window():
+            assert_agrees("parse_script", text)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.vlp")))
+    def test_fixtures_and_their_mutations(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        seed = zlib.crc32(name.encode()) + 3
+        variants = [text, *_mutations(text, seed, 30)]
+        variants += [token_mutation(text, seed + k) for k in range(30)]
+        with _smallest_window():
+            for variant in variants:
+                assert_agrees("parse_script", variant)
+
+    @_LATE
+    @pytest.mark.parametrize("arrow", ["->", "→"])
+    def test_late_errors(self, edges, late, message, line, col, arrow):
+        with _smallest_window():
+            outcome = _outcome(parser.parse_script, _relation(edges, arrow) + late)
+        assert outcome == ("error", message, line, col)
+
+    def test_late_errors_in_a_term(self):
+        with _smallest_window():
+            split = _outcome(parser.parse_term, TestLateErrorsInATerm.SPLIT)
+            entry = _outcome(parser.parse_script, TestLateErrorsInATerm.ENTRY)
+        assert split == ("error", "split binders must be distinct", 2, 6)
+        assert entry == ("error", "actor 'default' is not declared", 6, 5)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("parse_term", "f " + "a " * 40),
+            ("parse_term", "(" * 40 + "a" + ")" * 40),
+            ("parse_term", "(a, " * 40 + "a" + ")" * 40),
+            ("parse_term", "\\x." * 40 + "i(j(x))"),
+            ("parse_term", "f " + 'a{who="w", where="h", when="n", how="o"} ' * 20),
+            ("parse_term", "split(" * 20 + "p" + ", x.y.cases(x, u.u, v.v))" * 20),
+            ("parse_weight_expr", "(" * 40 + "z" + ")" * 40),
+            ("parse_weight_expr", "min(z, " * 40 + "0.5" + ")" * 40),
+            ("parse_weight_expr", "min(" * 40 + "z" + ", 0.5)" * 40),
+            ("parse_claim", "A /\\ " * 40 + "A"),
+            ("parse_claim", "A -> " * 40 + "A"),
+            ("parse_claim", "~" * 40 + "A"),
+            ("parse_claim", "(" * 40 + "A \\/ B" + ")" * 40),
+            ("parse_judgement", "(\\x.x)@0.5 @ 0.5 : " + "A /\\ " * 40 + "A"),
+            ("parse_sequent", ", ".join(f"x{k}^P @ 0.5 : A" for k in range(40)) + " |- x0^P : A"),
+            ("parse_script", "claim " + ", ".join(f"A{k}" for k in range(40)) + "."),
+            ("parse_script", "claim A.\nactor P.\nproof D { " + "andIntro(assume y : A, " * 40 + "assume x : A" + ")" * 40 + " }"),
+            ("parse_script", "claim A.\nactor P.\nproof D { " + "impIntro(x, " * 40 + "assume x : A" + ", 0.5 * z)" * 40 + " }"),
+            ("parse_script", "claim A.\nactor P.\nproof D { assume x : A under ("
+             + ", ".join(f"h{k} : A" for k in range(40)) + ") stating (x^P : A |- x^P : A) }"),
+            ("parse_script", "claim A.\nactor P.\nmodel M { A = { " + "a^P @ 0.5. " * 40 + "}.\n"
+             + "".join(f"A{k} = {{ }}.\n" for k in range(40)) + "}"),
+            ("parse_script", "actor P.\n" + "trust T { P → P @ 0.5. }\n" * 40),
+        ],
+    )
+    def test_long_stretches(self, name, text):
+        # Each loop and each nesting construct, run long enough that only
+        # its refill checks keep the parser inside the window.
+        with _smallest_window():
+            assert_agrees(name, text)
+
+    def test_the_lookahead_is_the_smallest_legal_one(self):
+        # A compare declaration reads nine tokens past the check before it.
+        text = (FIXTURES / "star-vs-chain.vlp").read_text(encoding="utf-8")
+        with _smallest_window():
+            parser._LOOKAHEAD -= 1
+            with pytest.raises(IndexError):
+                parser.parse_script(text)
+
+
+# Tokens enough to fill several windows, and a bad character after them.
+_FILLER = "\n" + "a " * 600 + "\n"
+_BAD = "$"
+
+# Each case: an entry point, and a text with an error that the parser finds
+# ahead of a bad character far on.
+_PRECEDENCE = pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parser.parse_script, "claim A.\nproof P { nope }" + _FILLER + _BAD),
+        (parser.parse_term, "f )" + _FILLER + _BAD),
+        (parser.parse_script, "claim A.\nproof P { assume x : " + "(" * 30_000 + "A" + ")" * 30_000 + " }" + _FILLER + _BAD),
+        (parser.parse_term, "(" * 30_000 + "a" + ")" * 30_000 + _FILLER + _BAD),
+        (parser.parse_script, _relation(_EDGES) + "}\nproof P { nope }" + _FILLER + _BAD),
+        (parser.parse_script, "actor a, b.\nmodel M { }\nquery trust x { a -> b @ 0.5. } in M." + _FILLER + _BAD),
+        (parser.parse_term, "trust x { " + "a -> b. " * 300 + "}" + _FILLER + _BAD),
+    ],
+    ids=["syntax", "term-syntax", "too-deep", "term-too-deep", "after-a-run", "unskipped", "term-unskipped"],
+)
+
+
+class TestErrorPrecedence:
+    """A bad character anywhere in the text is the error, ahead of any the
+    parser finds before the scan reaches it: a syntax error, nesting too
+    deep, an error after a run of edges the scan skipped, and one after a
+    relation's head read as a term, which scans the run again as tokens."""
+
+    @staticmethod
+    def _want(parse, text):
+        want = _outcome(getattr(oracle, parse.__name__), text)
+        lines = text.split("\n")
+        assert want == ("error", "unexpected character '$'", len(lines), len(lines[-1]))
+        return want
+
+    @_PRECEDENCE
+    def test_the_bad_character_wins(self, parse, text):
+        assert _outcome(parse, text) == self._want(parse, text)
+
+    @_PRECEDENCE
+    def test_through_the_command_line(self, parse, text, tmp_path, capsys):
+        _, message, line, col = self._want(parse, text)
+        if parse is parser.parse_term:
+            argv, where = ["eval", "-e", text], "-e"
+        else:
+            where = tmp_path / "late.vlp"
+            where.write_text(text, encoding="utf-8")
+            argv = ["check", str(where)]
+        assert veracity.cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{where}:{line}:{col}: {message}\n")
+
+
 class TestLocator:
     """The parser's locator, which counts newlines from the offset it
     located last, gives the line and column of the oracle's frozen index of
@@ -592,24 +768,6 @@ class TestLocator:
         rng.shuffle(offsets)
         locate = parser._Locator(text)
         assert [locate(at) for at in offsets] == [oracle._locate(want, at) for at in offsets]
-
-
-def _tower(height):
-    """A script whose proof is an impElim/impIntro tower of height levels,
-    each stating its sequent: level i states the hypotheses, claim and
-    witness of level i - 1 again, with one hypothesis, one conjunct and
-    one application more."""
-    node, claim, hyps, witness = "assume x0 : A", "A", ["x0^P : A"], "x0"
-    for i in range(1, height + 1):
-        extra = "ABCD"[i % 4]
-        claim += f" /\\ {extra}"
-        hyps.append(f"y{i}^P : {extra}")
-        witness = f"(\\h{i}.({witness},h{i})) y{i}"
-        node = (
-            f"impElim(impIntro(h{i}, andIntro({node}, assume h{i} : {extra})), assume y{i} : {extra})"
-            f" stating ({', '.join(hyps)} |- {witness}^P : {claim})"
-        )
-    return f"claim A, B, C, D.\nactor P.\nproof Tower {{\n{node}\n}}\n"
 
 
 def _nodes_of(value):

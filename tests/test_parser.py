@@ -1095,11 +1095,29 @@ class TestNestingTooDeep:
 
 
 
+def _tower(height):
+    """A script whose proof is an impElim/impIntro tower of height levels,
+    each stating its sequent: level i states the hypotheses, claim and
+    witness of level i - 1 again, with one hypothesis, one conjunct and
+    one application more."""
+    node, claim, hyps, witness = "assume x0 : A", "A", ["x0^P : A"], "x0"
+    for i in range(1, height + 1):
+        extra = "ABCD"[i % 4]
+        claim += f" /\\ {extra}"
+        hyps.append(f"y{i}^P : {extra}")
+        witness = f"(\\h{i}.({witness},h{i})) y{i}"
+        node = (
+            f"impElim(impIntro(h{i}, andIntro({node}, assume h{i} : {extra})), assume y{i} : {extra})"
+            f" stating ({', '.join(hyps)} |- {witness}^P : {claim})"
+        )
+    return f"claim A, B, C, D.\nactor P.\nproof Tower {{\n{node}\n}}\n"
+
+
 class TestTokenRelease:
     """The parser drops the tokens it has read as it goes, so a long
     script's tokens are not all held while its last values are built."""
 
-    THRESHOLD = 1024   # tokens read before the parser drops any
+    THRESHOLD = 256   # tokens read before the parser drops any
 
     def test_the_last_proof_node_is_read_holding_few_tokens(self, monkeypatch):
         text = "claim A, B.\nactor P.\n" + "".join(
@@ -1135,6 +1153,27 @@ class TestTokenRelease:
         finally:
             tracemalloc.stop()
         assert isinstance(term, Apply) and held - base > 1_000_000
+        assert peak - held <= 64 * 1024, (peak - held, held - base)
+
+    def test_a_stated_tower_peaks_near_its_value(self):
+        # An impElim/impIntro tower whose every level states its sequent,
+        # of 30,709 tokens, the least height past 30,000 (the table grows
+        # with the height): the parser scans them as it reads them, so the
+        # peak is little more than the proof built and the sharing table it
+        # is read with, where the whole token stream beside them took
+        # 380 KB.  tokenize still gives every token.
+        text = _tower(56)
+        tokens = _tokens_or_error(tokenize, text)
+        assert tokens == _tokens_or_error(oracle_tokenize, text) and len(tokens) > 30_000
+        parse_script(_tower(2))   # once untraced, so lazy caches are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            script = parse_script(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(script.proofs) == 1 and held - base > 100_000
         assert peak - held <= 64 * 1024, (peak - held, held - base)
 
 
