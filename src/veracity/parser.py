@@ -259,11 +259,6 @@ _LOOKAHEAD = 16
 # an eighth of the tokens held.
 _RELEASE_AT = 256
 
-# The same for a parse of the whole scan, which _run makes only to find
-# where the stack runs out: 1,024, as parses dropped tokens before they
-# read windows, so that it runs out where they did.
-_WHOLE_RELEASE_AT = 1024
-
 
 class _Scan:
     """The scan of one text from an offset on, held as a window: the lexemes
@@ -641,17 +636,21 @@ class _Parser(_Scan):
     Refill: a refill check, "if self.pos >= self.refill_at: self.refill()",
     scans on when the window holds fewer than _LOOKAHEAD tokens after the
     cursor, so after a check the parser may read the _LOOKAHEAD tokens past
-    the cursor, and no more, before the next check.  Checks sit wherever
-    the parser could otherwise read more than nine: at each release point,
-    each claim operand, weight factor, primary of a term, comma_list item,
-    model assignment and entry and provenance field, and after each call
-    that can end with a closer a nested construct reads, before the closer
-    or whatever follows it.  The longest stretch between two checks is a
-    compare declaration's, nine tokens past the cursor.  A refill call
-    takes a frame of the stack, so a check sits just before or just after
-    a call the parse makes anyway, at the same cursor; where a refill
-    still runs the stack out, _run finds the place a parse of the whole
-    scan, which refills nothing, runs it out.
+    the cursor, and no more, before the next check.  Checks sit at each
+    release point, each claim operand, weight factor, primary of a term,
+    comma_list item, model assignment and provenance field, and before the
+    closer that follows a nested claim, weight, rule's arguments, stated
+    sequent or under context.  term(), claim() and weight_expr() return at
+    most one token past their last check, and what follows one of them
+    inside a judgement, hypothesis or model entry ends within nine tokens
+    of it.  The longest stretch between two checks is nine tokens past the
+    cursor: a compare declaration, and a query whose witness ends with a
+    lambda's weight, "@ 1 ^ P @ 1 : A in M .".  A refill call takes a frame
+    of the stack, so a check sits just before or just after a call the
+    parse makes anyway, at the same cursor.  "nesting too deep" is then
+    located where a parse of the whole scan would locate it, but where a
+    refill or a release falls due at the deepest frame: its own calls run
+    the stack out a token earlier.
 
     Release: it drops the tokens it has read, in place, at four release
     points only: the start of each top-level declaration, each proof node,
@@ -669,13 +668,9 @@ class _Parser(_Scan):
     call nothing that reaches a release point.
     """
 
-    def __init__(self, text: str, whole: bool = False) -> None:
+    def __init__(self, text: str) -> None:
         super().__init__(text, {})
-        if whole:
-            self.release_at = _WHOLE_RELEASE_AT
-            self.refill(len(text) + 1)
-        else:
-            self.refill()
+        self.refill()
         # Only proof nodes, declarations and errors ask for a location.
         self.locate = _Locator(text)
         # Each weight literal converted so far, by its text.
@@ -1002,14 +997,10 @@ class _Parser(_Scan):
     def judgement(self, names: tuple[str, ...] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
         witness = self.scoped_term(names)
-        if self.pos >= self.refill_at:
-            self.refill()
         return self.make(Judgement, witness, *self.actor_weight_claim())
 
     def hypothesis(self) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable")
-        if self.pos >= self.refill_at:
-            self.refill()
         return self.make(Hypothesis, var, *self.actor_weight_claim())
 
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
@@ -1028,8 +1019,6 @@ class _Parser(_Scan):
         if texts[pos] == "@":
             self.pos = pos + 1
             weight = self.weight()
-            if self.pos >= self.refill_at:
-                self.refill()
             pos = self.pos
         else:
             weight = _ONE
@@ -1362,8 +1351,6 @@ class _Parser(_Scan):
             self.expect("{")
             entries: list[WeightedWitness] = []
             while not self.accept("}"):
-                if self.pos >= self.refill_at:
-                    self.refill()
                 entries.append(self.model_entry())
             self.expect(".")
             assignments[claim] = tuple(entries)
@@ -1376,8 +1363,6 @@ class _Parser(_Scan):
         # it, which moves every token index.
         start = self.starts[self.pos]
         term = self.term()
-        if self.pos >= self.refill_at:
-            self.refill()
         actor = self.reference("actor") if self.accept("^") else None
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(".")
@@ -1392,22 +1377,17 @@ class _Parser(_Scan):
 
 
 def _run(text: str, parse):
-    # A refill takes stack that a parse of the whole scan does not, so where
-    # the stack runs out is found by a second parse, over the whole scan and
-    # at the same depth as the first.
-    for whole in (False, True):
-        p = _Parser(text, whole)
-        try:
-            value = parse(p)
-            p.expect_eof()
-            return value
-        except ParseError as exc:
-            # A bad character anywhere is the error, before any the parser
-            # finds ahead of it.
-            raise p.unexpected() or exc from None
-        except RecursionError:
-            if whole:
-                raise ParseError("nesting too deep", *p.loc(p.pos)) from None
+    p = _Parser(text)
+    try:
+        value = parse(p)
+        p.expect_eof()
+        return value
+    except ParseError as exc:
+        # A bad character anywhere is the error, before any the parser
+        # finds ahead of it.
+        raise p.unexpected() or exc from None
+    except RecursionError:
+        raise p.unexpected() or ParseError("nesting too deep", *p.loc(p.pos)) from None
 
 
 def parse_claim(text: str) -> Claim:

@@ -677,8 +677,15 @@ class TestSmallestWindow:
             ("parse_script", "claim A.\nactor P.\nproof D { " + "impIntro(x, " * 40 + "assume x : A" + ", 0.5 * z)" * 40 + " }"),
             ("parse_script", "claim A.\nactor P.\nproof D { assume x : A under ("
              + ", ".join(f"h{k} : A" for k in range(40)) + ") stating (x^P : A |- x^P : A) }"),
-            ("parse_script", "claim A.\nactor P.\nmodel M { A = { " + "a^P @ 0.5. " * 40 + "}.\n"
-             + "".join(f"A{k} = {{ }}.\n" for k in range(40)) + "}"),
+            ("parse_script", "claim A.\nactor P.\nproof D { " + "andElim(assume x : A stating (|- \\x.x @ 1 ^P @ 1 : A), f. s. " * 20
+             + "assume y : A" + ", A)" * 20 + " }"),
+            ("parse_script", "claim A.\nactor P.\nproof D { " + "andElim(assume x : A under (h ^P @ 1 : A), f. s. " * 20
+             + "assume y : A" + ", A)" * 20 + " }"),
+            ("parse_script", "claim A.\nactor P.\nproof D { " + "andIntro(" * 20 + "assume x : A"
+             + ", assume y : A) stating (h ^P @ 1 : A |- h ^P : A)" * 20 + " }"),
+            ("parse_script", "claim A, " + ", ".join(f"A{k}" for k in range(40)) + ".\nactor P.\nmodel M { A = { "
+             + "a^P @ 0.5. " * 40 + "}.\n" + "".join(f"A{k} = {{ a^P @ 0.5. }}.\n" for k in range(40)) + "}"),
+            ("parse_script", "claim A.\nactor P.\nmodel M { }\n" + "query \\x.x @ 1 ^P @ 1 : A in M.\n" * 40),
             ("parse_script", "actor P.\n" + "trust T { P → P @ 0.5. }\n" * 40),
         ],
     )

@@ -1155,26 +1155,42 @@ class TestTokenRelease:
         assert isinstance(term, Apply) and held - base > 1_000_000
         assert peak - held <= 64 * 1024, (peak - held, held - base)
 
-    def test_a_stated_tower_peaks_near_its_value(self):
+    @pytest.mark.parametrize("height", [56, 80])
+    def test_a_stated_tower_peaks_near_its_value(self, height, monkeypatch):
         # An impElim/impIntro tower whose every level states its sequent,
-        # of 30,709 tokens, the least height past 30,000 (the table grows
-        # with the height): the parser scans them as it reads them, so the
-        # peak is little more than the proof built and the sharing table it
-        # is read with, where the whole token stream beside them took
-        # 380 KB.  tokenize still gives every token.
-        text = _tower(56)
+        # of 30,709 tokens at height 56 and 61,141 at 80: the parser scans
+        # them as it reads them, so past the proof built and the sharing
+        # table it is read with, which both grow with the height, the peak
+        # holds about one sequent's tokens (24 KB at 56, 29 KB at 80), where
+        # the whole token stream took 320 KB at 56 and 690 KB at 80.
+        # tokenize still gives every token.
+        text = _tower(height)
         tokens = _tokens_or_error(tokenize, text)
         assert tokens == _tokens_or_error(oracle_tokenize, text) and len(tokens) > 30_000
         parse_script(_tower(2))   # once untraced, so lazy caches are not counted
+        tables = []
+        tree = _Parser.tree
+
+        def recording(self):
+            if not tables:
+                tables.append(self.table)
+            return tree(self)
+
+        monkeypatch.setattr(_Parser, "tree", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             script = parse_script(text)
+            # The table outlives the parse only in tables; what its drop
+            # frees is its size.
+            entries, with_table = len(tables[0]), tracemalloc.get_traced_memory()[0]
+            tables.clear()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(script.proofs) == 1 and held - base > 100_000
-        assert peak - held <= 64 * 1024, (peak - held, held - base)
+        table = with_table - held
+        assert len(script.proofs) == 1 and held - base > 100_000 and entries > 5 * height
+        assert peak - held - table <= 64 * 1024, (peak - held, table, held - base)
 
 
 _RELATION_ACTORS = [f"p{k}" for k in range(20)]
