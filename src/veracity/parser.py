@@ -645,9 +645,10 @@ class _Parser(_Scan):
     inside a judgement, hypothesis or model entry ends within nine tokens
     of it.  The longest stretch between two checks is nine tokens past the
     cursor: a compare declaration, and a query whose witness ends with a
-    lambda's weight, "@ 1 ^ P @ 1 : A in M .".  A refill call takes a frame
-    of the stack, so a check sits just before or just after a call the
-    parse makes anyway, at the same cursor.  "nesting too deep" is then
+    lambda's weight, followed by "^ P @ 1 : A in M .", whose "." is nine
+    past that weight.  A refill call takes a frame of the stack, so a check
+    sits just before or just after a call the parse makes anyway, at the
+    same cursor.  "nesting too deep" is then
     located where a parse of the whole scan would locate it, but where a
     refill or a release falls due at the deepest frame: its own calls run
     the stack out a token earlier.
