@@ -7,11 +7,14 @@ models, and the queries to run against them; `#` starts a line comment.
 
 The scanner runs one regex over the text, a chunk of tokens at a time as
 the parser reads them (the input buffer of Aho, Lam, Sethi & Ullman,
-Compilers, 2nd ed., 3.2), and keeps two parallel sequences: a list of each
-lexeme's text, with Unicode operators in their ASCII spelling, and an array
-of the offset at which it starts, of 4-byte unsigned ints ("I") for a text
-shorter than 2**32 characters and of 8-byte ones ("q") otherwise.  Equal
-lexemes are one string, shared through a table that belongs to the parse
+Compilers, 2nd ed., 3.2).  Each match skips blanks and newlines and takes
+a token, a comment, which it drops, or a Unicode operator, which it maps
+to its ASCII spelling there; the regex knows nothing of trust relations.
+The scan keeps two parallel sequences: a list of each lexeme's text,
+Unicode operators in their ASCII spelling, and an array of the offset at
+which it starts, of 4-byte unsigned ints ("I") for a text shorter than
+2**32 characters and of 8-byte ones ("q") otherwise.  Equal lexemes are
+one string, shared through a table that belongs to the parse
 and is freed with it, so a token costs 12 bytes, a list slot and an array
 slot, plus one string per distinct lexeme; a string and a boxed int of its
 own per token took 60 to 78 bytes.  The parser's cursor reads those texts
@@ -29,33 +32,36 @@ feed and the rest) are unexpected characters, as any character no token
 starts with.
 
 Trust edges, the bulk of a large script, mostly become no tokens.  After
-the head of a trust relation, "trust" NAME "{", the scanner matches the run
-of plain edges that follows, source -> target [@ weight] ".", one regex
-match per edge, records where the run ends and goes on scanning from there.
-The parser reads that run edge by edge from the text, with the checks the
-token path makes, in its order and at the same places.  Whatever the run
-does not cover (an edge written with "→", a malformed edge, and the rest
-of the body after either) is read as tokens, so the token path alone
-defines every error.  A run the parser meets as a term, as in
-"query trust x { a -> b. } in M.", is scanned again as tokens where it is
-met.  tokenize gives the whole scan, every edge's tokens included, as
-Token tuples with their kinds and positions.
+a trust relation's "{", the parser reads the run of plain edges that
+follows, source -> target [@ weight] ".", straight from the text, one
+anchored regex match per edge, with the checks the token path makes, in
+its order and at the same places.  If it read any, it drops the window's
+tokens from the cursor on and the scan goes on from the run's end.  A
+refill stops a few tokens past each "{" it scans, so a run is never
+scanned far as tokens before the parser skips it.  Whatever the run does
+not cover (an edge written with "→", a malformed edge, and the rest of
+the body after either) is read as tokens, so the token path alone defines
+every error.  A body met as a term, as in "query trust x { a -> b. } in
+M.", is read as tokens like any other text.  tokenize gives the whole
+scan, every edge's tokens included, as Token tuples with their kinds and
+positions.
 
 The parser holds a window of the scan, not the whole of it: it scans on
 whenever its cursor comes near the window's end, and drops the tokens it
-has read at four release points: the start of each top-level declaration,
-each proof node, each trust edge read as tokens and each witness term,
-once they are over 256 and over an eighth of those it holds.  So a long
-script's or term's tokens are never all alive, and not beside the values
-built from them; parse_script and parse_term hold little more than the
-values they return.  A bad character is an error wherever it is, ahead of
-any other: one the scan has not reached when the parser fails is looked
-for then.  Dropping tokens is safe because no token index is held across
-a release point; a method that must locate a token read before a term,
-after it, keeps the token's offset in the text instead, and _Parser says
-which.  A trust relation keeps, as its edge
-index, the dict the parser refused duplicate edges with, keyed by the
-parse's own actor-name strings.
+has read at its release points: the start of each top-level declaration,
+each proof node, each trust edge read as tokens, each witness term, each
+item of a comma-separated list, hypotheses included, and each claim
+operand after the first, once they are over 256 and over an eighth of
+those it holds.  So a long script's or term's tokens are never all alive,
+and not beside the values built from them; parse_script and parse_term
+hold little more than the values they return.  A bad character is an
+error wherever it is, ahead of any other: one the scan has not reached
+when the parser fails is looked for then.  Dropping tokens is safe
+because no token index is held across a release point; a method that
+must locate a token read before a term, after it, keeps the token's
+offset in the text instead, and _Parser says which.  A trust relation
+keeps, as its edge index, the dict the parser refused duplicate edges
+with, keyed by the parse's own actor-name strings.
 
 Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
 three binary operators and recurses only for the right side of "->", a
@@ -180,30 +186,34 @@ _UNICODE_OPS = {
     "·": "*",     # product
 }
 
-# What the scan skips between two tokens: blanks, newlines and comments.  A
-# comment runs to the end of its line, so a pattern that has to go on past
-# a gap cannot backtrack into a comment and read a token out of it.
+# What a trust edge may hold between two of its tokens: blanks, newlines
+# and comments.  A comment runs to the end of its line, so a pattern that
+# has to go on past a gap cannot backtrack into a comment and read a token
+# out of it.
 _GAP = r"[\ \t\r\n]* (?: \#[^\n]* (?![^\n]) [\ \t\r\n]* )*"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
 
-# One scan over the whole text.  Each match skips a gap, then takes the head
-# of a trust relation, "trust" NAME "{" (groups 1 and 2), a token (group
-# 3), the end of the text, or a bad character (group 4).  One of the last
-# three matches wherever the skip stops, so finditer never steps over a
-# character unseen and the skip is never backtracked into; that is why the
-# pattern needs no possessive quantifier or atomic group, which Python
-# 3.10's re lacks.
+# One scan over the whole text.  Each match skips blanks and newlines, then
+# takes a token (group 1), a "{" (group 2), a comment (group 3), a Unicode
+# operator (group 4), the end of the text, or a bad character (group 5).
+# Identifiers and the frequent one-character operators come first; "_|_"
+# comes before identifiers, and each operator before the one-character
+# prefix it extends.  One alternative matches wherever the skip stops, so
+# finditer never steps over a character unseen and the skip is never
+# backtracked into; that is why the pattern needs no possessive quantifier
+# or atomic group, which Python 3.10's re lacks.
 _SCAN = re.compile(
     rf"""
-    {_GAP}
+    [\ \t\r\n]*
     (?:
-      (trust) (?![A-Za-z0-9_']) {_GAP} ({_IDENT}) {_GAP} \{{
-    | ( \d+(?:\.\d+)?(?:/\d+)?
-      | /\\ | \\/ | -> | => | \|- | _\|_
-      | [()\{{\}}\[\],.:;^@|=*~\\∧∨→¬⊥λ⊢∈·]
-      | {_IDENT}
+      ( _\|_ | {_IDENT} | [().,:^@*~\[\];}}]
+      | \d+(?:\.\d+)?(?:/\d+)?
+      | -> | /\\ | \\/? | =>? | \|-?
       | "(?:[^"\\\n]|\\["\\])*"
       )
+    | (\{{)
+    | (\#[^\n]*)
+    | ([∧∨→¬⊥λ⊢∈·])
     | \Z
     | (.)
     )
@@ -228,23 +238,20 @@ _EDGE = re.compile(
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _scan(text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> tuple[list[str], array]:
-    """The lexemes of text from start, Unicode operators in their ASCII
-    spelling, and their start offsets; both end with the eof entry "" at
-    len(text).  Equal lexemes are one string object.
-
-    Given runs, the run of plain edges that follows a trust relation's head
-    becomes no tokens: the scan records it in runs, as the offset of the
-    head's "{" and the offset where the run ends, and goes on from there."""
-    scan = _Scan(text, runs, start)
-    # Each token takes a character at least, the eof entry none.
-    scan.refill(len(text) - start + 1)
+def _scan(text: str) -> tuple[list[str], array]:
+    """The lexemes of text, Unicode operators in their ASCII spelling, and
+    their start offsets; both end with the eof entry "" at len(text).
+    Equal lexemes are one string object."""
+    scan = _Scan(text)
+    while scan.matches is not None:
+        # Each token takes a character at least, the eof entry none.
+        scan.refill(len(text) + 1)
     return scan.texts, scan.starts
 
 
 def _unexpected(text: str, m: re.Match) -> ParseError:
     """The error of the bad character a match of _SCAN stopped at."""
-    return ParseError(f"unexpected character {m[4]!r}", *_Locator(text)(m.start(4)))
+    return ParseError(f"unexpected character {m[5]!r}", *_Locator(text)(m.start(5)))
 
 
 # A refill scans this many tokens past the lookahead.
@@ -261,21 +268,20 @@ _RELEASE_AT = 256
 
 
 class _Scan:
-    """The scan of one text from an offset on, held as a window: the lexemes
-    and offsets scanned and not yet released, which the cursor pos indexes.
+    """The scan of one text, held as a window: the lexemes and offsets
+    scanned and not yet released, which the cursor pos indexes.
 
     refill() extends the window from the scan's own finditer, so the tokens
     of a long text are scanned as the cursor comes near them, not all before
-    the first is read.  release() drops the prefix before the cursor; an
-    offset is absolute, so locations do not change.  Neither moves a token
-    from its place but the prefix release() drops."""
+    the first is read.  A refill stops _LOOKAHEAD tokens past a "{", so the
+    tokens of what follows one, such as a trust relation's edges, are not
+    scanned far ahead of a reader that may skip them: skip_to() drops the
+    window from the cursor on and scans again from a later offset.
+    release() drops the prefix before the cursor; an offset is absolute, so
+    locations do not change.  No other call moves a token from its place."""
 
-    def __init__(self, text: str, runs: Optional[dict[int, int]] = None, start: int = 0) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
-        # The runs of plain trust edges the scan skipped, by the offset of
-        # the "{" before each; skip_runs, whether it skips them.
-        self.runs: dict[int, int] = {} if runs is None else runs
-        self.skip_runs = runs is not None
         # The lexemes of the window, ending with the eof entry "" once the
         # scan has reached it, and the offset in text at which each starts.
         self.texts: list[str] = []
@@ -285,55 +291,48 @@ class _Scan:
         self.share = {}.setdefault
         # The matches of _SCAN not read yet, None once the eof entry is in
         # the window, and the offset they go on from, as of the last chunk.
-        self.matches: Optional[Iterator[re.Match]] = _SCAN(text, start)
-        self.resume = start
+        self.matches: Optional[Iterator[re.Match]] = _SCAN(text)
+        self.resume = 0
         # The cursor at which the window next needs more tokens.
         self.refill_at = 0
         self.release_at = _RELEASE_AT
 
     def refill(self, want: Optional[int] = None) -> None:
         """Scan on until the window holds want tokens, by default the
-        _LOOKAHEAD after the cursor and _WINDOW more, or ends with the eof
-        entry.  A bad character is a ParseError here, where it is met."""
-        texts, starts, text, share = self.texts, self.starts, self.text, self.share
+        _LOOKAHEAD after the cursor and _WINDOW more, or _LOOKAHEAD past a
+        "{" scanned on the way, or ends with the eof entry.  A bad character
+        is a ParseError here, where it is met."""
+        texts, starts, share = self.texts, self.starts, self.share
         if want is None:
             want = self.pos + _LOOKAHEAD + _WINDOW
-        runs = self.runs if self.skip_runs else None
         add_text, add_start = texts.append, starts.append
-        first = len(texts)
         while self.matches is not None and (count := want - len(texts)) > 0:
             for m in islice(self.matches, count):
-                lexeme = m[3]
+                lexeme = m[1]
                 if lexeme is None:
                     break
                 add_text(share(lexeme, lexeme))
-                add_start(m.start(3))
+                add_start(m.start(1))
             else:
                 self.resume = m.end()
                 continue
-            if m[1] is None:
-                if m[4] is not None:
-                    raise _unexpected(text, m)
+            # Not a token: a "{", a comment (3), which adds nothing, a
+            # Unicode operator, a bad character or the end of the text.
+            kind = m.lastindex
+            if kind == 2:
+                add_text("{")
+                add_start(m.start(2))
+                want = min(want, len(texts) + _LOOKAHEAD)
+            elif kind == 4:
+                lexeme = _UNICODE_OPS[m[4]]
+                add_text(share(lexeme, lexeme))
+                add_start(m.start(4))
+            elif kind == 5:
+                raise _unexpected(self.text, m)
+            elif kind is None:
                 add_text("")
-                add_start(len(text))
+                add_start(len(self.text))
                 self.matches = None
-                break
-            # The head of a trust relation: "trust", its name and "{".
-            for group in (1, 2):
-                add_text(share(m[group], m[group]))
-                add_start(m.start(group))
-            start = self.resume = m.end()
-            add_text("{")
-            add_start(start - 1)
-            if runs is not None:
-                end = start
-                while found := _EDGE.match(text, end):
-                    end = found.end()
-                if end > start:
-                    runs[start - 1] = self.resume = end
-                    self.matches = _SCAN(text, end)
-        if not text.isascii():
-            texts[first:] = [share(t, t) for t in map(_UNICODE_OPS.get, texts[first:], texts[first:])]
         # No cursor passes the eof entry, so once it is in the window no
         # check asks for more.  A bound that stays a small int keeps the
         # checks' comparison the one CPython specializes.
@@ -350,15 +349,12 @@ class _Scan:
             self.refill_at -= pos
             self.pos = 0
 
-    def unskip(self) -> None:
-        """Scan the text again from the cursor on, skipping no run of edges,
-        for a reader other than trust_relation that meets one."""
-        self.runs.clear()
-        self.skip_runs = False
-        at = self.pos
-        self.resume = self.starts[at]
-        del self.texts[at:], self.starts[at:]
-        self.matches = _SCAN(self.text, self.resume)
+    def skip_to(self, offset: int) -> None:
+        """Drop the window from the cursor on, and scan on from offset, the
+        end of text the cursor's reader has read without tokens."""
+        del self.texts[self.pos:], self.starts[self.pos:]
+        self.matches = _SCAN(self.text, offset)
+        self.resume = offset
         self.refill()
 
     def unexpected(self) -> Optional[ParseError]:
@@ -366,7 +362,7 @@ class _Scan:
         scan has not read, if there is one."""
         if self.matches is not None:
             for m in _SCAN(self.text, self.resume):
-                if m[4] is not None:
+                if m[5] is not None:
                     return _unexpected(self.text, m)
         return None
 
@@ -653,24 +649,29 @@ class _Parser(_Scan):
     refill or a release falls due at the deepest frame: its own calls run
     the stack out a token earlier.
 
-    Release: it drops the tokens it has read, in place, at four release
+    Release: it drops the tokens it has read, in place, at its release
     points only: the start of each top-level declaration, each proof node,
-    each trust edge read as tokens, and each term().  A refill only
-    appends, and unskip() rescans only from the cursor on, so these are
-    the only places that move a token index.  So no method may hold a
-    token index across a call that can reach a release point; one that
-    does would read a different token, or locate an error wrongly.  tree()
-    and trust_relation() take their indices after releasing.  The two
-    methods that locate a token read before a term() call, after it, keep
-    its offset in the text and locate that only on an error: primary, for
+    each trust edge read as tokens, each term(), each comma_list() item
+    and each claim operand after the first.  A refill only appends, and
+    skip_to() drops and rescans only from the cursor on, so these are the
+    only places that move a token index.  So no method may hold a token
+    index across a call that can reach a release point; one that does
+    would read a different token, or locate an error wrongly.  tree() and
+    trust_relation() take their indices after releasing.  The two methods
+    that locate a token read before a term() call, after it, keep its
+    offset in the text and locate that only on an error: primary, for
     "split binders must be distinct" at the split, and model_entry, for an
-    undeclared default actor at the entry.  The methods that keep an index
+    undeclared default actor at the entry.  No caller of comma_list() or
+    claim() holds an index across it: script() and model_decl() locate
+    their declaration before the list, tree() its node before its
+    arguments, and claim_unary() and actor_weight_claim() read their
+    indices before the call and not after.  The methods that keep an index
     across a call (the sound and compare declarations across reference())
     call nothing that reaches a release point.
     """
 
     def __init__(self, text: str) -> None:
-        super().__init__(text, {})
+        super().__init__(text)
         self.refill()
         # Only proof nodes, declarations and errors ask for a location.
         self.locate = _Locator(text)
@@ -833,6 +834,9 @@ class _Parser(_Scan):
             if op[1] is Implies:
                 return self.make(Implies, operand, self.claim())
             waiting.append((operand, *op))
+            # A release point, tested here before the call, as in term().
+            if self.pos > self.release_at and self.pos > len(self.texts) >> 3:
+                self.release()
             if self.pos >= self.refill_at:
                 self.refill()
             operand = self.claim_unary()
@@ -968,8 +972,6 @@ class _Parser(_Scan):
         return self.var_leaves[name] if name in self.bound else self.atom_leaves[name]
 
     def provenance(self) -> Provenance:
-        if self.starts[self.pos] in self.runs:
-            self.unskip()   # "trust x { a -> b. }" as a term
         self.expect("{")
         fields: dict[str, str] = {}
         while not self.accept("}"):
@@ -1127,15 +1129,15 @@ class _Parser(_Scan):
     # -- script names
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
-        """One item or more, separated by ","."""
-        if self.pos >= self.refill_at:
-            self.refill()
-        items = [item()]
-        while self.accept(","):
+        """One item or more, separated by ",", each after a release point."""
+        items = []
+        while True:
+            self.release()
             if self.pos >= self.refill_at:
                 self.refill()
             items.append(item())
-        return items
+            if not self.accept(","):
+                return items
 
     def declare(self, kind: str) -> str:
         """A new name of the kind."""
@@ -1294,9 +1296,10 @@ class _Parser(_Scan):
         # Each edge's weight by (source, target): the duplicate check here,
         # then the relation's index.
         edges: dict[tuple[str, str], Weight] = {}
-        brace = self.starts[self.pos - 1]
-        if brace in self.runs:
-            self.run_edges(edges, brace + 1, self.runs[brace])
+        start = self.starts[self.pos - 1] + 1
+        end = self.run_edges(edges, start)
+        if end > start:
+            self.skip_to(end)
         while not self.accept("}"):
             self.release()
             if self.pos >= self.refill_at:
@@ -1312,28 +1315,31 @@ class _Parser(_Scan):
             edges[src, dst] = weight
         return TrustRelation._from_index(name, edges)
 
-    def run_edges(self, edges: dict[tuple[str, str], Weight], start: int, end: int) -> None:
-        """Read into edges the run of plain edges the scan skipped from start
-        to end, with the checks of the token path above in its order, each
-        error at the token it would be reported at there."""
+    def run_edges(self, edges: dict[tuple[str, str], Weight], at: int) -> int:
+        """Read into edges the run of plain edges from offset at on, straight
+        from the text, with the checks of the token path above in its order,
+        each error at the token it would be reported at there; return the
+        offset where the run ends."""
         # A script without actors judges as the default actor.
         names = self.actor_names or {DEFAULT_ACTOR: DEFAULT_ACTOR}
-        weights = self.weights
-        for m in _EDGE.finditer(self.text, start, end):
-            src, dst, text = m.groups()
+        weights, text = self.weights, self.text
+        while m := _EDGE.match(text, at):
+            at = m.end()
+            src, dst, number = m.groups()
             source, target = names.get(src), names.get(dst)
             # names holds every declared actor, so these raise.
             if source is None:
                 self.require("actor", src, m.start(1))
             if target is None:
                 self.require("actor", dst, m.start(2))
-            if text is None:
+            if number is None:
                 weight = _ONE
-            elif (weight := weights.get(text)) is None:
-                weight = self.new_weight(text, m.start(3))
+            elif (weight := weights.get(number)) is None:
+                weight = self.new_weight(number, m.start(3))
             if (source, target) in edges:
                 raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.locate(m.start(1)))
             edges[source, target] = weight
+        return at
 
     def model_decl(self) -> ModelDecl:
         loc = self.loc(self.pos)

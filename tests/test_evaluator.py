@@ -519,7 +519,9 @@ class TestCompactPath:
             stages.append(walk.term())
             # term() leaves the walk as it is.
             assert walk.term() == stages[-1]
-        return stages, False
+        # At the limit, like oracle_trace, whether the last term is normal:
+        # a term may reach its normal form in exactly limit steps.
+        return stages, not walk.step()
 
     def check(self, term):
         sequence, normal = oracle_trace(term, ORACLE_LIMIT)
@@ -554,6 +556,16 @@ class TestCompactPath:
     @given(towers())
     @settings(max_examples=60, deadline=None)
     def test_towers(self, term):
+        self.check(term)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_normal_form_at_the_limit(self, extra):
+        # One identity redex a layer: the normal form is exactly
+        # ORACLE_LIMIT + extra steps away.
+        term = _tower(["id"], ORACLE_LIMIT + extra, Atom("c"))
+        stages, normal = self.stages(term, ORACLE_LIMIT)
+        assert len(stages) - 1 == min(ORACLE_LIMIT, ORACLE_LIMIT + extra)
+        assert normal == (extra <= 0)
         self.check(term)
 
     @given(st.one_of(terms(), redex_terms()))

@@ -484,10 +484,13 @@ def _relation(edges, arrow="->"):
 
 
 def _run_end(text):
-    """Where the run of plain edges the scan skips in text ends, or 0."""
-    runs = {}
-    parser._scan(text, runs)
-    return max(runs.values(), default=0)
+    """Where the run of plain edges after the "{" of relation T in text
+    ends, or 0 if none follows it: where the parser's edge loop stops, one
+    anchored match of _EDGE an edge from that "{" on."""
+    start = end = text.index("trust T {") + len("trust T {")
+    while m := parser._EDGE.match(text, end):
+        end = m.end()
+    return end if end > start else 0
 
 
 # Each case: the relation's edges, the text that follows them, and the
@@ -542,6 +545,55 @@ class TestLateErrors:
         assert _run_end(text) >= len(head) - 1
         assert _outcome(parser.parse_script, text) == ("error", message, line, col)
         assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
+
+
+def _scanned(parse, text):
+    """How many matches of _SCAN parsing text takes, and its outcome."""
+    count = 0
+    scan = parser._SCAN
+
+    def counting(*args):
+        nonlocal count
+        for m in scan(*args):
+            count += 1
+            yield m
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_SCAN", counting)
+        outcome = _outcome(parse, text)
+    return count, outcome
+
+
+# The 1,500 edges of _relation(_EDGES), one a line, and the same body met
+# as a term, in a query and alone: each is an atom's provenance.
+_EDGE_LINES = _relation(_EDGES).split("{\n", 1)[1]
+_BODIES_AS_TERMS = [
+    (parser.parse_script, f"actor a00.\nmodel M {{ }}\nquery trust x {{\n{_EDGE_LINES}}} in M.\n"),
+    (parser.parse_term, f"trust x {{\n{_EDGE_LINES}}}"),
+]
+
+
+class TestEdgesAreNoTokens:
+    """A relation's plain edges are read straight from the text, so the scan
+    matches the tokens around them and no more than the _LOOKAHEAD tokens a
+    refill scans past the relation's "{".  Met as a term, the same body is
+    read as tokens, every edge's included, and agrees with the oracle."""
+
+    def test_a_relation_scans_only_what_surrounds_its_edges(self):
+        text = _relation(_EDGES) + "}\n"
+        outside = len(tokenize(_relation([]) + "}\n"))
+        count, outcome = _scanned(parser.parse_script, text)
+        assert outcome[0] == "value" and len(outcome[1].relations[0]._weights) == 1500
+        assert outcome == _outcome(oracle.parse_script, text)
+        assert count <= outside + parser._LOOKAHEAD + 2, (count, outside)
+
+    @pytest.mark.parametrize("parse, text", _BODIES_AS_TERMS, ids=["query", "term"])
+    def test_a_body_met_as_a_term_is_tokens(self, parse, text):
+        assert_agrees(parse.__name__, text)
+        assert _outcome(parse, text)[:2] == ("error", "unknown provenance field 'a00'")
+        tokens = _tokens_or_error(tokenize, text)
+        assert tokens == _tokens_or_error(oracle_tokenize, text)
+        assert sum(token[1] == "->" for token in tokens) == 1500
 
 
 # One term of about 1,500 tokens on 301 lines: f applied to 300 pairs,
@@ -647,6 +699,12 @@ class TestSmallestWindow:
             outcome = _outcome(parser.parse_script, _relation(edges, arrow) + late)
         assert outcome == ("error", message, line, col)
 
+    def test_edges_are_no_tokens(self):
+        with _smallest_window():
+            TestEdgesAreNoTokens().test_a_relation_scans_only_what_surrounds_its_edges()
+            for parse, text in _BODIES_AS_TERMS:
+                TestEdgesAreNoTokens().test_a_body_met_as_a_term_is_tokens(parse, text)
+
     def test_late_errors_in_a_term(self):
         with _smallest_window():
             split = _outcome(parser.parse_term, TestLateErrorsInATerm.SPLIT)
@@ -728,8 +786,8 @@ _PRECEDENCE = pytest.mark.parametrize(
 class TestErrorPrecedence:
     """A bad character anywhere in the text is the error, ahead of any the
     parser finds before the scan reaches it: a syntax error, nesting too
-    deep, an error after a run of edges the scan skipped, and one after a
-    relation's head read as a term, which scans the run again as tokens."""
+    deep, an error after a run of edges the parser read straight from the
+    text, and one after a relation's body read as a term, as tokens."""
 
     @staticmethod
     def _want(parse, text):

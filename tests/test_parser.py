@@ -266,6 +266,50 @@ class TestSharedLexemes:
         assert (exc.value.line, exc.value.col) == (2, 5)
 
 
+# A script with a slot for each operator that has a Unicode spelling, and
+# for a comment and a string, which may hold any text.
+_SPELLABLE = (
+    "claim A, B.  # {note}\n"
+    "actor P, Q.\n"
+    'model M {{ A = {{ a{{who="{who}"}}^P. }}. }}\n'
+    "query {lam}x.x^Q @ 0.5 {in} A {and} B {imp} ({not}A {or} {bot}) in M.\n"
+    "proof D {{ impIntro(x, assume x^P {in} A stating (x^P {in} A {turn} x^P {in} A), 0.5 {times} z) }}\n"
+)
+_SPELLINGS = {
+    "and": ("/\\", "∧"), "or": ("\\/", "∨"), "imp": ("->", "→"), "not": ("~", "¬"), "bot": ("_|_", "⊥"),
+    "lam": ("\\", "λ"), "turn": ("|-", "⊢"), "in": (":", "∈"), "times": ("*", "·"),
+}
+
+
+def _spelled(unicode_ops, note="plain", who="w"):
+    """_SPELLABLE with the operators named in unicode_ops in their Unicode
+    spelling and the others in ASCII."""
+    ops = {name: pair[name in unicode_ops] for name, pair in _SPELLINGS.items()}
+    return _SPELLABLE.format(note=note, who=who, **ops)
+
+
+class TestSpellings:
+    """The scan maps a Unicode operator to its ASCII spelling where it meets
+    it, so non-ASCII text in a comment or a string maps nothing, and a script
+    in any mix of spellings reads as its ASCII spelling does."""
+
+    @pytest.mark.parametrize(
+        "unicode_ops, note, who",
+        [
+            ((), "naïve: ∧ → ⊢ λ", "w"),
+            ((), "plain", "café →"),
+            (("and", "not", "lam", "in"), "plain", "w"),
+            (tuple(_SPELLINGS), "é", "café"),
+        ],
+        ids=["comment", "string", "mixed", "unicode"],
+    )
+    def test_reads_as_its_ascii_spelling(self, unicode_ops, note, who):
+        text = _spelled(unicode_ops, note, who)
+        assert not text.isascii()
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
+        assert parse_script(text) == parse_script(_spelled((), who=who))
+
+
 class TestErrorLocations:
     """Errors whose location comes from a token the parser has stepped past
     or looked ahead of, with the message, line and column each had when
@@ -1154,6 +1198,27 @@ class TestTokenRelease:
             tracemalloc.stop()
         assert isinstance(term, Apply) and held - base > 1_000_000
         assert peak - held <= 64 * 1024, (peak - held, held - base)
+
+    @pytest.mark.parametrize("height", [56, 80, 120])
+    def test_a_stated_sequent_is_read_a_window_at_a_time(self, height, monkeypatch):
+        # The top sequent of a tower of height 120 states 120 hypotheses and
+        # a claim of 121 conjuncts.  With release points before each
+        # hypothesis and each claim operand, the window's longest length is
+        # at most a release's threshold, the tokens a refill scans past the
+        # cursor and the few read between a release point and the check
+        # after it, at every height: 532 tokens at 120, where it held the
+        # sequent whole at 706, 872 and 1,050 tokens at 56, 80 and 120.
+        lengths = []
+        refill = _Parser.refill
+
+        def recording(self, want=None):
+            refill(self, want)
+            lengths.append(len(self.texts))
+
+        monkeypatch.setattr(_Parser, "refill", recording)
+        parse_script(_tower(height))
+        scan = veracity.parser
+        assert max(lengths) <= scan._RELEASE_AT + scan._LOOKAHEAD + scan._WINDOW + 9, max(lengths)
 
     @pytest.mark.parametrize("height", [56, 80])
     def test_a_stated_tower_peaks_near_its_value(self, height, monkeypatch):
