@@ -5,63 +5,43 @@ weight transformers, judgements, sequents, proof trees, and whole script
 files.  Script files (.vlp) declare claims, actors, trust relations, proofs,
 models, and the queries to run against them; `#` starts a line comment.
 
-The scanner runs one regex over the text, a chunk of tokens at a time as
-the parser reads them (the input buffer of Aho, Lam, Sethi & Ullman,
-Compilers, 2nd ed., 3.2).  Each match skips blanks and newlines and takes
-a token, a comment, which it drops, or a Unicode operator, which it maps
-to its ASCII spelling there; the regex knows nothing of trust relations.
-The scan keeps two parallel sequences: a list of each lexeme's text,
-Unicode operators in their ASCII spelling, and an array of the offset at
-which it starts, of 4-byte unsigned ints ("I") for a text shorter than
-2**32 characters and of 8-byte ones ("q") otherwise.  Equal lexemes are
-one string, shared through a table that belongs to the parse
-and is freed with it, so a token costs 12 bytes, a list slot and an array
-slot, plus one string per distinct lexeme; a string and a boxed int of its
-own per token took 60 to 78 bytes.  The parser's cursor reads those texts
-directly.  No operator's text equals the text of
-an identifier, number or string, so the cursor tells an operator or a
-keyword by its text alone, and any other token's kind by its first
-character.  Line and column are worked out from an offset only where a
-location is kept or an error is raised, by a locator that counts newlines
-onward from the offset it located last.  The parser asks for offsets in
-increasing order except on an error, so a parse counts each newline once
-and keeps no index of lines.
+The parser holds one token at a time, its current symbol (Wirth, Compiler
+Construction, 1996, ch. 4): the token's lexeme and the offset in the text
+at which it starts.  Each step takes the next match of one regex over the
+text, which skips blanks and newlines and takes a token, a comment, which
+it drops, or a Unicode operator, which it maps to its ASCII spelling there;
+the regex knows nothing of trust relations.  Equal lexemes are one string,
+shared through a table that belongs to the parse and is freed with it.  No
+operator's text equals the text of an identifier, number or string, so the
+parser tells an operator or a keyword by its text alone, and any other
+token's kind by its first character.  A method that locates a token after
+reading past it keeps the token's offset in the text.  Line and column are
+worked out from an offset only where a location is kept or an error is
+raised, by a locator that counts newlines onward from the offset it located
+last.  The parser asks for offsets in increasing order except on an error,
+so a parse counts each newline once and keeps no index of lines.
 No token spans a newline: strings exclude "\\n" and comments stop at it.
 Only "\\n" ends a line; the other line breaks str.splitlines knows (form
 feed and the rest) are unexpected characters, as any character no token
-starts with.
+starts with.  So no token is held but the current one, and parse_script and
+parse_term hold little more than the values they return.  A bad character
+is an error wherever it is, ahead of any other: one the scan has not
+reached when the parser fails is looked for then.
 
 Trust edges, the bulk of a large script, mostly become no tokens.  After
 a trust relation's "{", the parser reads the run of plain edges that
 follows, source -> target [@ weight] ".", straight from the text, one
 anchored regex match per edge, with the checks the token path makes, in
-its order and at the same places.  If it read any, it drops the window's
-tokens from the cursor on and the scan goes on from the run's end.  A
-refill stops a few tokens past each "{" it scans, so a run is never
-scanned far as tokens before the parser skips it.  Whatever the run does
-not cover (an edge written with "→", a malformed edge, and the rest of
-the body after either) is read as tokens, so the token path alone defines
-every error.  A body met as a term, as in "query trust x { a -> b. } in
-M.", is read as tokens like any other text.  tokenize gives the whole
-scan, every edge's tokens included, as Token tuples with their kinds and
+its order and at the same places.  If it read any, the scan starts again
+at the run's end.  Whatever the run does not cover (an edge written with
+"→", a malformed edge, and the rest of the body after either) is read as
+tokens, so the token path alone defines every error.  A body met as a
+term, as in "query trust x { a -> b. } in M.", is read as tokens like any
+other text.  A trust relation keeps, as its edge index, the dict the
+parser refused duplicate edges with, keyed by the parse's own actor-name
+strings.  tokenize runs the parser's scan to the end of the text and gives
+every token, every edge's included, as Token tuples with their kinds and
 positions.
-
-The parser holds a window of the scan, not the whole of it: it scans on
-whenever its cursor comes near the window's end, and drops the tokens it
-has read at its release points: the start of each top-level declaration,
-each proof node, each trust edge read as tokens, each witness term, each
-item of a comma-separated list, hypotheses included, and each claim
-operand after the first, once they are over 256 and over an eighth of
-those it holds.  So a long script's or term's tokens are never all alive,
-and not beside the values built from them; parse_script and parse_term
-hold little more than the values they return.  A bad character is an
-error wherever it is, ahead of any other: one the scan has not reached
-when the parser fails is looked for then.  Dropping tokens is safe
-because no token index is held across a release point; a method that
-must locate a token read before a term, after it, keeps the token's
-offset in the text instead, and _Parser says which.  A trust relation
-keeps, as its edge index, the dict the parser refused duplicate edges
-with, keyed by the parse's own actor-name strings.
 
 Claims are parsed by precedence climbing (Pratt 1973): one loop reads all
 three binary operators and recurses only for the right side of "->", a
@@ -99,11 +79,9 @@ kernel._RULES.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 from struct import Struct
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .core import (
     _ONE,
@@ -194,24 +172,23 @@ _GAP = r"[\ \t\r\n]* (?: \#[^\n]* (?![^\n]) [\ \t\r\n]* )*"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
 
 # One scan over the whole text.  Each match skips blanks and newlines, then
-# takes a token (group 1), a "{" (group 2), a comment (group 3), a Unicode
-# operator (group 4), the end of the text, or a bad character (group 5).
-# Identifiers and the frequent one-character operators come first; "_|_"
-# comes before identifiers, and each operator before the one-character
-# prefix it extends.  One alternative matches wherever the skip stops, so
-# finditer never steps over a character unseen and the skip is never
-# backtracked into; that is why the pattern needs no possessive quantifier
-# or atomic group, which Python 3.10's re lacks.
+# takes a token (group 1), a comment (group 2), a Unicode operator (group
+# 3), the end of the text, or a bad character (group 4).  Identifiers and
+# the frequent one-character operators come first; "_|_" comes before
+# identifiers, and each operator before the one-character prefix it
+# extends.  One alternative matches wherever the skip stops, so finditer
+# never steps over a character unseen and the skip is never backtracked
+# into; that is why the pattern needs no possessive quantifier or atomic
+# group, which Python 3.10's re lacks.
 _SCAN = re.compile(
     rf"""
     [\ \t\r\n]*
     (?:
-      ( _\|_ | {_IDENT} | [().,:^@*~\[\];}}]
+      ( _\|_ | {_IDENT} | [().,:^@*~\[\];{{}}]
       | \d+(?:\.\d+)?(?:/\d+)?
       | -> | /\\ | \\/? | =>? | \|-?
       | "(?:[^"\\\n]|\\["\\])*"
       )
-    | (\{{)
     | (\#[^\n]*)
     | ([∧∨→¬⊥λ⊢∈·])
     | \Z
@@ -238,133 +215,9 @@ _EDGE = re.compile(
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _scan(text: str) -> tuple[list[str], array]:
-    """The lexemes of text, Unicode operators in their ASCII spelling, and
-    their start offsets; both end with the eof entry "" at len(text).
-    Equal lexemes are one string object."""
-    scan = _Scan(text)
-    while scan.matches is not None:
-        # Each token takes a character at least, the eof entry none.
-        scan.refill(len(text) + 1)
-    return scan.texts, scan.starts
-
-
 def _unexpected(text: str, m: re.Match) -> ParseError:
     """The error of the bad character a match of _SCAN stopped at."""
-    return ParseError(f"unexpected character {m[5]!r}", *_Locator(text)(m.start(5)))
-
-
-# A refill scans this many tokens past the lookahead.
-_WINDOW = 256
-
-# How many tokens past the cursor a refill check makes sure of.  It must be
-# at least the most the parser reads between two checks, nine: a compare
-# declaration's "." is nine past its "compare".
-_LOOKAHEAD = 16
-
-# A prefix of read tokens is dropped once it is longer than this, and than
-# an eighth of the tokens held.
-_RELEASE_AT = 256
-
-
-class _Scan:
-    """The scan of one text, held as a window: the lexemes and offsets
-    scanned and not yet released, which the cursor pos indexes.
-
-    refill() extends the window from the scan's own finditer, so the tokens
-    of a long text are scanned as the cursor comes near them, not all before
-    the first is read.  A refill stops _LOOKAHEAD tokens past a "{", so the
-    tokens of what follows one, such as a trust relation's edges, are not
-    scanned far ahead of a reader that may skip them: skip_to() drops the
-    window from the cursor on and scans again from a later offset.
-    release() drops the prefix before the cursor; an offset is absolute, so
-    locations do not change.  No other call moves a token from its place."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        # The lexemes of the window, ending with the eof entry "" once the
-        # scan has reached it, and the offset in text at which each starts.
-        self.texts: list[str] = []
-        self.starts = _offsets(len(text))
-        self.pos = 0
-        # The table equal lexemes are shared through, one for the scan.
-        self.share = {}.setdefault
-        # The matches of _SCAN not read yet, None once the eof entry is in
-        # the window, and the offset they go on from, as of the last chunk.
-        self.matches: Optional[Iterator[re.Match]] = _SCAN(text)
-        self.resume = 0
-        # The cursor at which the window next needs more tokens.
-        self.refill_at = 0
-        self.release_at = _RELEASE_AT
-
-    def refill(self, want: Optional[int] = None) -> None:
-        """Scan on until the window holds want tokens, by default the
-        _LOOKAHEAD after the cursor and _WINDOW more, or _LOOKAHEAD past a
-        "{" scanned on the way, or ends with the eof entry.  A bad character
-        is a ParseError here, where it is met."""
-        texts, starts, share = self.texts, self.starts, self.share
-        if want is None:
-            want = self.pos + _LOOKAHEAD + _WINDOW
-        add_text, add_start = texts.append, starts.append
-        while self.matches is not None and (count := want - len(texts)) > 0:
-            for m in islice(self.matches, count):
-                lexeme = m[1]
-                if lexeme is None:
-                    break
-                add_text(share(lexeme, lexeme))
-                add_start(m.start(1))
-            else:
-                self.resume = m.end()
-                continue
-            # Not a token: a "{", a comment (3), which adds nothing, a
-            # Unicode operator, a bad character or the end of the text.
-            kind = m.lastindex
-            if kind == 2:
-                add_text("{")
-                add_start(m.start(2))
-                want = min(want, len(texts) + _LOOKAHEAD)
-            elif kind == 4:
-                lexeme = _UNICODE_OPS[m[4]]
-                add_text(share(lexeme, lexeme))
-                add_start(m.start(4))
-            elif kind == 5:
-                raise _unexpected(self.text, m)
-            elif kind is None:
-                add_text("")
-                add_start(len(self.text))
-                self.matches = None
-        # No cursor passes the eof entry, so once it is in the window no
-        # check asks for more.  A bound that stays a small int keeps the
-        # checks' comparison the one CPython specializes.
-        self.refill_at = len(texts) - (0 if self.matches is None else _LOOKAHEAD)
-
-    def release(self) -> None:
-        """Drop the tokens before the cursor once they are over release_at
-        and over an eighth of those held.  Each drop moves the tokens left,
-        and at least an eighth of them goes each time, so the moves cost
-        at most eight times the tokens: linear in the text."""
-        pos = self.pos
-        if pos > self.release_at and pos > len(self.texts) >> 3:
-            del self.texts[:pos], self.starts[:pos]
-            self.refill_at -= pos
-            self.pos = 0
-
-    def skip_to(self, offset: int) -> None:
-        """Drop the window from the cursor on, and scan on from offset, the
-        end of text the cursor's reader has read without tokens."""
-        del self.texts[self.pos:], self.starts[self.pos:]
-        self.matches = _SCAN(self.text, offset)
-        self.resume = offset
-        self.refill()
-
-    def unexpected(self) -> Optional[ParseError]:
-        """The error of the first bad character in the part of the text the
-        scan has not read, if there is one."""
-        if self.matches is not None:
-            for m in _SCAN(self.text, self.resume):
-                if m[5] is not None:
-                    return _unexpected(self.text, m)
-        return None
+    return ParseError(f"unexpected character {m[4]!r}", *_Locator(text)(m.start(4)))
 
 
 def _is_ident(text: str) -> bool:
@@ -380,12 +233,6 @@ def _kind(text: str) -> str:
     if text[0].isdecimal():   # \d: any Unicode decimal digit
         return "number"
     return "ident" if _is_ident(text) else "op"
-
-
-def _offsets(length: int) -> array:
-    """An empty array for offsets into a text of length characters: of
-    4-byte unsigned ints where every offset, length included, fits one."""
-    return array("I" if length < 2**32 else "q")
 
 
 class _Locator:
@@ -429,12 +276,15 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of text, each with its kind and position, ending with an
-    eof token: the whole scan at once, as Token tuples, where the parser
-    reads it a window at a time, and with the tokens of the trust edges the
-    parser reads straight from the text."""
-    texts, starts = _scan(text)
-    locate = _Locator(text)
-    return [Token(_kind(t), t, *locate(at)) for t, at in zip(texts, starts)]
+    eof token: the parser's scan, stepped to the end of the text, with the
+    tokens of the trust edges the parser reads straight from the text."""
+    p = _Parser(text)
+    tokens = []
+    while True:
+        tokens.append(Token(_kind(p.token), p.token, *p.loc()))
+        if not p.token:
+            return tokens
+        p.advance()
 
 
 def _decode_string(raw: str) -> str:
@@ -625,54 +475,27 @@ class _Leaves(dict):
         return leaf
 
 
-class _Parser(_Scan):
-    """A recursive-descent parser over one text's scan, read through the
-    window of _Scan.
+class _Parser:
+    """A recursive-descent parser over one text, holding its current token
+    only: token, the lexeme, "" at the end of the text, and start, the
+    offset in the text at which it starts.  advance() steps to the next
+    token, so each method reads its tokens in order, one at a time.
 
-    Refill: a refill check, "if self.pos >= self.refill_at: self.refill()",
-    scans on when the window holds fewer than _LOOKAHEAD tokens after the
-    cursor, so after a check the parser may read the _LOOKAHEAD tokens past
-    the cursor, and no more, before the next check.  Checks sit at each
-    release point, each claim operand, weight factor, primary of a term,
-    comma_list item, model assignment and provenance field, and before the
-    closer that follows a nested claim, weight, rule's arguments, stated
-    sequent or under context.  term(), claim() and weight_expr() return at
-    most one token past their last check, and what follows one of them
-    inside a judgement, hypothesis or model entry ends within nine tokens
-    of it.  The longest stretch between two checks is nine tokens past the
-    cursor: a compare declaration, and a query whose witness ends with a
-    lambda's weight, followed by "^ P @ 1 : A in M .", whose "." is nine
-    past that weight.  A refill call takes a frame of the stack, so a check
-    sits just before or just after a call the parse makes anyway, at the
-    same cursor.  "nesting too deep" is then
-    located where a parse of the whole scan would locate it, but where a
-    refill or a release falls due at the deepest frame: its own calls run
-    the stack out a token earlier.
-
-    Release: it drops the tokens it has read, in place, at its release
-    points only: the start of each top-level declaration, each proof node,
-    each trust edge read as tokens, each term(), each comma_list() item
-    and each claim operand after the first.  A refill only appends, and
-    skip_to() drops and rescans only from the cursor on, so these are the
-    only places that move a token index.  So no method may hold a token
-    index across a call that can reach a release point; one that does
-    would read a different token, or locate an error wrongly.  tree() and
-    trust_relation() take their indices after releasing.  The two methods
-    that locate a token read before a term() call, after it, keep its
-    offset in the text and locate that only on an error: primary, for
-    "split binders must be distinct" at the split, and model_entry, for an
-    undeclared default actor at the entry.  No caller of comma_list() or
-    claim() holds an index across it: script() and model_decl() locate
-    their declaration before the list, tree() its node before its
-    arguments, and claim_unary() and actor_weight_claim() read their
-    indices before the call and not after.  The methods that keep an index
-    across a call (the sound and compare declarations across reference())
-    call nothing that reaches a release point.
+    A method that locates a token it has read past keeps the token's
+    offset: declarations, proof nodes, provenance fields, trust edges,
+    model assignments and entries, and the split and provenance errors of
+    primary.  family() looks past an "i" for "=>" by a scan of its own,
+    and trust_relation() starts the scan again where a run of edges it read
+    straight from the text ends.  A RecursionError is "nesting too deep"
+    at the current token.
     """
 
     def __init__(self, text: str) -> None:
-        super().__init__(text)
-        self.refill()
+        self.text = text
+        # The matches of _SCAN past the current token, and the table equal
+        # lexemes are shared through, one for the parse.
+        self.matches = _SCAN(text)
+        self.share = {}.setdefault
         # Only proof nodes, declarations and errors ask for a location.
         self.locate = _Locator(text)
         # Each weight literal converted so far, by its text.
@@ -702,44 +525,74 @@ class _Parser(_Scan):
         # The script's actors keyed by themselves, so that an edge read
         # from the text is keyed by the parse's own name strings.
         self.actor_names: dict[str, str] = {}
+        # The current token, the first of the text once advance() reads it.
+        self.token = ""
+        self.start = 0
+        self.advance()
 
     # -- token plumbing
 
-    def loc(self, at: int) -> tuple[int, int]:
-        """The line and column of the token at index at."""
-        return self.locate(self.starts[at])
+    def advance(self) -> None:
+        """Step to the next token.  A bad character is a ParseError here,
+        where it is met.  No caller steps past the end of the text."""
+        for m in self.matches:
+            lexeme = m[1]
+            if lexeme is not None:
+                self.token = self.share(lexeme, lexeme)
+                self.start = m.start(1)
+                return
+            # Not a token: a comment (2), which adds nothing, a Unicode
+            # operator, a bad character or the end of the text.
+            kind = m.lastindex
+            if kind == 3:
+                lexeme = _UNICODE_OPS[m[3]]
+                self.token = self.share(lexeme, lexeme)
+                self.start = m.start(3)
+                return
+            if kind == 4:
+                raise _unexpected(self.text, m)
+            if kind is None:
+                self.token = ""
+                self.start = len(self.text)
+                return
 
-    # at, accept and expect take an operator or a keyword and compare texts
+    def unexpected(self) -> Optional[ParseError]:
+        """The error of the first bad character from the current token on,
+        if there is one."""
+        for m in _SCAN(self.text, self.start):
+            if m[4] is not None:
+                return _unexpected(self.text, m)
+        return None
+
+    def loc(self) -> tuple[int, int]:
+        """The line and column of the current token."""
+        return self.locate(self.start)
+
+    # accept and expect take an operator or a keyword and compare texts
     # only: no operator's text is the text of an identifier, number, string
-    # or eof.  A matched token is never eof, so stepping past it needs no
-    # check.
-
-    def at(self, text: str) -> bool:
-        return self.texts[self.pos] == text
+    # or eof.
 
     def accept(self, text: str) -> bool:
-        if self.texts[self.pos] == text:
-            self.pos += 1
+        if self.token == text:
+            self.advance()
             return True
         return False
 
     def expect(self, text: str) -> None:
-        found = self.texts[self.pos]
-        if found != text:
-            raise ParseError(f"expected {text!r}, found {_describe(found)}", *self.loc(self.pos))
-        self.pos += 1
+        if self.token != text:
+            raise ParseError(f"expected {text!r}, found {_describe(self.token)}", *self.loc())
+        self.advance()
 
     def expect_ident(self, what: str = "identifier") -> str:
-        found = self.texts[self.pos]
+        found = self.token
         if found[:1] not in _IDENT_START or found == "_|_":
-            raise ParseError(f"expected {what}, found {_describe(found)}", *self.loc(self.pos))
-        self.pos += 1
+            raise ParseError(f"expected {what}, found {_describe(found)}", *self.loc())
+        self.advance()
         return found
 
     def expect_eof(self) -> None:
-        found = self.texts[self.pos]
-        if found:
-            raise ParseError(f"unexpected {_describe(found)}", *self.loc(self.pos))
+        if self.token:
+            raise ParseError(f"unexpected {_describe(self.token)}", *self.loc())
 
     def make(self, cls: Callable[..., _T], *fields: Any) -> _T:
         """cls(*fields), or, while values are shared, the value of the table
@@ -761,14 +614,13 @@ class _Parser(_Scan):
     # -- weights
 
     def weight(self) -> Weight:
-        at = self.pos
-        text = self.texts[at]
+        text = self.token
         value = self.weights.get(text)
         if value is None:
             if not text[:1].isdecimal():
-                raise ParseError(f"expected a weight, found {_describe(text)}", *self.loc(at))
-            value = self.new_weight(text, self.starts[at])
-        self.pos = at + 1
+                raise ParseError(f"expected a weight, found {_describe(text)}", *self.loc())
+            value = self.new_weight(text, self.start)
+        self.advance()
         return value
 
     def new_weight(self, text: str, offset: int) -> Weight:
@@ -788,9 +640,7 @@ class _Parser(_Scan):
         return expr
 
     def weight_factor(self) -> WeightExpr:
-        if self.pos >= self.refill_at:
-            self.refill()
-        if self.texts[self.pos][:1].isdecimal():
+        if self.token[:1].isdecimal():
             return self.make(Const, self.weight())
         if self.accept("z"):
             return ARG
@@ -799,18 +649,13 @@ class _Parser(_Scan):
             left = self.weight_expr()
             self.expect(",")
             right = self.weight_expr()
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
             return self.make(Min, left, right)
         if self.accept("("):
             expr = self.weight_expr()
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
             return expr
-        found = self.texts[self.pos]
-        raise ParseError(f"expected a weight expression, found {_describe(found)}", *self.loc(self.pos))
+        raise ParseError(f"expected a weight expression, found {_describe(self.token)}", *self.loc())
 
     # -- claims
 
@@ -819,75 +664,57 @@ class _Parser(_Scan):
         # that binds no tighter; ->, the loosest, takes the rest as its
         # right side.
         waiting: list[tuple[Claim, int, type]] = []
-        if self.pos >= self.refill_at:
-            self.refill()
         operand = self.claim_unary()
         while True:
-            op = _CLAIM_OPS.get(self.texts[self.pos])
+            op = _CLAIM_OPS.get(self.token)
             tightness = op[0] if op else 0
             while waiting and waiting[-1][1] >= tightness:
                 left, _, build = waiting.pop()
                 operand = self.make(build, left, operand)
             if op is None:
                 return operand
-            self.pos += 1
+            self.advance()
             if op[1] is Implies:
                 return self.make(Implies, operand, self.claim())
             waiting.append((operand, *op))
-            # A release point, tested here before the call, as in term().
-            if self.pos > self.release_at and self.pos > len(self.texts) >> 3:
-                self.release()
-            if self.pos >= self.refill_at:
-                self.refill()
             operand = self.claim_unary()
 
     def claim_unary(self) -> Claim:
-        at = self.pos
-        found = self.texts[at]
-        self.pos = at + 1
+        found = self.token
         leaf = self.claim_leaves.get(found)
         if leaf is not None:
+            self.advance()
             return leaf
         if found == "~":
-            if self.pos >= self.refill_at:
-                self.refill()
+            self.advance()
             return self.make(Implies, self.claim_unary(), BOTTOM)
         if found == "(":
+            self.advance()
             inner = self.claim()
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
             return inner
+        if found[:1] not in _IDENT_START:
+            raise ParseError(f"expected a claim, found {_describe(found)}", *self.loc())
+        self.advance()
         if found == "_|_":
             return BOTTOM
-        if found[:1] not in _IDENT_START:
-            raise ParseError(f"expected a claim, found {_describe(found)}", *self.loc(at))
         self.all_declared = False
         return Atomic(found)
 
     # -- witness terms
 
     def term(self) -> Term:
-        texts = self.texts
-        # A release point, tested here before the call: most terms are
-        # read with nothing to drop.
-        if self.pos > self.release_at and self.pos > len(texts) >> 3:
-            self.release()
-        if texts[self.pos] == "\\":
-            self.pos += 1
+        if self.token == "\\":
+            self.advance()
             param = self.expect_ident("a parameter name")
             self.expect(".")
             body = self.scoped_term((param,))
             if self.accept("@"):
                 return self.make(Lambda, param, body, self.weight_expr())
             return self.make(Lambda, param, body)
-        if self.pos >= self.refill_at:
-            self.refill()
         term = self.primary()
         while True:
-            if self.pos >= self.refill_at:
-                self.refill()
-            found = texts[self.pos]
+            found = self.token
             if found != "(" and (found[:1] not in _IDENT_START or found == "_|_"):
                 return term
             term = self.make(Apply, term, self.primary())
@@ -897,8 +724,6 @@ class _Parser(_Scan):
         bound = self.bound
         for name in names:
             bound[name] = bound.get(name, 0) + 1
-        if self.pos >= self.refill_at:
-            self.refill()
         body = self.term()
         for name in names:
             left = bound[name] - 1
@@ -909,38 +734,26 @@ class _Parser(_Scan):
         return body
 
     def primary(self) -> Term:
-        texts = self.texts
-        at = self.pos
-        name = texts[at]
-        # "(", "," and ")" are compared here; expect reads one only when it
-        # is missing, for its error.
+        name = self.token
         if name == "(":
-            self.pos = at + 1
+            self.advance()
             first = self.term()
-            at = self.pos
-            if texts[at] == ",":
-                self.pos = at + 1
+            if self.accept(","):
                 second = self.term()
-                if texts[self.pos] != ")":
-                    self.expect(")")
-                self.pos += 1
-                return self.make(Pair, first, second)
-            if texts[at] != ")":
                 self.expect(")")
-            self.pos = at + 1
+                return self.make(Pair, first, second)
+            self.expect(")")
             return first
         if name[:1] not in _IDENT_START or name == "_|_":
-            raise ParseError(f"expected a term, found {_describe(name)}", *self.loc(at))
-        self.pos = at + 1
-        follow = texts[at + 1]
+            raise ParseError(f"expected a term, found {_describe(name)}", *self.loc())
+        start = self.start
+        self.advance()
+        follow = self.token
         # Constructor names bind only to an immediately adjacent "(", so an
         # identifier i applied to a parenthesized argument (written "i (x)")
         # stays an application.
-        if follow == "(" and name in _CONSTRUCTORS and self.starts[at + 1] == self.starts[at] + len(name):
-            # An offset for the split error: term() may drop the tokens
-            # before it, which moves every token index.
-            start = self.starts[at]
-            self.pos += 1
+        if follow == "(" and name in _CONSTRUCTORS and self.start == start + len(name):
+            self.advance()
             scrutinee = self.term()
             if name == "i" or name == "j":
                 self.expect(")")
@@ -967,7 +780,7 @@ class _Parser(_Scan):
             return self.make(SplitOf, scrutinee, fv, sv, body)
         if follow == "{":
             if name in self.bound:
-                raise ParseError("provenance belongs on atoms, not bound variables", *self.loc(at))
+                raise ParseError("provenance belongs on atoms, not bound variables", *self.locate(start))
             return Atom(name, self.provenance())
         return self.var_leaves[name] if name in self.bound else self.atom_leaves[name]
 
@@ -975,23 +788,19 @@ class _Parser(_Scan):
         self.expect("{")
         fields: dict[str, str] = {}
         while not self.accept("}"):
-            if self.pos >= self.refill_at:
-                self.refill()
-            at = self.pos
+            at = self.start
             key = self.expect_ident("a provenance field")
             if key not in ("who", "where", "when", "how"):
-                raise ParseError(f"unknown provenance field {key!r}", *self.loc(at))
+                raise ParseError(f"unknown provenance field {key!r}", *self.locate(at))
             if key in fields:
-                raise ParseError(f"duplicate provenance field {key!r}", *self.loc(at))
+                raise ParseError(f"duplicate provenance field {key!r}", *self.locate(at))
             self.expect("=")
-            value = self.texts[self.pos]
+            value = self.token
             if value[:1] != '"':
-                raise ParseError(
-                    f"expected a quoted string, found {_describe(value)}", *self.loc(self.pos)
-                )
-            self.pos += 1
+                raise ParseError(f"expected a quoted string, found {_describe(value)}", *self.loc())
+            self.advance()
             fields[key] = _decode_string(value)
-            if not self.at("}"):
+            if self.token != "}":
                 self.expect(",")
         return Provenance(**fields)
 
@@ -1009,33 +818,14 @@ class _Parser(_Scan):
     def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
         """The [^actor] [@weight] ":" claim that ends a judgement or a
         hypothesis."""
-        texts, pos = self.texts, self.pos
-        # A declared actor and a declared claim name that no operator
-        # follows are read here; anything else goes through the calls.
-        if texts[pos] == "^" and self.declared.get(texts[pos + 1]) == "actor":
-            actor = texts[pos + 1]
-            pos += 2
-        else:
-            actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
-            self.note("actor", actor)
-            pos = self.pos
-        if texts[pos] == "@":
-            self.pos = pos + 1
-            weight = self.weight()
-            pos = self.pos
-        else:
-            weight = _ONE
-        if texts[pos] == ":":
-            leaf = self.claim_leaves.get(texts[pos + 1])
-            if leaf is not None and texts[pos + 2] not in _CLAIM_OPS:
-                self.pos = pos + 2
-                return actor, weight, leaf
-        self.pos = pos
+        actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
+        self.note("actor", actor)
+        weight = self.weight() if self.accept("@") else _ONE
         self.expect(":")
         return actor, weight, self.claim()
 
     def sequent(self) -> Sequent:
-        hyps = [] if self.at("|-") else self.comma_list(self.hypothesis)
+        hyps = [] if self.token == "|-" else self.comma_list(self.hypothesis)
         self.expect("|-")
         conclusion = self.judgement(tuple(h.var for h in hyps))
         return Sequent(tuple(hyps), conclusion)
@@ -1043,16 +833,11 @@ class _Parser(_Scan):
     # -- proof trees
 
     def tree(self) -> ProofTree:
-        self.release()
-        if self.pos >= self.refill_at:
-            self.refill()
-        at = self.pos
-        rule = _RULE_BY_NAME.get(self.texts[at])
+        rule = _RULE_BY_NAME.get(self.token)
         if rule is None:
-            found = self.texts[at]
-            raise ParseError(f"expected a rule name, found {_describe(found)}", *self.loc(at))
-        loc = self.loc(at)
-        self.pos = at + 1
+            raise ParseError(f"expected a rule name, found {_describe(self.token)}", *self.loc())
+        loc = self.loc()
+        self.advance()
         if rule is Rule.ASSUME:
             premises, args = (), self.assume_args()
         else:
@@ -1066,8 +851,6 @@ class _Parser(_Scan):
                     subtrees.append(self.tree())
                 else:
                     values.append(self.rule_arg(kind))
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
             premises, args = tuple(subtrees), _RULE_SYNTAX[rule][1](*values)
         stated = None
@@ -1078,8 +861,6 @@ class _Parser(_Scan):
             self.shared = self.table
             stated = self.sequent()
             self.shared = None
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
         return ProofTree(rule, premises, args, stated, loc)
 
@@ -1094,8 +875,6 @@ class _Parser(_Scan):
             self.shared = self.table
             context = self.comma_list(self.hypothesis)
             self.shared = None
-            if self.pos >= self.refill_at:
-                self.refill()
             self.expect(")")
         return AssumeArgs(var, claim, actor, tuple(context))
 
@@ -1116,35 +895,36 @@ class _Parser(_Scan):
         return name
 
     def family(self) -> ClaimFamily:
-        if self.at("i") and self.texts[self.pos + 1] == "=>":
-            self.pos += 2
-            on_left = self.claim()
-            self.expect("|")
-            self.expect("j")
-            self.expect("=>")
-            on_right = self.claim()
-            return TagFamily(on_left, on_right)
+        if self.token == "i":
+            # A tag family if "=>" follows: the first match of the scan past
+            # the "i" that is not a comment.
+            follow = next(m for m in _SCAN(self.text, self.start + 1) if m.lastindex != 2)
+            if follow[1] == "=>":
+                self.advance()
+                self.advance()
+                on_left = self.claim()
+                self.expect("|")
+                self.expect("j")
+                self.expect("=>")
+                on_right = self.claim()
+                return TagFamily(on_left, on_right)
         return ConstantFamily(self.claim())
 
     # -- script names
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
-        """One item or more, separated by ",", each after a release point."""
-        items = []
-        while True:
-            self.release()
-            if self.pos >= self.refill_at:
-                self.refill()
+        """One item or more, separated by ","."""
+        items = [item()]
+        while self.accept(","):
             items.append(item())
-            if not self.accept(","):
-                return items
+        return items
 
     def declare(self, kind: str) -> str:
         """A new name of the kind."""
-        at = self.pos
+        at = self.start
         name = self.expect_ident(_SCRIPT_NAMES[kind][1])
         if name in self.declared:
-            raise ParseError(f"duplicate name {name!r}", *self.loc(at))
+            raise ParseError(f"duplicate name {name!r}", *self.locate(at))
         self.declared[name] = kind
         if kind == "claim":
             self.claim_leaves[name] = Atomic(name)
@@ -1152,7 +932,7 @@ class _Parser(_Scan):
 
     def reference(self, kind: str) -> str:
         """A name declared as the kind."""
-        start = self.starts[self.pos]
+        start = self.start
         name = self.expect_ident(_SCRIPT_NAMES[kind][2])
         self.require(kind, name, start)
         return name
@@ -1223,16 +1003,10 @@ class _Parser(_Scan):
         queries: list[QueryDecl] = []
         sounds: list[SoundDecl] = []
         compares: list[CompareDecl] = []
-        while True:
-            self.release()
-            if self.pos >= self.refill_at:
-                self.refill()
-            at = self.pos
-            word = self.texts[at]
-            if not word:   # the eof entry
-                break
+        while word := self.token:   # "" is the end of the text
+            at = self.start
             if not _is_ident(word):
-                raise ParseError(f"expected a declaration, found {word!r}", *self.loc(at))
+                raise ParseError(f"expected a declaration, found {word!r}", *self.loc())
             if self.accept("claim"):
                 claims += self.comma_list(lambda: self.declare("claim"))
                 self.expect(".")
@@ -1245,7 +1019,7 @@ class _Parser(_Scan):
             elif self.accept("trust"):
                 relations.append(self.trust_relation())
             elif self.accept("proof"):
-                loc = self.loc(self.pos)
+                loc = self.loc()
                 name = self.declare("proof")
                 self.expect("{")
                 self.all_declared = True
@@ -1259,7 +1033,7 @@ class _Parser(_Scan):
             elif self.accept("model"):
                 models.append(self.model_decl())
             elif self.accept("query"):
-                loc = self.loc(at)
+                loc = self.locate(at)
                 self.all_declared = True
                 judgement = self.judgement()
                 if not self.all_declared:
@@ -1273,7 +1047,7 @@ class _Parser(_Scan):
                 self.expect("in")
                 model = self.reference("model")
                 self.expect(".")
-                sounds.append(SoundDecl(proof, model, self.loc(at)))
+                sounds.append(SoundDecl(proof, model, self.locate(at)))
             elif self.accept("compare"):
                 self.expect("chain")
                 chain = self.reference("relation")
@@ -1284,34 +1058,32 @@ class _Parser(_Scan):
                 self.expect("to")
                 target = self.reference("actor")
                 self.expect(".")
-                compares.append(CompareDecl(chain, star, source, target, self.loc(at)))
+                compares.append(CompareDecl(chain, star, source, target, self.locate(at)))
             else:
-                raise ParseError(f"unknown declaration {word!r}", *self.loc(at))
+                raise ParseError(f"unknown declaration {word!r}", *self.loc())
         found = (claims, self.actors, relations, proofs, models, queries, sounds, compares)
         return Script(*map(tuple, found))
 
     def trust_relation(self) -> TrustRelation:
         name = self.declare("relation")
+        start = self.start + 1   # past the "{"
         self.expect("{")
         # Each edge's weight by (source, target): the duplicate check here,
         # then the relation's index.
         edges: dict[tuple[str, str], Weight] = {}
-        start = self.starts[self.pos - 1] + 1
         end = self.run_edges(edges, start)
         if end > start:
-            self.skip_to(end)
+            self.matches = _SCAN(self.text, end)
+            self.advance()
         while not self.accept("}"):
-            self.release()
-            if self.pos >= self.refill_at:
-                self.refill()
-            at = self.pos
+            at = self.start
             src = self.reference("actor")
             self.expect("->")
             dst = self.reference("actor")
             weight = self.weight() if self.accept("@") else _ONE
             self.expect(".")
             if (src, dst) in edges:
-                raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.loc(at))
+                raise ParseError(f"duplicate trust edge {src} -> {dst}", *self.locate(at))
             edges[src, dst] = weight
         return TrustRelation._from_index(name, edges)
 
@@ -1342,18 +1114,16 @@ class _Parser(_Scan):
         return at
 
     def model_decl(self) -> ModelDecl:
-        loc = self.loc(self.pos)
+        loc = self.loc()
         name = self.declare("model")
         uses = self.comma_list(lambda: self.reference("relation")) if self.accept("uses") else []
         self.expect("{")
         assignments: dict[str, tuple[WeightedWitness, ...]] = {}
         while not self.accept("}"):
-            if self.pos >= self.refill_at:
-                self.refill()
-            at = self.pos
+            at = self.start
             claim = self.reference("claim")
             if claim in assignments:
-                raise ParseError(f"claim {claim!r} assigned twice", *self.loc(at))
+                raise ParseError(f"claim {claim!r} assigned twice", *self.locate(at))
             self.expect("=")
             self.expect("{")
             entries: list[WeightedWitness] = []
@@ -1366,9 +1136,7 @@ class _Parser(_Scan):
     def model_entry(self) -> WeightedWitness:
         """term [^actor] [@weight] ".", whose left-out actor is the default
         one, checked once the entry is read."""
-        # An offset for the actor error: term() may drop the tokens before
-        # it, which moves every token index.
-        start = self.starts[self.pos]
+        start = self.start
         term = self.term()
         actor = self.reference("actor") if self.accept("^") else None
         weight = self.weight() if self.accept("@") else _ONE
@@ -1394,7 +1162,7 @@ def _run(text: str, parse):
         # finds ahead of it.
         raise p.unexpected() or exc from None
     except RecursionError:
-        raise p.unexpected() or ParseError("nesting too deep", *p.loc(p.pos)) from None
+        raise p.unexpected() or ParseError("nesting too deep", *p.loc()) from None
 
 
 def parse_claim(text: str) -> Claim:

@@ -3,7 +3,6 @@ equal value, with the same proof locations, or the same ParseError at the
 same line and column.  Only "nesting too deep" may differ, since the two
 spend the stack differently."""
 
-import contextlib
 import copy
 import dataclasses
 import pickle
@@ -452,25 +451,6 @@ class TestRelationBodies:
         assert_agrees("parse_term", "f (trust x { a -> b @ 1. })")
 
 
-def _releases(text, parse=parser.parse_script):
-    """How many times parsing text drops the tokens read so far."""
-    dropped = []
-    release = parser._Parser.release
-
-    def counting(self):
-        held = len(self.texts)
-        release(self)
-        if len(self.texts) < held:
-            dropped.append(held - len(self.texts))
-
-    parser._Parser.release = counting
-    try:
-        _outcome(parse, text)
-    finally:
-        parser._Parser.release = release
-    return len(dropped)
-
-
 # Forty actors, and the first 1,500 of the edges between two of them.
 _ACTORS = [f"a{k:02d}" for k in range(40)]
 _EDGES = [(s, t) for s in _ACTORS for t in _ACTORS if s != t][:1500]
@@ -524,16 +504,16 @@ _LATE = pytest.mark.parametrize(
 
 class TestLateErrors:
     """An error found after the parser has read many edges is the oracle's,
-    with its message, line and column: no token index is held across a
-    point where tokens are dropped, and a run of edges read straight from
-    the text locates what follows it as the tokens do."""
+    with its message, line and column, whether it read them as tokens or,
+    as a run of edges straight from the text, located what follows the run
+    as the tokens do."""
 
     @_LATE
     def test_matches_the_oracle(self, edges, late, message, line, col):
         # Edges written with "→" are no run: the parser reads them as
-        # tokens and drops them as it goes.
+        # tokens.
         text = _relation(edges, "→") + late
-        assert _run_end(text) == 0 and _releases(text) >= 3
+        assert _run_end(text) == 0
         assert _outcome(parser.parse_script, text) == ("error", message, line, col)
         assert _outcome(oracle.parse_script, text) == ("error", message, line, col)
 
@@ -575,9 +555,10 @@ _BODIES_AS_TERMS = [
 
 class TestEdgesAreNoTokens:
     """A relation's plain edges are read straight from the text, so the scan
-    matches the tokens around them and no more than the _LOOKAHEAD tokens a
-    refill scans past the relation's "{".  Met as a term, the same body is
-    read as tokens, every edge's included, and agrees with the oracle."""
+    matches the tokens around them, the one token after the relation's "{"
+    and the end of the text again where it starts past the run.  Met as a
+    term, the same body is read as tokens, every edge's included, and
+    agrees with the oracle."""
 
     def test_a_relation_scans_only_what_surrounds_its_edges(self):
         text = _relation(_EDGES) + "}\n"
@@ -585,7 +566,7 @@ class TestEdgesAreNoTokens:
         count, outcome = _scanned(parser.parse_script, text)
         assert outcome[0] == "value" and len(outcome[1].relations[0]._weights) == 1500
         assert outcome == _outcome(oracle.parse_script, text)
-        assert count <= outside + parser._LOOKAHEAD + 2, (count, outside)
+        assert count <= outside + 2, (count, outside)
 
     @pytest.mark.parametrize("parse, text", _BODIES_AS_TERMS, ids=["query", "term"])
     def test_a_body_met_as_a_term_is_tokens(self, parse, text):
@@ -596,23 +577,21 @@ class TestEdgesAreNoTokens:
         assert sum(token[1] == "->" for token in tokens) == 1500
 
 
-# One term of about 1,500 tokens on 301 lines: f applied to 300 pairs,
-# whose parts term() reads one at a time, dropping tokens as it goes.
+# One term of about 1,500 tokens on 301 lines: f applied to 300 pairs.
 _LONG_TERM = "f" + "".join(f"\n  (a{k}, b)" for k in range(300))
 
 
 class TestLateErrorsInATerm:
-    """term() is a release point too, so an error at a token read before
-    more than 1,024 tokens of one term is the oracle's, with its message,
-    line and column: a split and a model entry keep the text offset of
-    their first token across the term they read, not its token index."""
+    """An error at a token read before more than 1,024 tokens of one term is
+    the oracle's, with its message, line and column: a split and a model
+    entry keep the text offset of their first token across the term they
+    read."""
 
     SPLIT = f"h\n  (c split({_LONG_TERM}, x.x.x))"
     ENTRY = f"claim A.\nactor P, Q.\nmodel M {{\n  A = {{\n    x^P.\n    {_LONG_TERM}.\n  }}.\n}}\n"
 
     def test_split_binders(self):
         want = ("error", "split binders must be distinct", 2, 6)
-        assert _releases(self.SPLIT, parser.parse_term) >= 1
         assert _outcome(parser.parse_term, self.SPLIT) == want
         assert _outcome(oracle.parse_term, self.SPLIT) == want
 
@@ -623,64 +602,44 @@ class TestLateErrorsInATerm:
 
     def test_an_entry_without_an_actor(self):
         want = ("error", "actor 'default' is not declared", 6, 5)
-        assert _releases(self.ENTRY) >= 1
         assert _outcome(parser.parse_script, self.ENTRY) == want
         assert _outcome(oracle.parse_script, self.ENTRY) == want
 
 
-@contextlib.contextmanager
-def _smallest_window():
-    """The parser's window at its smallest legal size: a refill scans one
-    token past the lookahead, and the lookahead is nine, the most tokens
-    the parser reads between two refill checks, a compare declaration's.
-    A read that no check covers is then an IndexError."""
-    saved = parser._WINDOW, parser._LOOKAHEAD
-    parser._WINDOW, parser._LOOKAHEAD = 1, 9
-    try:
-        yield
-    finally:
-        parser._WINDOW, parser._LOOKAHEAD = saved
-
-
 class TestSmallestWindow:
-    """With the window at its smallest legal size, every input still parses
-    to the oracle's value, or fails with its error at its line and column."""
+    """Generated inputs and their mutations, the fixtures, late errors, and
+    each loop and nesting construct run long: each parses to the oracle's
+    value, or fails with its error at its line and column."""
 
     @given(with_mutations(claims(12).map(render_claim)))
     @settings(max_examples=150)
     def test_claims(self, text):
-        with _smallest_window():
-            assert_agrees("parse_claim", text)
+        assert_agrees("parse_claim", text)
 
     @given(with_mutations(terms(12).map(render_term)))
     @settings(max_examples=150)
     def test_terms(self, text):
-        with _smallest_window():
-            assert_agrees("parse_term", text)
+        assert_agrees("parse_term", text)
 
     @given(with_mutations(judgements(6).map(render_judgement)))
     @settings(max_examples=100)
     def test_judgements(self, text):
-        with _smallest_window():
-            assert_agrees("parse_judgement", text)
+        assert_agrees("parse_judgement", text)
 
     @given(with_mutations(sequents.map(render_sequent)))
     @settings(max_examples=100)
     def test_sequents(self, text):
-        with _smallest_window():
-            assert_agrees("parse_sequent", text)
+        assert_agrees("parse_sequent", text)
 
     @given(with_mutations(scripts()))
     @settings(max_examples=200, deadline=None)
     def test_scripts(self, text):
-        with _smallest_window():
-            assert_agrees("parse_script", text)
+        assert_agrees("parse_script", text)
 
     @given(with_mutations(relation_scripts()))
     @settings(max_examples=200, deadline=None)
     def test_relations(self, text):
-        with _smallest_window():
-            assert_agrees("parse_script", text)
+        assert_agrees("parse_script", text)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.vlp")))
     def test_fixtures_and_their_mutations(self, name):
@@ -688,27 +647,23 @@ class TestSmallestWindow:
         seed = zlib.crc32(name.encode()) + 3
         variants = [text, *_mutations(text, seed, 30)]
         variants += [token_mutation(text, seed + k) for k in range(30)]
-        with _smallest_window():
-            for variant in variants:
-                assert_agrees("parse_script", variant)
+        for variant in variants:
+            assert_agrees("parse_script", variant)
 
     @_LATE
     @pytest.mark.parametrize("arrow", ["->", "→"])
     def test_late_errors(self, edges, late, message, line, col, arrow):
-        with _smallest_window():
-            outcome = _outcome(parser.parse_script, _relation(edges, arrow) + late)
+        outcome = _outcome(parser.parse_script, _relation(edges, arrow) + late)
         assert outcome == ("error", message, line, col)
 
     def test_edges_are_no_tokens(self):
-        with _smallest_window():
-            TestEdgesAreNoTokens().test_a_relation_scans_only_what_surrounds_its_edges()
-            for parse, text in _BODIES_AS_TERMS:
-                TestEdgesAreNoTokens().test_a_body_met_as_a_term_is_tokens(parse, text)
+        TestEdgesAreNoTokens().test_a_relation_scans_only_what_surrounds_its_edges()
+        for parse, text in _BODIES_AS_TERMS:
+            TestEdgesAreNoTokens().test_a_body_met_as_a_term_is_tokens(parse, text)
 
     def test_late_errors_in_a_term(self):
-        with _smallest_window():
-            split = _outcome(parser.parse_term, TestLateErrorsInATerm.SPLIT)
-            entry = _outcome(parser.parse_script, TestLateErrorsInATerm.ENTRY)
+        split = _outcome(parser.parse_term, TestLateErrorsInATerm.SPLIT)
+        entry = _outcome(parser.parse_script, TestLateErrorsInATerm.ENTRY)
         assert split == ("error", "split binders must be distinct", 2, 6)
         assert entry == ("error", "actor 'default' is not declared", 6, 5)
 
@@ -748,21 +703,11 @@ class TestSmallestWindow:
         ],
     )
     def test_long_stretches(self, name, text):
-        # Each loop and each nesting construct, run long enough that only
-        # its refill checks keep the parser inside the window.
-        with _smallest_window():
-            assert_agrees(name, text)
-
-    def test_the_lookahead_is_the_smallest_legal_one(self):
-        # A compare declaration reads nine tokens past the check before it.
-        text = (FIXTURES / "star-vs-chain.vlp").read_text(encoding="utf-8")
-        with _smallest_window():
-            parser._LOOKAHEAD -= 1
-            with pytest.raises(IndexError):
-                parser.parse_script(text)
+        # Each loop and each nesting construct, run long.
+        assert_agrees(name, text)
 
 
-# Tokens enough to fill several windows, and a bad character after them.
+# Six hundred tokens, and a bad character after them.
 _FILLER = "\n" + "a " * 600 + "\n"
 _BAD = "$"
 

@@ -1,10 +1,10 @@
 """Parser and renderer tests: frozen syntax cases plus round-trip laws."""
 
 import random
+import re
 import sys
 import tracemalloc
 import zlib
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -66,7 +66,7 @@ from veracity.parser import (
     render_weight_expr,
     tokenize,
 )
-from veracity.parser import _Locator, _Parser, _kind, _offsets, _scan
+from veracity.parser import _Locator, _Parser, _kind
 
 from strategies import VAR_NAMES, claims, terms, weight_exprs
 from tokoracle import oracle_tokenize
@@ -211,32 +211,18 @@ _MIXED_TEXT = (
 
 
 class TestSharedLexemes:
-    """The scan keeps one string per distinct lexeme, in a table of its
-    own, and its offsets in an array of 4-byte machine integers wherever
-    every offset fits one."""
+    """A parse keeps one string per distinct lexeme, in a table of its own,
+    and tokenize, which runs the parser's scan, gives those strings."""
 
     def test_equal_lexemes_are_one_object(self):
-        texts, _ = _scan(_MIXED_TEXT)
+        texts = [token.text for token in tokenize(_MIXED_TEXT)]
         first: dict[str, str] = {}
         for text in texts:
             assert first.setdefault(text, text) is text, text
         assert len(first) < len(texts) / 4
 
-    def test_starts_are_a_4_byte_array(self):
-        texts, starts = _scan(_MIXED_TEXT)
-        assert isinstance(starts, array) and starts.typecode == "I" and starts.itemsize == 4
-        assert len(starts) == len(texts) and starts[-1] == len(_MIXED_TEXT)
-
-    def test_offsets_past_4_bytes_take_8(self):
-        # Chosen by the text's length alone, which the eof entry reaches.
-        assert _offsets(2**32 - 1).typecode == "I"
-        _offsets(2**32 - 1).append(2**32 - 1)
-        assert _offsets(2**32).typecode == "q"
-        _offsets(2**32).append(2**32)
-
     def test_two_scans_share_no_table(self):
-        one, _ = _scan(_MIXED_TEXT)
-        two, _ = _scan(_MIXED_TEXT)
+        one, two = ([token.text for token in tokenize(_MIXED_TEXT)] for _ in range(2))
         assert one == two
         # Identifiers, strings and numbers are shared within a scan, never
         # between two (one-character strings are the interpreter's own).
@@ -252,9 +238,9 @@ class TestSharedLexemes:
         assert len(arrows) == 6 and all(a is arrows[0] for a in arrows)
 
     def test_far_offsets_locate(self):
-        # 100,000 characters of tokens before each error.  The scan locates
-        # its own from the match; the parser reads the offset back from the
-        # array, past what two bytes hold.
+        # 100,000 characters of tokens before each error, past what two
+        # bytes hold.  The scan locates its own from the match, the parser
+        # the offset of its current token.
         head = "x /\\ y\r\n" * 12_500
         assert len(head) == 100_000
         with pytest.raises(ParseError) as exc:
@@ -1158,34 +1144,13 @@ def _tower(height):
 
 
 class TestTokenRelease:
-    """The parser drops the tokens it has read as it goes, so a long
-    script's tokens are not all held while its last values are built."""
-
-    THRESHOLD = 256   # tokens read before the parser drops any
-
-    def test_the_last_proof_node_is_read_holding_few_tokens(self, monkeypatch):
-        text = "claim A, B.\nactor P.\n" + "".join(
-            f"proof D{k} {{ andIntro(andIntro(assume x : A, assume y^P : B), assume z : A) }}\n"
-            for k in range(800)
-        )
-        total = len(tokenize(text))
-        assert total > 20_000
-        held = []
-        tree = _Parser.tree
-
-        def recording(self):
-            held.append(len(self.texts))
-            return tree(self)
-
-        monkeypatch.setattr(_Parser, "tree", recording)
-        script = parse_script(text)
-        assert len(held) == 800 * 5 and len(script.proofs) == 800
-        assert held[-1] <= total // 8 + self.THRESHOLD
+    """The parser holds one token at a time, so a long script's or term's
+    tokens are never all held while its last values are built."""
 
     def test_a_long_term_peaks_near_its_value(self):
-        # f applied to 10,000 pairs: term() reads each part of a pair and
-        # drops the tokens read before it, so the peak is little more than
-        # the term built, where the whole token stream beside it took 600 KB.
+        # f applied to 10,000 pairs: the parser holds one token at a time,
+        # so the peak is little more than the term built (3.2 KB over it on
+        # CPython 3.11), where the whole token stream beside it took 600 KB.
         text = "f" + " (a, b)" * 10_000
         assert len(tokenize(text)) - 1 == 50_001
         parse_term("f (a, b)")   # once untraced, so lazy caches are not counted
@@ -1197,38 +1162,19 @@ class TestTokenRelease:
         finally:
             tracemalloc.stop()
         assert isinstance(term, Apply) and held - base > 1_000_000
-        assert peak - held <= 64 * 1024, (peak - held, held - base)
+        assert peak - held <= 8 * 1024, (peak - held, held - base)
 
     @pytest.mark.parametrize("height", [56, 80, 120])
-    def test_a_stated_sequent_is_read_a_window_at_a_time(self, height, monkeypatch):
-        # The top sequent of a tower of height 120 states 120 hypotheses and
-        # a claim of 121 conjuncts.  With release points before each
-        # hypothesis and each claim operand, the window's longest length is
-        # at most a release's threshold, the tokens a refill scans past the
-        # cursor and the few read between a release point and the check
-        # after it, at every height: 532 tokens at 120, where it held the
-        # sequent whole at 706, 872 and 1,050 tokens at 56, 80 and 120.
-        lengths = []
-        refill = _Parser.refill
-
-        def recording(self, want=None):
-            refill(self, want)
-            lengths.append(len(self.texts))
-
-        monkeypatch.setattr(_Parser, "refill", recording)
-        parse_script(_tower(height))
-        scan = veracity.parser
-        assert max(lengths) <= scan._RELEASE_AT + scan._LOOKAHEAD + scan._WINDOW + 9, max(lengths)
-
-    @pytest.mark.parametrize("height", [56, 80])
     def test_a_stated_tower_peaks_near_its_value(self, height, monkeypatch):
         # An impElim/impIntro tower whose every level states its sequent,
-        # of 30,709 tokens at height 56 and 61,141 at 80: the parser scans
-        # them as it reads them, so past the proof built and the sharing
-        # table it is read with, which both grow with the height, the peak
-        # holds about one sequent's tokens (24 KB at 56, 29 KB at 80), where
-        # the whole token stream took 320 KB at 56 and 690 KB at 80.
-        # tokenize still gives every token.
+        # of 30,709 tokens at height 56 and 61,141 at 80; the top sequent at
+        # 120 states 120 hypotheses and a claim of 121 conjuncts.  The
+        # parser holds one token at a time, so past the proof built and the
+        # sharing table it is read with, which both grow with the height,
+        # the peak holds what the nesting of one sequent takes (15.5, 17.3
+        # and 29.1 KB at 56, 80 and 120 on CPython 3.11), where the whole
+        # token stream took 320 KB at 56 and 690 KB at 80.  tokenize still
+        # gives every token.
         text = _tower(height)
         tokens = _tokens_or_error(tokenize, text)
         assert tokens == _tokens_or_error(oracle_tokenize, text) and len(tokens) > 30_000
@@ -1255,7 +1201,31 @@ class TestTokenRelease:
             tracemalloc.stop()
         table = with_table - held
         assert len(script.proofs) == 1 and held - base > 100_000 and entries > 5 * height
-        assert peak - held - table <= 64 * 1024, (peak - held, table, held - base)
+        assert peak - held - table <= 40 * 1024, (peak - held, table, held - base)
+
+    @pytest.mark.parametrize("height", [56, 80, 120])
+    def test_a_stated_sequent_is_read_a_window_at_a_time(self, height, monkeypatch):
+        # The top sequent of a tower of height 120 states 120 hypotheses and
+        # a claim of 121 conjuncts.  The window is one token now: each
+        # advance() steps to the next token of the scan, which runs lazily
+        # over the text, so the tokens stepped to are the oracle's, each
+        # once and in order, and no step holds more than the one.
+        text = _tower(height)
+        steps = []
+        advance = _Parser.advance
+        lazy = type(re.finditer("", ""))
+
+        def recording(self):
+            advance(self)
+            assert type(self.matches) is lazy
+            steps.append((self.token, self.start))
+
+        monkeypatch.setattr(_Parser, "advance", recording)
+        script = parse_script(text)
+        locate = _Locator(text)
+        read = [(token, *locate(start)) for token, start in steps]
+        expected = [(t.text, t.line, t.col) for t in oracle_tokenize(text)]
+        assert len(script.proofs) == 1 and read == expected, (len(read), len(expected))
 
 
 _RELATION_ACTORS = [f"p{k}" for k in range(20)]
