@@ -63,6 +63,27 @@ build every value afresh.  A script proof or query is walked
 for an undeclared name, to report the first in a fixed order, only if the
 parser noted one.
 
+A script proof also reads restated text once, as a packrat parser reuses
+a parse it has memoized (Ford 2002).  The parser remembers the last stated
+sequent of the proof, with the spans of text its hypothesis list, witness
+and claim were read from: offsets into the text, not copies of it.  Where
+the next stated sequent's hypothesis list or claim starts with the text of
+that one's, or a term of its witness starts with the text of that witness,
+one str.startswith confirms it; the parser takes the value remembered and
+starts the scan again at the span's end, as after a run of trust edges,
+and nothing in between is scanned.  A span is taken only where reading it
+again would give that very value: the scan splits at its end as it did;
+nothing after it takes a part of it (an operator binding tighter than its
+claim's root, an argument, "@" or "*" after a lambda, a "{", or a "(" with
+no blank between); each name in a witness is bound there or free there as
+it was where it was read; it holds no comment and no provenance; and it is
+16 characters long or more, since reading a few tokens again costs about
+what starting a new scan past them does.  A name in it that is not
+declared was noted where it was read first.  Any
+other text is read as tokens, so the token path alone defines every value
+and every error.  Nothing is reused between two proofs, by parse_term and
+the other entry points, or by tokenize, which still gives every token.
+
 Parsing is total: any input produces either a value or a ParseError carrying
 a line and column.  The render functions are the inverse direction and keep
 parentheses minimal; round-tripping a rendered value re-parses to an
@@ -213,6 +234,20 @@ _EDGE = re.compile(
 )
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+# Besides letters and digits, the characters that can go on with a token
+# a claim or a term ends with: a name ("'", "_", and "_" into "_|_") or a
+# number (".5", "/2").  Text restated up to one of them is read as tokens.
+_GOES_ON = frozenset("_'./|")
+
+# A comment or a provenance in a span of text: such a span is not reused,
+# so no reuse ends inside a comment or shares an atom with provenance.
+_UNREUSED = re.compile(r"[#{]").search
+
+# The shortest span of text worth stepping over.  A shorter one holds a few
+# tokens at most, and reading them again costs about what starting a new
+# scan past them does.
+_SHORTEST = 16
 
 
 def _unexpected(text: str, m: re.Match) -> ParseError:
@@ -446,6 +481,12 @@ _SCRIPT_NAMES = {
 # Conjunction and disjunction group to the left, implication to the right.
 _CLAIM_OPS = {"->": (1, Implies), "\\/": (2, Or), "/\\": (3, And)}
 
+# How tightly an operator after a claim may bind for the claim to be its
+# left operand: no tighter than the claim's root binds, since /\ and \/
+# group to the left, and not at all after an implication (a negation is
+# one), which groups to the right.  A claim of no operator takes any.
+_ROOT_BINDS = {Implies: 0, Or: 2, And: 3}
+
 _T = TypeVar("_T")
 
 # For n fields, the pack of the ids of a class and its n fields into one
@@ -484,10 +525,20 @@ class _Parser:
     A method that locates a token it has read past keeps the token's
     offset: declarations, proof nodes, provenance fields, trust edges,
     model assignments and entries, and the split and provenance errors of
-    primary.  family() looks past an "i" for "=>" by a scan of its own,
-    and trust_relation() starts the scan again where a run of edges it read
-    straight from the text ends.  A RecursionError is "nesting too deep"
-    at the current token.
+    primary.  family() looks past an "i" for "=>" by a scan of its own.
+    trust_relation() starts the scan again where a run of edges it read
+    straight from the text ends.
+
+    Within a script proof, memo holds the last sequent read and the spans
+    of text its hypothesis list, witness and claim came from.  sequent()
+    takes a hypothesis list or claim whose text starts with one of those,
+    and term() a term of the witness that does, from memo, and starts the
+    scan again past it, but only where reading the text again would give
+    the very values memo holds (see restates, restated_term and
+    restated_claim); other text is read as tokens.  memo is empty outside
+    a script proof, so parse_term, the other entry points and tokenize
+    read every token.  A RecursionError is "nesting too deep" at the
+    current token.
     """
 
     def __init__(self, text: str) -> None:
@@ -513,6 +564,17 @@ class _Parser:
         # is that table while such a value is read, and None elsewhere.
         self.table: Optional[dict[tuple, Any]] = None
         self.shared: Optional[dict[tuple, Any]] = None
+        # The last stated sequent of the script proof being read, and the
+        # spans of text its hypothesis list, witness and claim were read
+        # from, as (sequent, *spans), each an (offset, end) pair or None for
+        # one not to reuse; None outside a script proof (see sequent).
+        self.memo: Optional[tuple[Sequent, Optional[tuple[int, int]], ...]] = None
+        # While a stated witness is read and the remembered one may recur in
+        # it, the names bound where the parser stands that may not have been
+        # bound where that one was read, else None; and the first characters
+        # of that one's text, which term() looks for.
+        self.fresh: Optional[list[str]] = None
+        self.head = ""
         # False once the proof or query being read names an undeclared name.
         self.all_declared = True
         # The actor of a judgement or hypothesis written without ^actor;
@@ -555,6 +617,24 @@ class _Parser:
                 self.token = ""
                 self.start = len(self.text)
                 return
+
+    def rescan(self, offset: int) -> None:
+        """Start the scan again at offset, where a token starts or one ends,
+        and step to the token there or after it."""
+        self.matches = _SCAN(self.text, offset)
+        self.advance()
+
+    def restates(self, at: int, end: int) -> bool:
+        """Whether the text from the current token on starts with the text
+        of the span from at to end, read before, and the scan splits there
+        as it did; if so, step to the token after it."""
+        text, start = self.text, self.start
+        stop = start + end - at
+        follow = text[stop:stop + 1]
+        if follow.isalnum() or follow in _GOES_ON or not text.startswith(text[at:end], start):
+            return False
+        self.rescan(stop)
+        return True
 
     def unexpected(self) -> Optional[ParseError]:
         """The error of the first bad character from the current token on,
@@ -659,12 +739,15 @@ class _Parser:
 
     # -- claims
 
-    def claim(self) -> Claim:
+    def claim(self, operand: Optional[Claim] = None) -> Claim:
+        """A claim, or the rest of one whose first operand, if given, was
+        read already."""
         # Each operand of /\ or \/ waits, with its operator, for an operator
         # that binds no tighter; ->, the loosest, takes the rest as its
         # right side.
         waiting: list[tuple[Claim, int, type]] = []
-        operand = self.claim_unary()
+        if operand is None:
+            operand = self.claim_unary()
         while True:
             op = _CLAIM_OPS.get(self.token)
             tightness = op[0] if op else 0
@@ -704,15 +787,23 @@ class _Parser:
     # -- witness terms
 
     def term(self) -> Term:
-        if self.token == "\\":
-            self.advance()
-            param = self.expect_ident("a parameter name")
-            self.expect(".")
-            body = self.scoped_term((param,))
-            if self.accept("@"):
-                return self.make(Lambda, param, body, self.weight_expr())
-            return self.make(Lambda, param, body)
-        term = self.primary()
+        # The remembered witness is looked for only where its first
+        # characters start.
+        if (
+            self.fresh is None
+            or not self.text.startswith(self.head, self.start)
+            or (term := self.restated_term()) is None
+        ):
+            if self.token == "\\":
+                self.advance()
+                param = self.expect_ident("a parameter name")
+                self.expect(".")
+                body = self.scoped_term((param,))
+                if self.accept("@"):
+                    return self.make(Lambda, param, body, self.weight_expr())
+                return self.make(Lambda, param, body)
+            term = self.primary()
+        # A restated lambda is followed by no argument (see restated_term).
         while True:
             found = self.token
             if found != "(" and (found[:1] not in _IDENT_START or found == "_|_"):
@@ -721,10 +812,14 @@ class _Parser:
 
     def scoped_term(self, names: tuple[str, ...]) -> Term:
         """A term in which names are bound."""
-        bound = self.bound
+        bound, fresh = self.bound, self.fresh
         for name in names:
             bound[name] = bound.get(name, 0) + 1
+        if fresh is not None:
+            fresh += names
         body = self.term()
+        if fresh is not None:
+            del fresh[len(fresh) - len(names):]
         for name in names:
             left = bound[name] - 1
             if left:
@@ -732,6 +827,34 @@ class _Parser:
             else:
                 del bound[name]
         return body
+
+    def restated_term(self) -> Optional[Term]:
+        """The remembered witness, if the text from the current token on
+        restates it and reading it again would give that very value: at a
+        token boundary, with each name in it bound or free as it was, and,
+        for a lambda, with nothing after it that its body or weight would
+        take.  Else None, at the same token."""
+        text, start, fresh = self.text, self.start, self.fresh
+        # Past the check of its first characters in term(), a miss stops the
+        # search in this witness, so a witness compares all of the
+        # remembered text in vain once at most.
+        self.fresh = None
+        sequent, _, (at, end), _ = self.memo
+        # A name of fresh that the text holds may be read otherwise here.
+        # Each is looked for in the text, so a hit costs a few passes over
+        # it at most.
+        if len(fresh) > 8 or any(text.find(name, at, end) >= 0 for name in fresh):
+            return None
+        if not self.restates(at, end):
+            return None
+        value, follow = sequent.conclusion.witness, self.token
+        if follow == "{" or (follow == "(" and self.start == start + end - at) or (
+            isinstance(value, Lambda) and (follow in ("(", "@", "*") or _is_ident(follow))
+        ):
+            self.rescan(start)
+            return None
+        self.fresh = fresh
+        return value
 
     def primary(self) -> Term:
         name = self.token
@@ -809,26 +932,22 @@ class _Parser:
     def judgement(self, names: tuple[str, ...] = ()) -> Judgement:
         """A judgement whose witness may use names as bound variables."""
         witness = self.scoped_term(names)
-        return self.make(Judgement, witness, *self.actor_weight_claim())
+        actor, weight = self.actor_weight()
+        return self.make(Judgement, witness, actor, weight, self.claim())
 
     def hypothesis(self) -> Hypothesis:
         var = self.expect_ident("a hypothesis variable")
-        return self.make(Hypothesis, var, *self.actor_weight_claim())
+        actor, weight = self.actor_weight()
+        return self.make(Hypothesis, var, actor, weight, self.claim())
 
-    def actor_weight_claim(self) -> tuple[str, Weight, Claim]:
-        """The [^actor] [@weight] ":" claim that ends a judgement or a
+    def actor_weight(self) -> tuple[str, Weight]:
+        """The [^actor] [@weight] ":" before the claim of a judgement or a
         hypothesis."""
         actor = self.expect_ident("an actor") if self.accept("^") else self.default_actor
         self.note("actor", actor)
         weight = self.weight() if self.accept("@") else _ONE
         self.expect(":")
-        return actor, weight, self.claim()
-
-    def sequent(self) -> Sequent:
-        hyps = [] if self.token == "|-" else self.comma_list(self.hypothesis)
-        self.expect("|-")
-        conclusion = self.judgement(tuple(h.var for h in hyps))
-        return Sequent(tuple(hyps), conclusion)
+        return actor, weight
 
     # -- proof trees
 
@@ -863,6 +982,80 @@ class _Parser:
             self.shared = None
             self.expect(")")
         return ProofTree(rule, premises, args, stated, loc)
+
+    def sequent(self) -> Sequent:
+        """A sequent, but for the text it restates of the one remembered, if
+        any (see restates): a hypothesis list that starts with that one's,
+        that one's witness wherever a term of the witness starts with it,
+        and a claim that starts with that one's claim.  The sequent is
+        remembered in turn.  A name it restates that is not declared was
+        noted where it was read first, in the same proof."""
+        below, hyps_span, witness_span, claim_span = self.memo or (None, None, None, None)
+        at = self.start
+        hyps: list[Hypothesis] = []
+        if hyps_span and self.restates(*hyps_span):
+            # The claim that ends them ended there only if nothing that it
+            # would take follows.
+            if self.token == "," or self.token == "|-":
+                hyps = list(below.hypotheses)
+                while self.accept(","):
+                    hyps.append(self.hypothesis())
+            else:
+                self.rescan(at)
+        if not hyps and self.token != "|-":
+            hyps = self.comma_list(self.hypothesis)
+        hyps_span = self.span(at)
+        self.expect("|-")
+        if witness_span:
+            # The names bound where the remembered witness was read were
+            # its sequent's hypotheses; those of this one may bind others.
+            read_with = below.hypotheses
+            if tuple(hyps[: len(read_with)]) == read_with:
+                self.fresh = [h.var for h in hyps[len(read_with):]]
+            else:
+                self.fresh = list({h.var for h in hyps}.symmetric_difference(h.var for h in read_with))
+            at, end = witness_span
+            self.head = self.text[at : at + _SHORTEST]
+        # No term encloses a sequent, so its hypotheses are all that its
+        # witness is read with bound.
+        bound = self.bound
+        for h in hyps:
+            bound[h.var] = 1
+        at = self.start
+        witness = self.term()
+        self.fresh = None
+        bound.clear()
+        witness_span = self.span(at)
+        actor, weight = self.actor_weight()
+        at = self.start
+        claim = self.claim(self.restated_claim(below.conclusion.claim, claim_span) if claim_span else None)
+        sequent = Sequent(tuple(hyps), self.make(Judgement, witness, actor, weight, claim))
+        self.memo = (sequent, hyps_span, witness_span, self.span(at))
+        return sequent
+
+    def span(self, at: int) -> Optional[tuple[int, int]]:
+        """The span of text from offset at to the end of the token before
+        the current one, if it may be reused: if it is not short and holds
+        no comment or provenance."""
+        text, end = self.text, self.start
+        while end > at and text[end - 1] in " \t\r\n":
+            end -= 1
+        if end - at < _SHORTEST or _UNREUSED(text, at, end):
+            return None
+        return at, end
+
+    def restated_claim(self, claim: Claim, span: tuple[int, int]) -> Optional[Claim]:
+        """claim, if the text from the current token on restates the span
+        it was read from and no operator follows that would take its last
+        operand; else None, at the same token."""
+        start = self.start
+        if not self.restates(*span):
+            return None
+        op = _CLAIM_OPS.get(self.token)
+        if op is not None and op[0] > _ROOT_BINDS.get(type(claim), 4):
+            self.rescan(start)
+            return None
+        return claim
 
     def assume_args(self) -> AssumeArgs:
         var = self.expect_ident("a hypothesis variable")
@@ -1025,7 +1218,7 @@ class _Parser:
                 self.all_declared = True
                 self.table = {}
                 tree = self.tree()
-                self.table = None
+                self.table = self.memo = None
                 self.expect("}")
                 if not self.all_declared:
                     self.require_tree(tree)
@@ -1073,8 +1266,7 @@ class _Parser:
         edges: dict[tuple[str, str], Weight] = {}
         end = self.run_edges(edges, start)
         if end > start:
-            self.matches = _SCAN(self.text, end)
-            self.advance()
+            self.rescan(end)
         while not self.accept("}"):
             at = self.start
             src = self.reference("actor")

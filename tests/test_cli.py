@@ -947,6 +947,35 @@ class TestDeepInput:
                 assert err.endswith("nesting too deep\n"), (where, err)
 
 
+class TestRestatedDepth:
+    """A stated witness that restates the one stated before it in its
+    proof, nested deeper, is taken as read and not read again, so it parses
+    where reading it again would nest too deep for the parser.  Every
+    subcommand then runs on it in a fresh interpreter, at the limit the CLI
+    sets, and exits 0, 1 or 2 with no traceback."""
+
+    PAIRS = "(a, " * 4500 + "a" + ")" * 4500
+    LAMBDAS = "(" + "\\x." * 4400 + "x)"
+
+    @pytest.mark.parametrize("witness, around", [(PAIRS, 500), (LAMBDAS, 600)], ids=["pairs", "lambdas"])
+    def test_every_subcommand(self, tmp_path, witness, around):
+        deeper = "(" * around + witness + ")" * around
+        script = tmp_path / "restated.vlp"
+        script.write_text(
+            "claim A. actor P.\nproof D {\nandIntro(andIntro(assume x : A, assume x : A)"
+            f" stating (|- {witness}^P : A), assume x : A) stating (|- {deeper}^P : A)\n}}\n"
+            "model M { A = { a. }. }\nsound D in M.\nquery a : A in M.\n",
+            encoding="utf-8",
+        )
+        runs = [[command, str(script)] for command in ("check", "eval", "model", "trust", "report")]
+        results = _drive(runs)
+        for argv, (code, err, _) in zip(runs, results):
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv[0], err[-2000:])
+            assert "nesting too deep" not in err, argv[0]
+        # The stated witness is not the assumption's, and check says so.
+        assert "  proof D: failed\n" in results[0][2]
+
+
 class TestDeepProof:
     """A 5,000-step trust chain with a model and a sound declaration, in a
     fresh interpreter: replay keeps its own stack, so check and model both

@@ -8,6 +8,7 @@ import dataclasses
 import pickle
 import random
 import zlib
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from veracity.parser import (
     ParseError,
     Script,
     render_claim,
+    render_hypothesis,
     render_judgement,
     render_proof_tree,
     render_sequent,
@@ -778,6 +780,178 @@ class TestLocator:
         rng.shuffle(offsets)
         locate = parser._Locator(text)
         assert [locate(at) for at in offsets] == [oracle._locate(want, at) for at in offsets]
+
+
+def _restating(*stated, header="claim A, B, C, D.\nactor P, Q.\n"):
+    """A script whose proof states each sequent in turn, in the order given."""
+    node = "assume x : A"
+    for sequent in stated:
+        node = f"andIntro({node}, assume x : A) stating ({sequent})"
+    return f"{header}proof Stated {{\n{node}\n}}\n"
+
+
+def _tower_of(height, order=1, spell=lambda level, sequent: sequent, newline="\n"):
+    """_tower's script, its hypothesis lists in the given order, each
+    level's sequent spelled by spell and each node on a line of its own."""
+    node, claim, hyps, witness = "assume x0 : A", "A", ["x0^P : A"], "x0"
+    for i in range(1, height + 1):
+        extra = "ABCD"[i % 4]
+        claim += f" /\\ {extra}"
+        hyps.append(f"y{i}^P : {extra}")
+        witness = f"(\\h{i}.({witness},h{i})) y{i}"
+        stated = spell(i, f"{', '.join(hyps[::order])} |- {witness}^P : {claim}")
+        node = (
+            f"impElim({newline}impIntro(h{i},{newline}andIntro({newline}{node},{newline}"
+            f"assume h{i} : {extra})),{newline}assume y{i} : {extra}) stating ({stated})"
+        )
+    return f"claim A, B, C, D.{newline}actor P.{newline}proof Tower {{{newline}{node}{newline}}}{newline}"
+
+
+def _unicode_at_odd_levels(level, sequent):
+    """The sequent in Unicode operators, with a comment in its hypothesis
+    list, at odd levels, so that no level restates the text of the one
+    below; in ASCII at even ones."""
+    if level % 2 == 0:
+        return sequent
+    sequent = sequent.replace("|-", "⊢").replace("/\\", "∧").replace("\\", "λ")
+    return sequent.replace(", ", ", # a comment\n", 1)
+
+
+TOWERS = {
+    "ordered": lambda height: _tower_of(height),
+    "reversed": lambda height: _tower_of(height, order=-1),
+    "respelled": lambda height: _tower_of(height, spell=_unicode_at_odd_levels),
+    "crlf": lambda height: _tower_of(height, spell=lambda i, s: s.replace(", ", ",\r\n  "), newline="\r\n"),
+    "unicode": lambda height: _tower_of(height, spell=lambda i, s: s.replace("/\\", "∧").replace("\\", "λ")),
+}
+
+_H1 = "x0^P : A, y1^P : C"
+_W1 = "(\\h1.(x0,h1)) y1"
+
+# Pairs of sequents, the second restating text of the first where reading
+# it again may give another value or an error: each first the one the
+# second's text would be taken from, then the second.
+_NEAR_MISSES = {
+    "name-runs-on": (f"{_H1} |- {_W1}^P : A /\\ C", f"{_H1}, y2^P : A |- (\\h2.({_W1}z,h2)) y2^P : A /\\ C /\\ A"),
+    "name-runs-on-prime": (f"{_H1} |- {_W1}^P : A", f"{_H1} |- ({_W1}', x0)^P : A"),
+    "name-runs-on-a-digit": (f"{_H1} |- {_W1}^P : A", f"{_H1} |- ({_W1}0, x0)^P : A"),
+    "claim-runs-on": (f"{_H1} |- x0^P : A /\\ C", f"{_H1} |- x0^P : A /\\ CD"),
+    "hypotheses-run-on": (f"{_H1} |- x0^P : A", f"{_H1}D |- x0^P : A"),
+    "weight-runs-on-decimal": ("x^P : A |- \\h.(x,h) @ 0^P : A", "x^P : A |- (\\h.(x,h) @ 0.5, x)^P : A"),
+    "weight-runs-on-fraction": ("x^P : A |- \\h.(x,h) @ 1^P : A", "x^P : A |- (\\h.(x,h) @ 1/2, x)^P : A"),
+    "weight-takes-a-factor": ("x^P : A |- \\h.(x,h) @ 1^P : A", "x^P : A |- (\\h.(x,h) @ 1 * 0.5, x)^P : A"),
+    "falsity-before-turnstile": ("x^P : A -> _|_ |- x^P : A", "x^P : A -> _|_|- x^P : A"),
+    "underscore-into-falsity": ("x^P : A |- f _^P : A", "x^P : A |- (f _|_, x)^P : A"),
+    "bar-into-turnstile": ("x^P : A |- f _^P : A", "x^P : A |- (f _|-, x)^P : A"),
+    "atom-then-hypothesis": ("x^P : A |- f y^P : A", "x^P : A, y^P : B |- (f y, x)^P : A"),
+    "atom-then-binder": ("x^P : A |- f y^P : A", "x^P : A |- \\y.(f y, x)^P : A"),
+    "atom-then-split-binder": ("x^P : A |- f y^P : A", "x^P : A |- split(x, y.z.(f y, z))^P : A"),
+    "hypothesis-then-atom": ("x^P : A, y^P : B |- f y^P : A", "x^P : A |- (f y, x)^P : A"),
+    "hypothesis-then-shadowed": ("x^P : A, y^P : B |- f y^P : A", "x^P : A, y^P : B |- \\y.(f y, x)^P : A"),
+    "lambda-then-argument": ("x^P : A |- \\h.(x,h)^P : A", "x^P : A |- (\\h.(x,h) x)^P : A"),
+    "lambda-then-parenthesis": ("x^P : A |- \\h.(x,h)^P : A", "x^P : A |- (\\h.(x,h) (x))^P : A"),
+    "lambda-then-weight": ("x^P : A |- \\h.(x,h)^P : A", "x^P : A |- (\\h.(x,h) @ 0.5, x)^P : A"),
+    "lambda-then-judgement-weight": ("x^P : A |- \\h.(x,h)^P : A", "x^P : A |- \\h.(x,h) @ 0.5 : A"),
+    "lambda-then-comma": ("x^P : A |- \\h.(x,h)^P : A", "x^P : A |- (\\h.(x,h), x)^P : A"),
+    "application-then-argument": ("x^P : A |- f x^P : A", "x^P : A |- (f x x, x)^P : A"),
+    "constructor-then-parenthesis": ("x^P : A |- f i^P : A", "x^P : A |- (f i(x), x)^P : A"),
+    "constructor-then-spaced-parenthesis": ("x^P : A |- f i^P : A", "x^P : A |- (f i (x), x)^P : A"),
+    "atom-then-provenance": ("x^P : A |- f a^P : A", 'x^P : A |- (f a{who="w"}, x)^P : A'),
+    "provenance-twice": ('x^P : A |- (f a{who="w"}, x)^P : A', 'x^P : A |- ((f a{who="w"}, x), (f a{who="w"}, x))^P : A'),
+    "provenance-restated": ('x^P : A |- f a{who="w"}^P : A', 'x^P : A |- (f a{who="w"}, x)^P : A'),
+    "provenance-on-a-bound-name": ('x^P : A |- f a{who="w"}^P : A', 'x^P : A, a^P : A |- (f a{who="w"}, x)^P : A'),
+    "disjunction-then-conjunction": ("x^P : A |- x^P : A \\/ B", "x^P : A |- x^P : A \\/ B /\\ C"),
+    "disjunction-then-disjunction": ("x^P : A |- x^P : A \\/ B", "x^P : A |- x^P : A \\/ B \\/ C"),
+    "implication-then-implication": ("x^P : A |- x^P : A -> B", "x^P : A |- x^P : A -> B -> C"),
+    "implication-then-conjunction": ("x^P : A |- x^P : A -> B", "x^P : A |- x^P : A -> B /\\ C"),
+    "negation-then-conjunction": ("x^P : A |- x^P : ~A", "x^P : A |- x^P : ~A /\\ C"),
+    "falsity-then-conjunction": ("x^P : A |- x^P : A -> _|_", "x^P : A |- x^P : A -> _|_ /\\ C"),
+    "conjunction-then-any": ("x^P : A |- x^P : A /\\ B", "x^P : A |- x^P : A /\\ B \\/ C -> D"),
+    "hypothesis-claim-runs-on": ("x^P : A |- x^P : A", "x^P : A /\\ B, y^P : B |- x^P : A"),
+    "hypothesis-claim-then-implication": ("x^P : A \\/ B |- x^P : A", "x^P : A \\/ B -> C |- x^P : A"),
+    "comment-in-hypotheses": ("x^P : A, # c\n y^P : B |- x^P : A", "x^P : A, # c\n y^P : B, z^P : C |- x^P : A"),
+    "comment-after-hypotheses": ("x^P : A # c\n |- x^P : A", "x^P : A # c\n, y^P : B |- x^P : A"),
+    "comment-runs-on": ("x^P : A # c\n |- x^P : A", "x^P : A # c, y^P : B\n |- x^P : A"),
+    "comment-runs-on-in-a-witness": ("x^P : A |- f x # c\n ^P : A", "x^P : A |- (f x # c, x)\n , x)^P : A"),
+    "comment-ends-witness": ("x^P : A |- f x # c\n ^P : A", "x^P : A |- (f x # c\n, x)^P : A"),
+    "crlf": ("x^P : A,\r\n y^P : B |- (f x,\r\n x)^P : A", "x^P : A,\r\n y^P : B, z^P : C |- ((f x,\r\n x), z)^P : A"),
+    "unicode": ("x^P : A ∧ B ⊢ λh.(x,h)^P : A ∧ B", "x^P : A ∧ B, y^P : C ⊢ (λh.(x,h), y)^P : A ∧ B ∧ C"),
+    "unicode-then-ascii": ("x^P : A ∧ B ⊢ λh.(x,h)^P : A ∧ B", "x^P : A /\\ B, y^P : C |- (\\h.(x,h), y)^P : A /\\ B /\\ C"),
+    "undeclared-claim": ("x^P : Z |- x^P : A", "x^P : Z, y^P : A |- x^P : A"),
+    "undeclared-actor": ("x^R : A |- x^P : A", "x^R : A, y^P : A |- x^P : A"),
+    "undeclared-in-the-first-only": ("x^P : A |- x^R : Z", "x^P : A, y^P : B |- x^P : A"),
+    "undeclared-after-a-restatement": (f"{_H1} |- {_W1}^P : A", f"{_H1}, y^P : Z |- ({_W1}, x)^R : A"),
+    "bad-character-after-hypotheses": (f"{_H1} |- x0^P : A", f"{_H1}$ |- x0^P : A"),
+    "bad-character-after-witness": (f"{_H1} |- {_W1}^P : A", f"{_H1} |- ({_W1}$, x0)^P : A"),
+    "bad-character-after-claim": (f"{_H1} |- x0^P : A /\\ C", f"{_H1} |- x0^P : A /\\ C$"),
+    "end-after-hypotheses": (f"{_H1} |- x0^P : A", f"{_H1}"),
+    "witness-twice": (f"{_H1} |- {_W1}^P : A", f"{_H1}, y2^P : B |- (({_W1}, {_W1}), y2)^P : A"),
+    "same-sequent": (f"{_H1} |- {_W1}^P : A /\\ C", f"{_H1} |- {_W1}^P : A /\\ C"),
+    "no-hypotheses": (f"|- {_W1}^P : A", f"|- ({_W1}, {_W1})^P : A"),
+}
+
+
+@st.composite
+def restating_scripts(draw):
+    """Scripts whose proof states a chain of sequents, each restating the
+    text of the one before: its hypothesis list, witness and claim, with
+    more after them or around them."""
+    hyps = [render_hypothesis(h) for h in draw(st.lists(hypotheses, max_size=2))]
+    witness, claim = render_term(draw(terms(3))), render_claim(draw(claims(3)))
+    stated = []
+    for _ in range(draw(st.integers(2, 4))):
+        stated.append(f"{', '.join(hyps)} |- {witness}^P : {claim}")
+        if draw(st.booleans()):
+            hyps.append(render_hypothesis(draw(hypotheses)))
+        around = draw(st.sampled_from(["({}, x)", "\\x.({}, y)", "f ({})", "({}) y", "{} y", "\\u.{}", "i({})", "(x, {})"]))
+        witness = around.format(witness)
+        claim = draw(st.sampled_from(["{} /\\ A", "{} \\/ B", "{} -> C", "({}) /\\ D", "~{}", "{}"])).format(claim)
+    return _restating(*stated, header=draw(st.sampled_from(["claim A, B, C, D.\nactor P, Q.\n", "claim A, B.\nactor P.\n"])))
+
+
+def assert_restated_as_read(text):
+    """The parse of text agrees with the oracle's, and with a parse that
+    reuses no text: a value equal to its value, holding as many distinct
+    nodes, so that a value reused is the very one the table gives back
+    for the text read again.  So does a parse that reuses spans of any
+    length, short ones included."""
+    assert_agrees("parse_script", text)
+    with mock.patch.object(parser._Parser, "span", lambda self, at: None):
+        read = _outcome(parser.parse_script, text)
+    for shortest in (parser._SHORTEST, 1):
+        with mock.patch.object(parser, "_SHORTEST", shortest):
+            reused = _outcome(parser.parse_script, text)
+        assert reused == read, text
+        if reused[0] == "value":
+            assert len(_nodes_of(reused[1])) == len(_nodes_of(read[1])), text
+
+
+class TestRestatedText:
+    """A stated sequent steps over the text it restates of the one before
+    it in its proof.  Towers spelled each way, chains of restating
+    sequents, near misses where the text restated may not be taken as
+    read, and their mutations: each parses to the oracle's value, or fails
+    with its error at its line and column."""
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 12])
+    @pytest.mark.parametrize("variant", sorted(TOWERS))
+    def test_towers_and_their_mutations(self, variant, height):
+        text = TOWERS[variant](height)
+        assert_restated_as_read(text)
+        seed = zlib.crc32(variant.encode()) + height
+        for mutated in [*_mutations(text, seed, 8), *(token_mutation(text, seed + k) for k in range(8))]:
+            assert_restated_as_read(mutated)
+
+    @pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+    def test_near_misses(self, name):
+        first, second = _NEAR_MISSES[name]
+        for stated in ((first, second), (first, second, second), (second, first, second)):
+            assert_restated_as_read(_restating(*stated))
+
+    @given(with_mutations(restating_scripts()))
+    @settings(max_examples=70, deadline=None)
+    def test_restating_chains(self, text):
+        assert_restated_as_read(text)
 
 
 def _nodes_of(value):

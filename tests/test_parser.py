@@ -1,5 +1,6 @@
 """Parser and renderer tests: frozen syntax cases plus round-trip laws."""
 
+import dataclasses
 import random
 import re
 import sys
@@ -1150,7 +1151,8 @@ class TestTokenRelease:
     def test_a_long_term_peaks_near_its_value(self):
         # f applied to 10,000 pairs: the parser holds one token at a time,
         # so the peak is little more than the term built (3.2 KB over it on
-        # CPython 3.11), where the whole token stream beside it took 600 KB.
+        # CPython 3.11.7 and 3.12.1, 2.8 KB on 3.10.13), where the whole
+        # token stream beside it took 600 KB.
         text = "f" + " (a, b)" * 10_000
         assert len(tokenize(text)) - 1 == 50_001
         parse_term("f (a, b)")   # once untraced, so lazy caches are not counted
@@ -1169,12 +1171,16 @@ class TestTokenRelease:
         # An impElim/impIntro tower whose every level states its sequent,
         # of 30,709 tokens at height 56 and 61,141 at 80; the top sequent at
         # 120 states 120 hypotheses and a claim of 121 conjuncts.  The
-        # parser holds one token at a time, so past the proof built and the
-        # sharing table it is read with, which both grow with the height,
-        # the peak holds what the nesting of one sequent takes (15.5, 17.3
-        # and 29.1 KB at 56, 80 and 120 on CPython 3.11), where the whole
-        # token stream took 320 KB at 56 and 690 KB at 80.  tokenize still
-        # gives every token.
+        # parser holds one token at a time and steps over the text each
+        # level restates, so past the proof built and the sharing table it
+        # is read with, which both grow with the height, the peak holds the
+        # frames of the nesting of one level and the memo of the level
+        # below: 11.9, 15.7 and 23.7 KB at 56, 80 and 120 on CPython
+        # 3.11.7, 11.6, 15.3 and 23.5 KB on 3.12.1, and 32.7, 20.6 and 32.3
+        # KB on 3.10.13, whose frames are heap objects that tracemalloc
+        # counts.  The whole token stream took 320 KB at 56 and 690 KB at
+        # 80.  The tree built holds 98,472 bytes of nodes and tuples at 56
+        # by sys.getsizeof on all three, a measure free lists do not move.
         text = _tower(height)
         tokens = _tokens_or_error(tokenize, text)
         assert tokens == _tokens_or_error(oracle_tokenize, text) and len(tokens) > 30_000
@@ -1200,16 +1206,19 @@ class TestTokenRelease:
         finally:
             tracemalloc.stop()
         table = with_table - held
-        assert len(script.proofs) == 1 and held - base > 100_000 and entries > 5 * height
-        assert peak - held - table <= 40 * 1024, (peak - held, table, held - base)
+        built = _built_size(script.proofs[0].tree)
+        assert len(script.proofs) == 1 and built > 2 * 40 * 1024 and entries > 5 * height
+        assert peak - held - table <= 40 * 1024, (peak - held, table, held - base, built)
 
     @pytest.mark.parametrize("height", [56, 80, 120])
-    def test_a_stated_sequent_is_read_a_window_at_a_time(self, height, monkeypatch):
-        # The top sequent of a tower of height 120 states 120 hypotheses and
-        # a claim of 121 conjuncts.  The window is one token now: each
-        # advance() steps to the next token of the scan, which runs lazily
-        # over the text, so the tokens stepped to are the oracle's, each
-        # once and in order, and no step holds more than the one.
+    def test_a_stated_sequent_steps_past_what_it_restates(self, height, monkeypatch):
+        # Each level of the tower restates the hypothesis list, the witness
+        # and the claim of the level below, and the parser steps over that
+        # text: each advance() steps to the next token of the scan, which
+        # runs lazily over the text, or to the token after a restated span.
+        # So the tokens stepped to are the oracle's, in order and each once,
+        # less runs of them whose text the proof has read before: 2,775 of
+        # 30,709 tokens at 56 are stepped to.  tokenize gives every token.
         text = _tower(height)
         steps = []
         advance = _Parser.advance
@@ -1222,10 +1231,39 @@ class TestTokenRelease:
 
         monkeypatch.setattr(_Parser, "advance", recording)
         script = parse_script(text)
-        locate = _Locator(text)
-        read = [(token, *locate(start)) for token, start in steps]
-        expected = [(t.text, t.line, t.col) for t in oracle_tokenize(text)]
-        assert len(script.proofs) == 1 and read == expected, (len(read), len(expected))
+        monkeypatch.undo()
+        tokens = oracle_tokenize(text)
+        assert len(script.proofs) == 1
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
+        # The tower is ASCII, so each token's text is its spelling.
+        line_starts = [0] + [k + 1 for k, c in enumerate(text) if c == "\n"]
+        offsets = [line_starts[t.line - 1] + t.col - 1 for t in tokens]
+        proof = text.index("proof Tower")
+        k = 0
+        for token, start in steps:
+            left_out = k
+            while offsets[k] < start:
+                k += 1
+            assert (offsets[k], tokens[k].text) == (start, token)
+            if k > left_out:
+                first, last = offsets[left_out], offsets[k - 1] + len(tokens[k - 1].text)
+                assert text.find(text[first:last], proof, first) >= 0, (first, last)
+            k += 1
+        assert k == len(tokens) and len(steps) < len(tokens) // 8, (len(steps), len(tokens))
+
+
+def _built_size(value):
+    """The bytes of every distinct node and tuple of a parsed value, by
+    sys.getsizeof, leaving out the strings, numbers and weights it holds."""
+    seen, todo, total = set(), [value], 0
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not isinstance(node, tuple) and not dataclasses.is_dataclass(node):
+            continue
+        seen.add(id(node))
+        total += sys.getsizeof(node)
+        todo.extend(node if isinstance(node, tuple) else (getattr(node, f.name) for f in dataclasses.fields(node)))
+    return total
 
 
 _RELATION_ACTORS = [f"p{k}" for k in range(20)]
